@@ -9,9 +9,10 @@ from fractions import Fraction
 
 from .errors import (BadShape, IncomparableSupports, NonpositiveDimCirc,
                      NotDescentPair, NotInImage)
-from .forms import FormedSpace, GroupDescriptor, complexify
+from .forms import FormedSpace, GroupDescriptor, complexify, json_int
 from .orbits import (AdmissibleTableau, column_partition, complexify_tableau,
                      real_forms, validate)
+from .theta import _check_pair, generalized_descent
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,8 @@ class Cycle:
         for item in data["terms"]:
             if not isinstance(item, dict) or "orbit" not in item or "mult" not in item:
                 raise ValueError("cycle term must be {orbit, mult}")
-            if not isinstance(item["mult"], int):
-                raise ValueError("cycle multiplicity must be an integer")
             terms.append((AdmissibleTableau.from_json(item["orbit"]),
-                          item["mult"]))
+                          json_int(item["mult"], "cycle multiplicity")))
         return Cycle(AdmissibleTableau.from_json(data["complex_orbit"]),
                      FormedSpace.from_json(data["real_space"]),
                      tuple(terms))
@@ -147,7 +146,6 @@ def dlift_cycle(o: AdmissibleTableau, op: AdmissibleTableau, c: Cycle,
     what keeps the transport injective on terms, so multiplicities move
     unchanged and none are merged or created.
     """
-    from .theta import generalized_descent
     if c.complex_orbit != o:
         raise NotDescentPair("cycle does not live over the stated orbit")
     if o.space.base != "C" or op.space.base != "C":
@@ -210,6 +208,7 @@ def dim_circ(v: FormedSpace) -> Fraction:
 
 def range_report(nu, v: FormedSpace, vp: FormedSpace) -> RangeReport:
     """Convergent-range test: nu must strictly exceed 2 - dim_F V'/dim° V."""
+    _check_pair(vp, v)
     nu = Fraction(nu)
     circ = dim_circ(v)
     if circ <= 0:

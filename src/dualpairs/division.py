@@ -34,9 +34,6 @@ class DivisionAlgebra:
     def conj(self, x: tuple) -> tuple:
         return (x[0],) + tuple(-c for c in x[1:])
 
-    def re(self, x: tuple) -> Fraction:
-        return x[0]
-
     def lmat(self, x: tuple):
         """Real matrix of y -> x*y."""
         out = zeros(self.dim, self.dim)

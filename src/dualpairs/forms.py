@@ -27,6 +27,13 @@ _DIM_F_D = {("R", "R"): 1, ("R", "C"): 2, ("R", "H"): 4, ("C", "C"): 1}
 _DIM_R_D = {"R": 1, "C": 2, "H": 4}
 
 
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer; floats, strings and bools are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FormedSpace:
     base: str
@@ -103,18 +110,25 @@ class FormedSpace:
         if unknown:
             raise ValueError(f"unknown formed-space fields {sorted(unknown)}")
         try:
-            base, division, eps = obj["base"], obj["division"], obj["epsilon"]
+            base, division = obj["base"], obj["division"]
+            eps = json_int(obj["epsilon"], "epsilon")
         except KeyError as exc:
             raise ValueError(f"formed space missing field {exc}") from exc
+        if not isinstance(base, str) or not isinstance(division, str):
+            raise ValueError("base and division must be strings")
         has_sig = "signature" in obj
         has_dim = "dim" in obj
         if has_sig == has_dim:
             raise ValueError("exactly one of 'signature'/'dim' must be present")
         try:
             if has_sig:
-                p, q = obj["signature"]
-                return formed_space(base, division, eps, signature=(int(p), int(q)))
-            return formed_space(base, division, eps, dim=int(obj["dim"]))
+                sig = obj["signature"]
+                if not isinstance(sig, list) or len(sig) != 2:
+                    raise ValueError("signature must be a list [p, q]")
+                return formed_space(base, division, eps, signature=tuple(
+                    json_int(c, "signature entry") for c in sig))
+            return formed_space(base, division, eps,
+                                dim=json_int(obj["dim"], "dim"))
         except BadShape as exc:
             raise ValueError(str(exc)) from exc
 
@@ -274,15 +288,8 @@ class GroupDescriptor:
         return " x ".join(f.name for f in self.factors)
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-    @property
     def is_real_symplectic(self) -> bool:
         return len(self.factors) == 1 and self.factors[0].family == "SpR"
-
-    def __mul__(self, other: "GroupDescriptor") -> "GroupDescriptor":
-        return GroupDescriptor(self.factors + other.factors)
 
     def to_json(self) -> dict:
         return {"name": self.name, "lie_dim": self.lie_dim,

@@ -31,9 +31,8 @@ from .forms import FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
 from .rational import (Mat, Vec, add, commutator, eye, inv, is_zero_mat,
-                       kron, mat_vec, matpow, mul, nullspace, rank, scal,
-                       shape, solve, sub, sylvester_signature, transpose,
-                       vstack, zeros)
+                       kron, mat_vec, mul, nullspace, rank, rref, scal, shape,
+                       sub, sylvester_signature, transpose, zeros)
 
 
 def sigma_t(t: int, base: str) -> int:
@@ -164,7 +163,6 @@ class AmbientSpace:
         self.gram = gram
         self.structures = structure_matrices(space.dim, space.division)
         self.gram_inv = inv(gram) if gram else []
-        self._algebra_basis = None
 
     @property
     def dr(self) -> int:
@@ -302,8 +300,7 @@ def moment_maps(rm: RationalMap) -> tuple:
     return x, xp
 
 
-def _d_rank(m: Mat, dr: int) -> int:
-    r = rank(m)
+def _d_rank(r: int, dr: int) -> int:
     if r % dr != 0:
         raise IdentityViolated("rank not divisible by division dimension", rank=r)
     return r // dr
@@ -342,10 +339,14 @@ def _d_form_value(u: Vec, w: Vec, amb: AmbientSpace) -> tuple:
     return tuple(comps)
 
 
-def _d_basis_of(vectors: list, amb: AmbientSpace, expect: int) -> list:
-    """Greedy D-basis from a list of real-space vectors spanning a D-submodule."""
+def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
+                expect: int) -> list:
+    """Greedy D-basis, modulo the D-submodule spanned by lower, of the
+    D-submodule spanned by lower and a list of real-space vectors."""
     div = DIVISIONS[amb.space.division]
-    chosen, span_rows = [], []
+    span_rows = [row for row in rref(lower)[0] if any(row)]
+    base_rank = len(span_rows)
+    chosen = []
     for v in vectors:
         if len(chosen) == expect:
             break
@@ -356,7 +357,7 @@ def _d_basis_of(vectors: list, amb: AmbientSpace, expect: int) -> list:
         span_rows.append(v)
         for j in amb.structures:
             span_rows.append(mat_vec(j, v))
-    if len(chosen) != expect or rank(span_rows) != expect * div.dim:
+    if len(chosen) != expect or rank(span_rows) != base_rank + expect * div.dim:
         raise IdentityViolated("could not extract a D-basis",
                                expected=expect, got=len(chosen))
     return chosen
@@ -392,8 +393,6 @@ def classify_space(beta_d: list, base: str, division: str, epsilon: int) -> Form
 
 def algebra_basis(amb: AmbientSpace) -> list:
     """Basis of the realified isometry Lie algebra (list of matrices)."""
-    if amb._algebra_basis is not None:
-        return amb._algebra_basis
     n = amb.n_real
     pairs = [(i, j) for i in range(n) for j in range(n)]
     nullity_vecs = _constrained_kernel(amb, pairs, commute_with=[])
@@ -403,7 +402,6 @@ def algebra_basis(amb: AmbientSpace) -> list:
         for idx, (i, j) in enumerate(pairs):
             m[i][j] = vec[idx]
         basis.append(m)
-    amb._algebra_basis = basis
     return basis
 
 
@@ -491,18 +489,25 @@ def graded_dims(real: MatrixRealization) -> dict:
 
 
 def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
-    """Orbit of a nilpotent x: diagram from D-ranks, multiplicity forms from
-    the induced form on highest-weight spaces of a completed triple."""
+    """Orbit of a nilpotent x: diagram from the D-ranks of its powers.
+
+    Over base R the multiplicity space of row length t is
+    ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
+    (-1)^(t-1) epsilon-Hermitian form (a, b) -> B(a, x^(t-1) b) of
+    Burgoyne-Cushman.  On a realized block x^(t-1) e_(t-1) = (t-1)! e_0 and
+    S_t[t-1][0] = (-1)^(t-1) sigma_t, so the scale below gives back the
+    multiplicity Gram matrix of realize_triple."""
     assert_in_algebra(x, amb)
     dr = amb.dr
     n_d = amb.space.dim
     ranks = [n_d]
-    p = eye(amb.n_real)
+    powers, kers = [eye(amb.n_real)], [[]]  # x^s and a basis of ker x^s
     while ranks[-1] > 0:
         if len(ranks) > n_d + 1:
             raise NotNilpotent("power sequence does not reach zero")
-        p = mul(p, x)
-        ranks.append(_d_rank(p, dr))
+        powers.append(mul(powers[-1], x))
+        kers.append(nullspace(powers[-1]))
+        ranks.append(_d_rank(amb.n_real - len(kers[-1]), dr))
     ranks.extend([0, 0])
     mults = {}
     for t in range(1, len(ranks) - 1):
@@ -520,65 +525,22 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
         tab = AdmissibleTableau(amb.space, rows)
         validate(tab)
         return tab
-    h, y = jm_complete(x, amb)
+    top = len(kers) - 1  # x^s = 0 from s = top on
     rows = []
     for t in sorted(mults, reverse=True):
-        hw = nullspace(vstack(x, sub(h, scal(t - 1, eye(amb.n_real)))))
-        basis = _d_basis_of(hw, amb, mults[t])
-        yp = matpow(y, t - 1)
-        scale = Fraction(s_twist(t, base), sigma_t(t, base) * math.factorial(t - 1))
-        beta = []
-        for u in basis:
-            row_vals = []
-            for v in basis:
-                val = _d_form_value(u, mat_vec(yp, v), amb)
-                row_vals.append(tuple(scale * comp for comp in val))
-            beta.append(row_vals)
-        eps_t = eps * (-1) ** (t - 1)
-        mult = classify_space(beta, base, amb.space.division, eps_t)
+        lower = kers[t - 1] + [mat_vec(x, v) for v in kers[min(t + 1, top)]]
+        basis = _d_basis_of(kers[t], lower, amb, mults[t])
+        scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
+                         sigma_t(t, base) * math.factorial(t - 1))
+        beta = [[tuple(scale * c for c in
+                       _d_form_value(u, mat_vec(powers[t - 1], v), amb))
+                 for v in basis] for u in basis]
+        mult = classify_space(beta, base, amb.space.division,
+                              eps * (-1) ** (t - 1))
         rows.append(TableauRow(t, mult))
     tab = AdmissibleTableau(amb.space, tuple(rows))
     validate(tab)
     return tab
-
-
-def jm_complete(x: Mat, amb: AmbientSpace) -> tuple:
-    """Complete nilpotent x to a triple (x, h, y) inside the isometry algebra."""
-    basis = algebra_basis(amb)
-    n = amb.n_real
-    if not basis:
-        if not is_zero_mat(x):
-            raise NotNilpotent("nonzero nilpotent in a trivial algebra")
-        return zeros(n, n), zeros(n, n)
-
-    def flat(m):
-        return [m[i][j] for i in range(n) for j in range(n)]
-
-    cols = [flat(commutator(x, commutator(x, e))) for e in basis]
-    rhs = flat(scal(-2, x))
-    coeffs = solve(transpose(cols), rhs)
-    if coeffs is None:
-        raise NotNilpotent("Jacobson-Morozov step has no solution")
-    u = zeros(n, n)
-    for c, e in zip(coeffs, basis):
-        if c:
-            u = add(u, scal(c, e))
-    h = commutator(x, u)
-    cols2 = [flat(commutator(x, e)) + flat(add(commutator(h, e), scal(2, e)))
-             for e in basis]
-    rhs2 = flat(h) + [Fraction(0)] * (n * n)
-    coeffs2 = solve(transpose(cols2), rhs2)
-    if coeffs2 is None:
-        raise NotNilpotent("no sl2 partner found")
-    y = zeros(n, n)
-    for c, e in zip(coeffs2, basis):
-        if c:
-            y = add(y, scal(c, e))
-    if not is_zero_mat(sub(commutator(h, x), scal(2, x))) \
-            or not is_zero_mat(sub(commutator(x, y), h)) \
-            or not is_zero_mat(sub(commutator(h, y), scal(-2, y))):
-        raise IdentityViolated("completed triple fails bracket identities")
-    return h, y
 
 
 # -- descent realizers ---------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import (BadShape, BadSign, BoundExceeded, NotAdmissible,
                      UnsupportedRealClosure)
 from .forms import (FormedSpace, GroupDescriptor, complexify, direct_sum,
-                    formed_space, group_factor, isometry_group,
+                    formed_space, group_factor, isometry_group, json_int,
                     tensor_with_sl2)
 
 DEFAULT_DIM_BOUND = 12
@@ -72,7 +72,8 @@ class AdmissibleTableau:
             raise ValueError(f"unknown tableau fields {sorted(unknown)}")
         try:
             space = FormedSpace.from_json(obj["space"])
-            rows = tuple(TableauRow(int(r["t"]), FormedSpace.from_json(r["mult"]))
+            rows = tuple(TableauRow(json_int(r["t"], "row length t"),
+                                    FormedSpace.from_json(r["mult"]))
                          for r in obj["rows"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tableau: {exc}") from exc

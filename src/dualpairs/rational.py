@@ -53,10 +53,6 @@ def sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def neg(a: Mat) -> Mat:
-    return [[-x for x in row] for row in a]
-
-
 def scal(c, a: Mat) -> Mat:
     c = frac(c)
     return [[c * x for x in row] for row in a]
@@ -120,24 +116,6 @@ def hstack(a: Mat, b: Mat) -> Mat:
     if not b:
         return copy_mat(a)
     return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a: Mat, b: Mat) -> Mat:
-    return copy_mat(a) + copy_mat(b)
-
-
-def block_diag(*mats: Mat) -> Mat:
-    ms = [shape(m)[0] for m in mats]
-    ns = [shape(m)[1] for m in mats]
-    out = zeros(sum(ms), sum(ns))
-    ro, co = 0, 0
-    for blk, m, n in zip(mats, ms, ns):
-        for i in range(m):
-            for j in range(n):
-                out[ro + i][co + j] = blk[i][j]
-        ro += m
-        co += n
-    return out
 
 
 def is_zero_mat(a: Mat) -> bool:
@@ -208,22 +186,6 @@ def nullspace(a: Mat) -> list:
             v[p] = -r[i][f]
         basis.append(v)
     return basis
-
-
-def solve(a: Mat, b: Vec):
-    """One particular solution of a x = b, or None if inconsistent."""
-    m, n = shape(a)
-    aug = [row[:] + [bb] for row, bb in zip(a, b)]
-    r, pivots = rref(aug)
-    for i in range(m):
-        if all(not x for x in r[i][:n]) and r[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        if p == n:
-            return None
-        x[p] = r[i][n]
-    return x
 
 
 def inv(a: Mat) -> Mat:

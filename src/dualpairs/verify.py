@@ -165,30 +165,32 @@ def suite_orbit_enum(report: SuiteReport, rng):
                conj_ok == conj_tot, f"{conj_ok}/{conj_tot}")
 
 
-def suite_descent(report: SuiteReport, rng):
+def _image_check(report: SuiteReport, name: str, errors, check):
+    """Run check(v, op) on every image descent; the detail names the first
+    (V, O') whose check raised one of errors, with the error code."""
     tot = ok = 0
+    first = ""
     for v, vp, op in _image_descents(report.max_dims):
         tot += 1
         try:
-            theta.generalized_descent(op, v)
-            oracle.construct_descent_element(oracle.realize_triple(op), v)
+            check(v, op)
             ok += 1
-        except DomainError:
-            pass
-    report.add("descent witnesses verified (moment maps, degrees, kernels)",
-               ok == tot, f"{ok}/{tot}")
+        except errors as exc:
+            first = first or (f"; first failure V={v.render()}, "
+                              f"O'={op.diagram()} in {vp.render()}: {exc.code}")
+    report.add(name, ok == tot, f"{ok}/{tot}{first}")
+
+
+def suite_descent(report: SuiteReport, rng):
+    _image_check(report, "descent witnesses verified (moment maps, degrees, kernels)",
+                 DomainError, lambda v, op: oracle.construct_descent_element(
+                     oracle.realize_triple(op), v))
 
 
 def suite_dim_identity(report: SuiteReport, rng):
-    tot = ok = 0
-    for v, vp, op in _image_descents(report.max_dims):
-        tot += 1
-        try:
-            oracle.verify_dimension_identity(theta.generalized_descent(op, v))
-            ok += 1
-        except IdentityViolated:
-            pass
-    report.add("graded dimension identity", ok == tot, f"{ok}/{tot}")
+    _image_check(report, "graded dimension identity", IdentityViolated,
+                 lambda v, op: oracle.verify_dimension_identity(
+                     theta.generalized_descent(op, v)))
 
 
 def suite_lift(report: SuiteReport, rng):

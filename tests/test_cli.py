@@ -188,9 +188,17 @@ def test_malformed_inputs_exit_1():
         ("bogus-subcommand",),
         ("orbits", "--space", SP4, "--bogus-flag"),
     ]
+    real = '{"base": "R", "division": "R", "epsilon": 1, '
+    cases += [("orbits", "--space", real + tail) for tail in (
+        '"dim": null}', '"dim": [1]}', '"dim": 1e400}', '"dim": true}',
+        '"signature": [1.5, 0.5]}', '"signature": 2}')]
+    cases += [("orbits", "--space", SP4.replace('"epsilon": -1', eps))
+              for eps in ('"epsilon": -1.0', '"epsilon": true')]
+    cases.append(("stabilizer", "--orbit", REG2.replace('"t": 2', '"t": "2"')))
     for args in cases:
         res = run(*args)
         assert res.returncode == 1, (args, res.stderr)
+        assert res.stderr.startswith("error: "), (args, res.stderr)
         assert res.stdout == "" or "error" not in res.stdout
     res = run()
     assert res.returncode == 1
@@ -202,10 +210,17 @@ def test_domain_error_exit_2_machine_readable():
         "space": {"base": "C", "division": "C", "epsilon": -1, "dim": 4},
         "rows": [{"t": 4, "mult": {"base": "C", "division": "C",
                                    "epsilon": 1, "dim": 1}}]})
-    res = run("descend", "--orbit-prime", four, "--target-space", o2)
-    assert res.returncode == 2
-    err = json.loads(res.stderr)["error"]
-    assert err["code"] == "not_in_image"
+    sp4r = json.dumps({"base": "R", "division": "R", "epsilon": -1, "dim": 4})
+    o3c = json.dumps({"base": "C", "division": "C", "epsilon": 1, "dim": 3})
+    for args, code in [
+            (("descend", "--orbit-prime", four, "--target-space", o2),
+             "not_in_image"),
+            (("range", "--nu", "1", "--space", sp4r, "--target-space", o3c),
+             "incompatible_pair")]:
+        res = run(*args)
+        assert res.returncode == 2, (args, res.stderr)
+        err = json.loads(res.stderr)["error"]
+        assert err["code"] == code
 
 
 def test_text_and_json_agree():

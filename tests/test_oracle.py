@@ -11,11 +11,10 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
                        orthogonal_space, realize_triple, symplectic_space,
                        tableau, theta_lift, verify_dimension_identity,
                        zero_orbit)
-from dualpairs.oracle import (algebra_basis, in_algebra, jm_complete,
-                              kernel_basis, kernel_form_nondegenerate,
-                              make_map, mat_from_json, mat_to_json,
-                              random_isometry, sample_raising_map, sl2_gram,
-                              truncate_map)
+from dualpairs.oracle import (algebra_basis, in_algebra, kernel_basis,
+                              kernel_form_nondegenerate, make_map,
+                              mat_from_json, mat_to_json, random_isometry,
+                              sample_raising_map, sl2_gram, truncate_map)
 from dualpairs.rational import (commutator, eye, is_zero_mat, kron, mat,
                                 matpow, mul, rank, scal, transpose, zeros)
 
@@ -77,14 +76,23 @@ def test_identify_realize_round_trip_dims_8():
 
 def test_identify_is_conjugation_invariant():
     rng = random.Random(7)
-    for v in [SP4, O3, orthogonal_space(2, 1), symplectic_space(2),
-              formed_space("R", "C", 1, signature=(1, 1))]:
-        for tab in enumerate_orbits(v):
-            r = realize_triple(tab)
-            g = random_isometry(r.ambient, rng)
-            from dualpairs.rational import inv
-            conj = mul(g, mul(r.x, inv(g)))
-            assert identify(conj, r.ambient) == tab
+    tabs = [tab for v in [SP4, O3, formed_space("R", "C", 1, signature=(1, 1))]
+            for tab in enumerate_orbits(v)]
+    tabs += [tab for v in iter_spaces(4, bases=("R",))
+             for tab in enumerate_orbits(v)]
+    # at the dimension bound: the principal sp(12,R) orbit, and the orbit
+    # with the most rows of U(3,3) and of Sp(2,1)
+    tabs.append(enumerate_orbits(symplectic_space(12))[0])
+    for v in [formed_space("R", "C", 1, signature=(3, 3)),
+              formed_space("R", "H", 1, signature=(2, 1))]:
+        tabs.append(max(enumerate_orbits(v), key=lambda tab: len(tab.rows)))
+    assert tabs[-3].rows[0].t == 12
+    for tab in tabs:
+        r = realize_triple(tab)
+        g = random_isometry(r.ambient, rng)
+        from dualpairs.rational import inv
+        conj = mul(g, mul(r.x, inv(g)))
+        assert identify(conj, r.ambient) == tab
 
 
 def test_identify_errors():
@@ -272,19 +280,6 @@ def test_dimension_identity_reports():
     rep = verify_dimension_identity(
         generalized_descent(ctab(O3, [(3, 1, 1)]), SP2))
     assert (rep.lhs, rep.rhs) == (0, 0)
-
-
-def test_jacobson_morozov_completion():
-    for v in [orthogonal_space(2, 1), orthogonal_space(3, 1),
-              symplectic_space(4),
-              formed_space("R", "C", -1, signature=(1, 1))]:
-        for tab in enumerate_orbits(v):
-            r = realize_triple(tab)
-            h, y = jm_complete(r.x, r.ambient)
-            assert commutator(h, r.x) == scal(2, r.x)
-            assert commutator(h, y) == scal(-2, y)
-            assert commutator(r.x, y) == h
-            assert in_algebra(h, r.ambient) and in_algebra(y, r.ambient)
 
 
 def test_algebra_basis_spans_lie_dim():

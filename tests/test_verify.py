@@ -1,0 +1,24 @@
+from dualpairs import IdentityViolated, oracle
+from dualpairs.verify import run_suite
+
+
+def test_failing_check_names_first_instance(monkeypatch):
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise IdentityViolated("planted failure")
+
+    monkeypatch.setattr(oracle, "construct_descent_element", fail_second)
+    monkeypatch.setattr(oracle, "verify_dimension_identity", fail_second)
+    for suite in ("descent", "dim-identity"):
+        calls.clear()
+        check, = run_suite(suite, max_dims=(2, 2)).checks
+        assert not check.passed
+        assert check.detail == (
+            f"{len(calls) - 1}/{len(calls)}; first failure V=C,C,+1 dim=1, "
+            "O'=(1, 1) in C,C,-1 dim=2: identity_violated")
+    monkeypatch.undo()
+    check, = run_suite("descent", max_dims=(2, 2)).checks
+    assert check.passed and check.detail == f"{len(calls)}/{len(calls)}"
