@@ -20,6 +20,7 @@ Conventions for the sl2 blocks (fixed once, used by realize and identify):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +31,10 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, Vec, add, commutator, eye, inv, is_zero_mat,
-                       kron, mat_vec, mul, nullspace, rank, rref, scal, shape,
-                       sub, sylvester_signature, transpose, zeros)
+from .rational import (Mat, Vec, add, cleared_mat, commutator, eye, inv,
+                       is_zero_mat, kron, mat_vec, monomial, monomial_inv,
+                       mul, nullspace, rank, rref, sandwich, scal, shape, sub,
+                       sylvester_signature, transpose, zeros)
 
 
 def sigma_t(t: int, base: str) -> int:
@@ -156,13 +158,20 @@ def structure_matrices(n_d: int, division: str) -> list:
 
 
 class AmbientSpace:
-    """Realified carrier of a formed space: gram, inverse, D-structures."""
+    """Realified carrier of a formed space: gram and D-structures, dense and
+    in monomial form, and the monomial inverse of gram."""
 
     def __init__(self, space: FormedSpace, gram: Mat):
         self.space = space
         self.gram = gram
         self.structures = structure_matrices(space.dim, space.division)
-        self.gram_inv = inv(gram) if gram else []
+        try:
+            self.gram_mono = monomial(gram)
+            self.structure_monos = [monomial(j) for j in self.structures]
+        except ValueError as exc:
+            raise IdentityViolated("reference matrix is not monomial",
+                                   space=space.render(), reason=str(exc))
+        self.gram_inv_mono = monomial_inv(self.gram_mono)
 
     @property
     def dr(self) -> int:
@@ -189,17 +198,20 @@ class MatrixRealization:
         return self.row_offsets[row_i] + a * t + r
 
 
-_REALIZE_CACHE: dict = {}
+REALIZE_CACHE_SIZE = 256
 
 
 def realize_triple(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> MatrixRealization:
-    """Weight-adapted block realization of the orbit's sl2 triple."""
+    """Weight-adapted block realization of the orbit's sl2 triple, from a
+    least-recently-used cache of REALIZE_CACHE_SIZE realizations."""
     if tab.space.dim_f > bound:
         raise BoundExceeded("space exceeds realization bound",
                             dim_f=tab.space.dim_f, bound=bound)
-    cached = _REALIZE_CACHE.get(tab)
-    if cached is not None:
-        return cached
+    return _realize(tab)
+
+
+@functools.lru_cache(maxsize=REALIZE_CACHE_SIZE)
+def _realize(tab: AdmissibleTableau) -> MatrixRealization:
     validate(tab)
     space = tab.space
     div = DIVISIONS[space.division]
@@ -241,7 +253,6 @@ def realize_triple(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> Ma
                              weights=tuple(weights), string_pos=tuple(string_pos),
                              row_offsets=tuple(offsets))
     _check_triple(real)
-    _REALIZE_CACHE[tab] = real
     return real
 
 
@@ -258,10 +269,37 @@ def _check_triple(real: MatrixRealization):
             raise IdentityViolated(f"{nm} is not in the isometry algebra")
 
 
+def _is_skew(z: list, b) -> bool:
+    """z^T B + B z = 0 for an integer matrix z and a monomial B: entry
+    [p][perm[k]] is (b_k z[k][p] + b_p z[perm[p]][perm[k]]) / den."""
+    rows = [z[i] for i in b.perm]
+    for zk, ck, bk in zip(z, b.perm, b.num):
+        if any(bk * x + bp * r[ck] for x, bp, r in zip(zk, b.num, rows)):
+            return False
+    return True
+
+
+def _intertwines(z: list, j_in, j_out) -> bool:
+    """z J_in = J_out z for an integer matrix z and monomial J_in, J_out
+    with scales a, b: entry [p][j_in.perm[k]] is z[p][k] a_k on the left
+    and b_p z[j_out.perm[p]][j_in.perm[k]] on the right."""
+    rows = [z[i] for i in j_out.perm]
+    a = [x * j_out.den for x in j_in.num]
+    for zp, bp, r in zip(z, j_out.num, rows):
+        bp *= j_in.den
+        if any(x * ak != bp * r[c] for x, ak, c in zip(zp, a, j_in.perm)):
+            return False
+    return True
+
+
 def in_algebra(z: Mat, amb: AmbientSpace) -> bool:
-    if not is_zero_mat(add(mul(transpose(z), amb.gram), mul(amb.gram, z))):
+    """z^T B + B z = 0 and z J = J z for each D-structure J, checked entry
+    by entry on the monomial forms, with z's denominators cleared once."""
+    if shape(z) != (amb.n_real, amb.n_real):
         return False
-    return all(is_zero_mat(sub(mul(z, j), mul(j, z))) for j in amb.structures)
+    zi = cleared_mat(z)[0]
+    return _is_skew(zi, amb.gram_mono) and all(
+        _intertwines(zi, j, j) for j in amb.structure_monos)
 
 
 def assert_in_algebra(z: Mat, amb: AmbientSpace):
@@ -284,10 +322,11 @@ class RationalMap:
 def make_map(source: AmbientSpace, target: AmbientSpace, t: Mat) -> RationalMap:
     if shape(t) != (target.n_real, source.n_real):
         raise NotInAlgebra("map has wrong shape", shape=shape(t))
-    for js, jt in zip(source.structures, target.structures):
-        if not is_zero_mat(sub(mul(t, js), mul(jt, t))):
+    ti = cleared_mat(t)[0]
+    for js, jt in zip(source.structure_monos, target.structure_monos):
+        if not _intertwines(ti, js, jt):
             raise NotInAlgebra("map is not D-linear")
-    t_star = mul(source.gram_inv, mul(transpose(t), target.gram))
+    t_star = sandwich(source.gram_inv_mono, transpose(t), target.gram_mono)
     return RationalMap(source=source, target=target, t=t, t_star=t_star)
 
 
@@ -624,7 +663,8 @@ def truncate_map(s_map: RationalMap, src_real: MatrixRealization) -> RationalMap
         if src_real.string_pos[i // dr] != 0:
             proj[i][i] = Fraction(1)
     t_star = mul(s_map.t_star, proj)
-    t = transpose(mul(s_map.source.gram, mul(t_star, s_map.target.gram_inv)))
+    t = transpose(sandwich(s_map.source.gram_mono, t_star,
+                           s_map.target.gram_inv_mono))
     return make_map(s_map.source, s_map.target, t)
 
 

@@ -1,13 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction, vectors are flat lists of Fraction.
+Matrices are lists of lists of Fraction, vectors are flat lists of Fraction:
+Fraction is the scalar type at the API.  Inside, the products work on
+Python integers: `mul` clears the denominators of each row of its left
+operand and each column of its right operand once, takes integer dot
+products and builds one Fraction per output entry.  Monomial matrices (one
+nonzero entry in each row and each column, like every reference Gram and
+D-structure matrix) are also kept as a permutation with integer scales.
 All routines tolerate zero-sized operands so that empty blocks (trivial
 kernels, zero multiplicity spaces) flow through block constructions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul as _imul
+from typing import NamedTuple
 
 Mat = list
 Vec = list
@@ -58,24 +67,90 @@ def scal(c, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
+_ZERO = Fraction(0)
+
+
+def cleared(vec) -> tuple:
+    """(integer numerators, common denominator) of a vector of rationals."""
+    d = math.lcm(*[x.denominator for x in vec])
+    if d == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
+
+def cleared_mat(a: Mat) -> tuple:
+    """(integer matrix, common denominator) with a = integer matrix / den."""
+    d = math.lcm(*[x.denominator for row in a for x in row])
+    if d == 1:
+        return [[x.numerator for x in row] for row in a], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
+def _ratio(s: int, d: int) -> Fraction:
+    if not s:
+        return _ZERO
+    return Fraction(s) if d == 1 else Fraction(s, d)
+
+
 def mul(a: Mat, b: Mat) -> Mat:
     m, k = shape(a)
     k2, n = shape(b)
     if k != k2:
         raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
-    bt = transpose(b)
-    out = zeros(m, n)
-    for i in range(m):
-        ai = a[i]
-        oi = out[i]
-        for j in range(n):
-            bj = bt[j]
-            s = Fraction(0)
-            for t in range(k):
-                x = ai[t]
-                if x:
-                    s += x * bj[t]
-            oi[j] = s
+    cols = [cleared(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        ai, da = cleared(row)
+        out.append([_ratio(sum(map(_imul, ai, bj)), da * db)
+                    for bj, db in cols])
+    return out
+
+
+class Monomial(NamedTuple):
+    """A matrix with one nonzero entry in each row and each column: row i
+    holds num[i] / den in column perm[i]."""
+    perm: tuple
+    num: tuple
+    den: int
+
+
+def monomial(a: Mat) -> Monomial:
+    """Monomial form of a square matrix; ValueError if it is not monomial."""
+    perm, vals = [], []
+    for i, row in enumerate(a):
+        nz = [j for j, x in enumerate(row) if x]
+        if len(nz) != 1:
+            raise ValueError(f"row {i} has {len(nz)} nonzero entries, not 1")
+        perm.append(nz[0])
+        vals.append(row[nz[0]])
+    if sorted(perm) != list(range(len(a))) or shape(a)[1] != len(a):
+        raise ValueError("nonzero entries do not form a permutation")
+    num, den = cleared(vals)
+    return Monomial(tuple(perm), tuple(num), den)
+
+
+def monomial_inv(m: Monomial) -> Monomial:
+    n = len(m.perm)
+    perm, vals = [0] * n, [_ZERO] * n
+    for i, (j, c) in enumerate(zip(m.perm, m.num)):
+        perm[j] = i
+        vals[j] = Fraction(m.den, c)
+    num, den = cleared(vals)
+    return Monomial(tuple(perm), tuple(num), den)
+
+
+def sandwich(left: Monomial, a: Mat, right: Monomial) -> Mat:
+    """left * a * right for monomial left and right, in O(n^2):
+    entry [p][right.perm[k]] is left_p * a[left.perm[p]][k] * right_k."""
+    ai, da = cleared_mat(a)
+    den = left.den * da * right.den
+    out = []
+    for lp, lc in zip(left.perm, left.num):
+        row = [_ZERO] * len(right.perm)
+        for q, x, rc in zip(right.perm, ai[lp], right.num):
+            if x:
+                row[q] = Fraction(lc * x * rc, den)
+        out.append(row)
     return out
 
 

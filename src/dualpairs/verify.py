@@ -4,6 +4,7 @@ oracle and reports named pass/fail checks.  Deterministic for a fixed seed."""
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 
 from . import cycles as cyc
@@ -33,6 +34,7 @@ class SuiteReport:
     seed: int
     max_dims: tuple
     checks: list = field(default_factory=list)
+    elapsed_s: float = 0.0  # wall time of the suite, shown in JSON only
 
     @property
     def passed(self) -> bool:
@@ -44,6 +46,7 @@ class SuiteReport:
     def to_json(self) -> dict:
         return {"suite": self.suite, "seed": self.seed,
                 "max_dims": list(self.max_dims), "passed": self.passed,
+                "elapsed_s": self.elapsed_s,
                 "checks": [c.to_json() for c in self.checks]}
 
     def render(self) -> str:
@@ -366,6 +369,7 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
         combined = SuiteReport(suite="all", seed=seed, max_dims=tuple(max_dims))
         for sub in SUITES:
             rep = run_suite(sub, max_dims=max_dims, seed=seed)
+            combined.elapsed_s += rep.elapsed_s
             for c in rep.checks:
                 combined.add(f"{sub}: {c.name}", c.passed, c.detail)
         return combined
@@ -373,5 +377,7 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITES) + ['all'])}")
     report = SuiteReport(suite=name, seed=seed, max_dims=tuple(max_dims))
+    start = time.perf_counter()
     SUITES[name](report, random.Random(seed))
+    report.elapsed_s = time.perf_counter() - start
     return report

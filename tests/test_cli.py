@@ -172,6 +172,11 @@ def test_verify_suite():
     out = json.loads(res.stdout)
     assert out["suite"] == "range"
     assert all(c["passed"] for c in out["checks"])
+    elapsed = out["elapsed_s"]
+    assert isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool)
+    assert elapsed >= 0
+    text = run("verify", "--suite", "range")
+    assert "elapsed" not in text.stdout
 
 
 def test_malformed_inputs_exit_1():

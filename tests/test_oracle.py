@@ -15,8 +15,9 @@ from dualpairs.oracle import (algebra_basis, in_algebra, kernel_basis,
                               kernel_form_nondegenerate, make_map,
                               mat_from_json, mat_to_json, random_isometry,
                               sample_raising_map, sl2_gram, truncate_map)
-from dualpairs.rational import (commutator, eye, is_zero_mat, kron, mat,
-                                matpow, mul, rank, scal, transpose, zeros)
+from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat,
+                                kron, mat, matpow, mul, rank, scal, transpose,
+                                zeros)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -103,6 +104,90 @@ def test_identify_errors():
         bad = zeros(4, 4)
         bad[0][0] = Fraction(1)
         identify(bad, r.ambient)
+
+
+def _dense_skew(z, amb):
+    return is_zero_mat(add(mul(transpose(z), amb.gram), mul(amb.gram, z)))
+
+
+def _dense_d_linear(z, amb):
+    return all(mul(z, j) == mul(j, z) for j in amb.structures)
+
+
+def _fails_only_d_linearity(amb):
+    """B^-1 S with S = E_pq - eps E_qp (B^T = eps B): skew for B, and the
+    first such matrix that does not commute with the D-structures.  None
+    when every skew matrix is D-linear, as for u(1)."""
+    n = amb.n_real
+    eps = 1 if amb.gram == transpose(amb.gram) else -1
+    b_inv = inv(amb.gram)
+    for p in range(n):
+        for q in range(n):
+            s = zeros(n, n)
+            s[p][q] += 1
+            s[q][p] -= eps
+            z = mul(b_inv, s)
+            if not is_zero_mat(z) and not _dense_d_linear(z, amb):
+                return z
+    return None
+
+
+def test_in_algebra_matches_dense_definition():
+    checked = non_d_linear = 0
+    for v in iter_spaces(4, bases=("R", "C")):
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            amb = r.ambient
+            cases = [(r.x, True, True), (r.h, True, True), (r.y, True, True),
+                     (eye(amb.n_real), False, True)]
+            z = _fails_only_d_linearity(amb)
+            if z is not None:
+                cases.append((z, True, False))
+                non_d_linear += 1
+            for z, skew, d_linear in cases:
+                assert (_dense_skew(z, amb), _dense_d_linear(z, amb)) == \
+                    (skew, d_linear)
+                assert in_algebra(z, amb) == (skew and d_linear)
+                checked += 1
+    assert {v.division for v in iter_spaces(4)} == {"R", "C", "H"}
+    assert checked > 250 and non_d_linear > 20
+
+
+def test_make_map_adjoint_and_d_linearity():
+    rng = random.Random(13)
+    pairs = [(O3, SP4), (SP2, O4),
+             (formed_space("R", "C", 1, signature=(1, 1)),
+              formed_space("R", "C", -1, signature=(1, 1))),
+             (formed_space("R", "H", 1, signature=(1, 0)),
+              formed_space("R", "H", -1, dim=2))]
+    for v, vp in pairs:
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        src, tgt = v_real.ambient, vp_real.ambient
+        for _ in range(5):
+            rm = sample_raising_map(v_real, vp_real, rng)
+            dense = mul(inv(src.gram), mul(transpose(rm.t), tgt.gram))
+            assert rm.t_star == dense
+        bad = zeros(tgt.n_real, src.n_real)
+        bad[0][0] = Fraction(1, 3)
+        with pytest.raises(NotInAlgebra):
+            make_map(src, tgt, bad)
+
+
+def test_realize_cache_is_bounded_lru():
+    from dualpairs import oracle
+    tabs = [tab for v in iter_spaces(8) for tab in enumerate_orbits(v)]
+    assert len(set(tabs)) > oracle.REALIZE_CACHE_SIZE
+    first = realize_triple(tabs[0])
+    for tab in tabs:
+        realize_triple(tab)
+    info = oracle._realize.cache_info()
+    assert info.currsize <= oracle.REALIZE_CACHE_SIZE
+    assert realize_triple(tabs[-1]) is realize_triple(tabs[-1])
+    again = realize_triple(tabs[0])  # evicted, so built anew
+    assert again is not first
+    assert (again.x, again.h, again.ambient.gram) == \
+        (first.x, first.h, first.ambient.gram)
 
 
 def test_random_isometry_preserves_form():

@@ -5,14 +5,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpairs.rational import (add, eye, inv, is_zero_mat, kron, mat,
-                                mat_vec, mul, nullspace, rank, rref, shape,
-                                sub, sylvester_signature, transpose, zeros)
+                                mat_vec, monomial, monomial_inv, mul,
+                                nullspace, rank, rref, sandwich, shape, sub,
+                                sylvester_signature, transpose, zeros)
+
+SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
-def small_mat(m, n):
-    return st.lists(
-        st.lists(st.integers(-6, 6).map(Fraction), min_size=n, max_size=n),
-        min_size=m, max_size=m)
+def small_mat(m, n, entries=SMALL):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+def textbook_mul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@st.composite
+def mul_operands(draw):
+    """Two conformable matrices; entries mix Fractions over denominators
+    1..6 with plain ints, and the inner dimension may be 1."""
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.one_of(SMALL, st.integers(-6, 6))
+    return draw(small_mat(m, k, entries)), draw(small_mat(k, n, entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mul_operands())
+def test_mul_matches_textbook_triple_loop(ab):
+    a, b = ab
+    got = mul(a, b)
+    assert got == textbook_mul(a, b)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_monomial_round_trip_and_sandwich():
+    a = mat([[0, Fraction(-1, 2), 0], [0, 0, 3], [Fraction(2, 3), 0, 0]])
+    m = monomial(a)
+    assert m.perm == (1, 2, 0)
+    assert [Fraction(c, m.den) for c in m.num] == [Fraction(-1, 2), 3,
+                                                   Fraction(2, 3)]
+    m_inv = monomial_inv(m)
+    c = mat([[1, Fraction(1, 5), 2], [0, -3, Fraction(7, 2)], [4, 1, 0]])
+    assert sandwich(m, c, m_inv) == mul(a, mul(c, inv(a)))
+    assert sandwich(m_inv, eye(3), m) == eye(3)
+
+
+def test_monomial_rejects_non_monomial_rows():
+    with pytest.raises(ValueError):
+        monomial(mat([[0, 1], [0, 0]]))          # a row with no nonzero entry
+    with pytest.raises(ValueError):
+        monomial(mat([[1, 1], [0, 1]]))          # a row with two
+    with pytest.raises(ValueError):
+        monomial(mat([[1, 0], [2, 0]]))          # two rows share a column
 
 
 def test_shapes_and_identity():
