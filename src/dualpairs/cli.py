@@ -8,6 +8,7 @@ machine-readable {"error": {code, message, context}} object on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -83,7 +84,9 @@ def _max_dims(value) -> tuple:
         raise UsageError(f"--max-dims expects 'A,B', got {value!r}") from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The shared parser: parse_args only reads it, so it is built once."""
     p = _Parser(prog="dualpairs",
                 description="Combinatorics of nilpotent orbits, descent and "
                             "lift for classical dual pairs, with an "

@@ -31,10 +31,11 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, Vec, add, cleared_mat, commutator, eye, inv,
-                       is_zero_mat, kron, mat_vec, monomial, monomial_inv,
-                       mul, nullspace, rank, rref, sandwich, scal, shape, sub,
-                       sylvester_signature, transpose, zeros)
+from .rational import (Mat, add, cleared_mat, commutator, echelon, eye,
+                       int_mul, inv, is_zero_mat, kernel, kron, mat_vec,
+                       monomial, monomial_inv, mul, nullspace, rank, sandwich,
+                       scal, shape, sparse_rows, sub, sylvester_signature,
+                       transpose, zeros)
 
 
 def sigma_t(t: int, base: str) -> int:
@@ -361,21 +362,18 @@ def kernel_form_nondegenerate(rm: RationalMap) -> bool:
 # -- identification ------------------------------------------------------
 
 
-def _d_form_value(u: Vec, w: Vec, amb: AmbientSpace) -> tuple:
-    """B_D(u, w) reconstructed from the real form and the structures.
-    Over base R the form is conjugate-linear in u, so the e_al component is
-    B_R(u*e_al, w); over base C it is bilinear, so Im B = -B_R(u*i, w)."""
-    bw = mat_vec(amb.gram, w)
-
-    def pair(vec):
-        return sum((a * b for a, b in zip(vec, bw) if a), Fraction(0))
-
+def _d_form(us: list, ws: list, amb: AmbientSpace) -> list:
+    """[[B_D(u, w) for w in ws] for u in us], reconstructed from the real
+    form and the structures.  Over base R the form is conjugate-linear in u,
+    so the e_al component is B_R(u*e_al, w); over base C it is bilinear, so
+    Im B = -B_R(u*i, w)."""
+    bw = mul(amb.gram, transpose(ws))  # column k is B ws[k]
+    comps = [mul(us, bw)] + [mul(mul(us, transpose(j)), bw)
+                             for j in amb.structures]
     if amb.space.base == "C":
-        return (pair(u), -pair(mat_vec(amb.structures[0], u)))
-    comps = [pair(u)]
-    for j in amb.structures:
-        comps.append(pair(mat_vec(j, u)))
-    return tuple(comps)
+        comps[1] = scal(-1, comps[1])
+    return [[tuple(c[a][b] for c in comps) for b in range(len(ws))]
+            for a in range(len(us))]
 
 
 def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
@@ -383,20 +381,19 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
     """Greedy D-basis, modulo the D-submodule spanned by lower, of the
     D-submodule spanned by lower and a list of real-space vectors."""
     div = DIVISIONS[amb.space.division]
-    span_rows = [row for row in rref(lower)[0] if any(row)]
-    base_rank = len(span_rows)
+    span = echelon(sparse_rows(lower))
+    base_rank = len(span)
     chosen = []
     for v in vectors:
         if len(chosen) == expect:
             break
-        trial = span_rows + [v]
-        if rank(trial) == len(span_rows):
+        before = len(span)
+        echelon(sparse_rows([v]), span)
+        if len(span) == before:
             continue
         chosen.append(v)
-        span_rows.append(v)
-        for j in amb.structures:
-            span_rows.append(mat_vec(j, v))
-    if len(chosen) != expect or rank(span_rows) != base_rank + expect * div.dim:
+        echelon(sparse_rows([mat_vec(j, v) for j in amb.structures]), span)
+    if len(chosen) != expect or len(span) != base_rank + expect * div.dim:
         raise IdentityViolated("could not extract a D-basis",
                                expected=expect, got=len(chosen))
     return chosen
@@ -444,49 +441,53 @@ def algebra_basis(amb: AmbientSpace) -> list:
     return basis
 
 
-def _constrained_kernel(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
-    """Kernel vectors of: skewness + D-linearity + [Z, M]=0 constraints,
-    over matrix entries Z[i][j] restricted to the index pairs given."""
-    n = amb.n_real
-    b = amb.gram
+def _nonzeros(m: Mat) -> tuple:
+    """Nonzero entries of m's integer form (its denominators cleared):
+    the (column, value) pairs of each row and the (row, value) pairs of
+    each column."""
+    mi = cleared_mat(m)[0]
+    by_row = [[(q, c) for q, c in enumerate(row) if c] for row in mi]
+    by_col = [[(p, c) for p, c in enumerate(col) if c] for col in zip(*mi)]
+    return by_row, by_col
+
+
+def _constraint_rows(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
+    """Sparse integer rows of the skewness + D-linearity + [Z, M] = 0
+    constraints over the matrix entries Z[i][j], (i, j) in pairs.  Each
+    row involves one matrix, whose denominators are cleared once."""
     rows: dict = {}
 
     def bump(cell, var, coeff):
-        if coeff:
-            row = rows.setdefault(cell, {})
-            row[var] = row.get(var, Fraction(0)) + coeff
+        row = rows.setdefault(cell, {})
+        row[var] = row.get(var, 0) + coeff
 
+    b_rows, b_cols = _nonzeros(amb.gram)
     for vi, (i, j) in enumerate(pairs):
         # (Z^T B + B Z)[p][q] = sum_k Z[k][p] B[k][q] + sum_k B[p][k] Z[k][q]
-        for q in range(n):
-            bump(("s", j, q), vi, b[i][q])
-        for p in range(n):
-            bump(("s", p, j), vi, b[p][i])
-    mats = list(amb.structures) + list(commute_with)
-    for mi, m in enumerate(mats):
+        for q, c in b_rows[i]:
+            bump(("s", j, q), vi, c)
+        for p, c in b_cols[i]:
+            bump(("s", p, j), vi, c)
+    for mi, m in enumerate(list(amb.structures) + list(commute_with)):
+        m_rows, m_cols = _nonzeros(m)
         for vi, (i, j) in enumerate(pairs):
             # (Z M - M Z)[p][q]
-            for q in range(n):
-                bump(("c", mi, i, q), vi, m[j][q])
-            for p in range(n):
-                bump(("c", mi, p, j), vi, -m[p][i])
-    dense = []
-    for cell_vars in rows.values():
-        row = [Fraction(0)] * len(pairs)
-        nonzero = False
-        for var, coeff in cell_vars.items():
-            if coeff:
-                row[var] = coeff
-                nonzero = True
-        if nonzero:
-            dense.append(row)
-    if not dense:
-        dense = [[Fraction(0)] * len(pairs)]
-    return nullspace(dense)
+            for q, c in m_rows[j]:
+                bump(("c", mi, i, q), vi, c)
+            for p, c in m_cols[i]:
+                bump(("c", mi, p, j), vi, -c)
+    return [{v: c for v, c in row.items() if c} for row in rows.values()]
+
+
+def _constrained_kernel(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
+    """Kernel vectors of the constraints of _constraint_rows."""
+    return kernel(_constraint_rows(amb, pairs, commute_with), len(pairs))
 
 
 def _constrained_nullity(amb: AmbientSpace, pairs: list, commute_with: list) -> int:
-    return len(_constrained_kernel(amb, pairs, commute_with))
+    """Dimension of the same kernel, from the echelon form alone."""
+    rows = _constraint_rows(amb, pairs, commute_with)
+    return len(pairs) - len(echelon(rows))
 
 
 def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
@@ -540,13 +541,24 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
     dr = amb.dr
     n_d = amb.space.dim
     ranks = [n_d]
-    powers, kers = [eye(amb.n_real)], [[]]  # x^s and a basis of ker x^s
+    base = amb.space.base
+    n = amb.n_real
+    # x = xi / den: x^s = xi^s / den^s has the rank and kernel of the
+    # integer power xi^s.  Base C needs only the ranks, base R a basis of
+    # each ker x^s too.
+    xi, den = cleared_mat(x)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    kers = [[]]
     while ranks[-1] > 0:
         if len(ranks) > n_d + 1:
             raise NotNilpotent("power sequence does not reach zero")
-        powers.append(mul(powers[-1], x))
-        kers.append(nullspace(powers[-1]))
-        ranks.append(_d_rank(amb.n_real - len(kers[-1]), dr))
+        powers.append(int_mul(powers[-1], xi))
+        if base == "C":
+            r = len(echelon(sparse_rows(powers[-1])))
+        else:
+            kers.append(kernel(sparse_rows(powers[-1]), n))
+            r = n - len(kers[-1])
+        ranks.append(_d_rank(r, dr))
     ranks.extend([0, 0])
     mults = {}
     for t in range(1, len(ranks) - 1):
@@ -556,7 +568,6 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
         if m > 0:
             mults[t] = m
     eps = amb.space.epsilon
-    base = amb.space.base
     if base == "C":
         rows = tuple(TableauRow(t, formed_space("C", "C", eps * (-1) ** (t - 1),
                                                 dim=mults[t]))
@@ -567,13 +578,16 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
     top = len(kers) - 1  # x^s = 0 from s = top on
     rows = []
     for t in sorted(mults, reverse=True):
-        lower = kers[t - 1] + [mat_vec(x, v) for v in kers[min(t + 1, top)]]
+        # rows x v for v in ker x^(t+1); below, the rows xi^(t-1) v =
+        # den^(t-1) x^(t-1) v for v in the basis, with den^(t-1) in the scale
+        lower = kers[t - 1] + mul(kers[min(t + 1, top)], transpose(x))
         basis = _d_basis_of(kers[t], lower, amb, mults[t])
         scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
-                         sigma_t(t, base) * math.factorial(t - 1))
-        beta = [[tuple(scale * c for c in
-                       _d_form_value(u, mat_vec(powers[t - 1], v), amb))
-                 for v in basis] for u in basis]
+                         sigma_t(t, base) * math.factorial(t - 1)
+                         * den ** (t - 1))
+        beta = [[tuple(scale * c for c in value) for value in row]
+                for row in _d_form(basis, mul(basis, transpose(powers[t - 1])),
+                                   amb)]
         mult = classify_space(beta, base, amb.space.division,
                               eps * (-1) ** (t - 1))
         rows.append(TableauRow(t, mult))
@@ -678,12 +692,15 @@ def random_isometry(amb: AmbientSpace, rng) -> Mat:
     n = amb.n_real
     if not basis:
         return eye(n)
+    nonzeros = [[(i, j, x) for i, row in enumerate(e)
+                 for j, x in enumerate(row) if x] for e in basis]
     for _ in range(50):
         a = zeros(n, n)
-        for e in basis:
+        for entries in nonzeros:
             c = rng.randint(-2, 2)
             if c:
-                a = add(a, scal(c, e))
+                for i, j, x in entries:
+                    a[i][j] += c * x
         try:
             cay = mul(sub(eye(n), a), inv(add(eye(n), a)))
         except ValueError:

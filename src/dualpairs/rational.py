@@ -7,6 +7,10 @@ operand and each column of its right operand once, takes integer dot
 products and builds one Fraction per output entry.  Monomial matrices (one
 nonzero entry in each row and each column, like every reference Gram and
 D-structure matrix) are also kept as a permutation with integer scales.
+Elimination is fraction-free on sparse integer rows {column: nonzero int}:
+`echelon` reduces each row against the pivot of its smallest column and
+keeps every pivot row primitive; its size is the rank.  One
+back-substitution turns it into the RREF that `rref` and `nullspace` read.
 All routines tolerate zero-sized operands so that empty blocks (trivial
 kernels, zero multiplicity spaces) flow through block constructions.
 """
@@ -106,6 +110,12 @@ def mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
+def int_mul(a: list, b: list) -> list:
+    """Product of two integer matrices (lists of lists of int)."""
+    cols = list(zip(*b))
+    return [[sum(map(_imul, row, col)) for col in cols] for row in a]
+
+
 class Monomial(NamedTuple):
     """A matrix with one nonzero entry in each row and each column: row i
     holds num[i] / den in column perm[i]."""
@@ -197,70 +207,113 @@ def is_zero_mat(a: Mat) -> bool:
     return all(not x for row in a for x in row)
 
 
+def sparse_rows(a: Mat) -> list:
+    """Rows of a as {column: nonzero int}, each row's denominators cleared."""
+    return [{j: x for j, x in enumerate(cleared(row)[0]) if x} for row in a]
+
+
+def _cancel(r: dict, p: dict, col: int):
+    """r <- a*r - b*p in place, where col is p's leading column and a, b
+    (divided by gcd(a, b)) cancel the entry of r at col."""
+    a, b = p[col], r[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, x in p.items():
+        y = r.get(j, 0) - b * x
+        if y:
+            r[j] = y
+        else:
+            del r[j]
+
+
+def _primitive(r: dict) -> dict:
+    """r divided in place by its content, with a positive leading entry."""
+    g = math.gcd(*r.values())
+    if r[min(r)] < 0:
+        g = -g
+    if g != 1:
+        for j in r:
+            r[j] //= g
+    return r
+
+
+def echelon(rows, pivots: dict | None = None) -> dict:
+    """Fraction-free row echelon form of integer rows {column: nonzero int}.
+
+    Each row is reduced in place (the rows are consumed) against the pivot
+    of its smallest column until it vanishes or its smallest column has no
+    pivot; it then becomes that column's pivot, divided by its content.
+    Returns pivots, extended, or a new {leading column: primitive row}; its
+    size is the rank."""
+    if pivots is None:
+        pivots = {}
+    for r in rows:
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = _primitive(r)
+                break
+            _cancel(r, p, lead)
+    return pivots
+
+
+def _reduced(rows) -> dict:
+    """The echelon form back-substituted to the RREF up to a positive scale
+    per row: each primitive row is zero at every other pivot column."""
+    pivots = echelon(rows)
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        # pivots right of c are already reduced, so cancelling one adds
+        # entries only in free columns
+        for k in [k for k in r if k != c and k in pivots]:
+            _cancel(r, pivots[k], k)
+        _primitive(r)
+    return pivots
+
+
+def kernel(rows, n: int) -> list:
+    """Basis of the right kernel of integer rows over n columns, one vector
+    per free column, as in nullspace."""
+    pivots = _reduced(rows)
+    free = {j: i for i, j in enumerate(j for j in range(n) if j not in pivots)}
+    basis = [[_ZERO] * n for _ in free]
+    for i, j in enumerate(free):
+        basis[i][j] = Fraction(1)
+    for c, r in pivots.items():
+        lead = r[c]
+        for j, x in r.items():
+            if j != c:
+                basis[free[j]][c] = Fraction(-x, lead)
+    return basis
+
+
 def rref(a: Mat) -> tuple:
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    r = copy_mat(a)
-    m, n = shape(r)
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        # pick the structurally simplest nonzero pivot in this column
-        best = -1
-        best_key = None
-        for i in range(row, m):
-            x = r[i][col]
-            if x:
-                key = (abs(x.numerator) != abs(x.denominator),
-                       abs(x.numerator) + x.denominator)
-                if best < 0 or key < best_key:
-                    best, best_key = i, key
-        if best < 0:
-            continue
-        r[row], r[best] = r[best], r[row]
-        piv = r[row][col]
-        if piv != 1:
-            inv_p = Fraction(1) / piv
-            r[row] = [x * inv_p for x in r[row]]
-        rr = r[row]
-        for i in range(m):
-            if i != row and r[i][col]:
-                f = r[i][col]
-                ri = r[i]
-                for j in range(col, n):
-                    if rr[j]:
-                        ri[j] -= f * rr[j]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    m, n = shape(a)
+    pivots = _reduced(sparse_rows(a))
+    cols = sorted(pivots)
+    r = []
+    for c in cols:
+        row = [_ZERO] * n
+        p = pivots[c]
+        for j, x in p.items():
+            row[j] = Fraction(x, p[c])
+        r.append(row)
+    r.extend([_ZERO] * n for _ in range(m - len(cols)))
+    return r, cols
 
 
 def rank(a: Mat) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(echelon(sparse_rows(a)))
 
 
 def nullspace(a: Mat) -> list:
     """Basis of the right kernel, one vector per free column."""
-    m, n = shape(a)
-    if n == 0:
-        return []
-    if m == 0:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                for i in range(n)]
-    r, pivots = rref(a)
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
+    return kernel(sparse_rows(a), shape(a)[1])
 
 
 def inv(a: Mat) -> Mat:

@@ -1,6 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dualpairs import enumerate_orbits, iter_spaces
+from dualpairs.cli import build_parser, main
 
 SP4 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 4})
 SP2 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 2})
@@ -235,3 +244,142 @@ def test_text_and_json_agree():
     out = json.loads(res_j.stdout)
     # the rendered a/b/s line carries the same numbers as the JSON model
     assert f"a={out['a']} b={out['b']} s={out['s']}" in res_t.stdout
+
+
+def call(*argv):
+    """(exit code, stdout, stderr) of one in-process main() call."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO("")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+    finally:
+        sys.stdin = stdin
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_matches_a_fresh_one():
+    o2 = json.dumps({"base": "C", "division": "C", "epsilon": 1, "dim": 2})
+    four = json.dumps({
+        "space": {"base": "C", "division": "C", "epsilon": -1, "dim": 4},
+        "rows": [{"t": 4, "mult": {"base": "C", "division": "C",
+                                   "epsilon": 1, "dim": 1}}]})
+    calls = [
+        ("orbits", "--space", SP4),
+        ("orbits", "--space", SP4, "--bogus-flag"),
+        ("descend", "--orbit-prime", four, "--target-space", o2),
+        ("descend", "--orbit-prime", T31_O4, "--target-space", SP4, "--json"),
+        ("stabilizer", "--orbit", REG2, "--json"),
+        ("whittaker", "--orbit", O3_REG),
+        ("range", "--nu", "x/y", "--space", SP4, "--target-space", O4),
+        ("range", "--nu", "3/4", "--space", SP4, "--target-space", O4),
+        ("lift", "--orbit", REG2, "--target-space", O4, "--json"),
+        ("bogus-subcommand",),
+        ("orbits", "--space", SP4, "--json"),
+    ]
+    shared = [call(*argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(call(*argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 1, 2, 0, 0, 0, 1, 0, 0, 1, 0]
+    assert build_parser() is build_parser()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 14) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+SPACES = [v.to_json() for v in iter_spaces(8, include_zero=True)]
+ORBITS = [o.to_json() for v in iter_spaces(6) for o in enumerate_orbits(v)]
+# dual pairs: same base and division, opposite epsilons
+PAIRS = [(v, w) for v in SPACES for w in SPACES
+         if (v["base"], v["division"]) == (w["base"], w["division"])
+         and v["epsilon"] == -w["epsilon"]]
+
+
+def _slots(obj):
+    """(container, key) for every value nested in obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, val in list(items):
+        yield obj, key
+        if isinstance(val, (dict, list)):
+            yield from _slots(val)
+
+
+def mutate(draw, obj):
+    """A copy of obj with up to two nested values replaced by arbitrary
+    JSON or deleted (none in half of the draws); half of the mutations hit
+    a value that is itself an object or a list, such as a row."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        slots = list(_slots(obj))
+        nested = [(c, k) for c, k in slots if isinstance(c[k], (dict, list))]
+        if nested and draw(st.booleans()):
+            slots = nested
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            container[key] = draw(JSON)
+        else:
+            del container[key]
+    return obj
+
+
+@st.composite
+def payload(draw, pool):
+    """JSON text: arbitrary, or a mutated member of pool (2 draws in 3)."""
+    if draw(st.integers(0, 2)):
+        return json.dumps(mutate(draw, draw(st.sampled_from(pool))))
+    return json.dumps(draw(JSON))
+
+
+@st.composite
+def space_pair(draw):
+    """Two space payloads, a mutated dual pair half of the time."""
+    if draw(st.booleans()):
+        return draw(payload(SPACES)), draw(payload(SPACES))
+    v, w = draw(st.sampled_from(PAIRS))
+    return json.dumps(mutate(draw, v)), json.dumps(mutate(draw, w))
+
+
+NU = st.one_of(st.fractions(max_denominator=9).map(str), st.text(max_size=5))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["orbits", "stabilizer", "whittaker",
+                                    "range"]))
+    if command == "orbits":
+        argv = [command, "--space", draw(payload(SPACES))]
+    elif command == "range":
+        v, w = draw(space_pair())
+        argv = [command, "--nu", draw(NU), "--space", v, "--target-space", w]
+    else:
+        argv = [command, "--orbit", draw(payload(ORBITS))]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+def _with(obj, **fields):
+    return json.dumps({**json.loads(obj), **fields})
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+@example(["stabilizer", "--orbit", _with(REG2, rows=None)])
+@example(["whittaker", "--orbit", _with(REG2, rows="ab")])
+@example(["stabilizer", "--orbit", _with(REG2, rows=[[2, 1]])])
+@example(["stabilizer", "--orbit", _with(REG2, rows=[{"t": 2, "mult": 3}])])
+@example(["whittaker", "--orbit", _with(REG2, space=[1])])
+@example(["range", "--nu", "1", "--space", "[]", "--target-space", O4])
+def test_fuzzed_payloads_exit_cleanly(argv):
+    rc, out, err = call(*argv)
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 1:
+        assert err.startswith("error: "), (argv, err)
+    if rc == 2:
+        assert "code" in json.loads(err)["error"], (argv, err)

@@ -11,7 +11,8 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
                        orthogonal_space, realize_triple, symplectic_space,
                        tableau, theta_lift, verify_dimension_identity,
                        zero_orbit)
-from dualpairs.oracle import (algebra_basis, in_algebra, kernel_basis,
+from dualpairs.oracle import (_constrained_kernel, _constrained_nullity,
+                              algebra_basis, in_algebra, kernel_basis,
                               kernel_form_nondegenerate, make_map,
                               mat_from_json, mat_to_json, random_isometry,
                               sample_raising_map, sl2_gram, truncate_map)
@@ -350,6 +351,34 @@ def test_centralizer_dims():
     r211 = realize_triple(T211)
     assert centralizer_dim(r211.x, r211.ambient) == 6
     assert isometry_group(SP4).lie_dim - 6 == 4  # orbit dimension
+
+
+def test_constrained_nullity_matches_kernel():
+    """The echelon-only nullity equals the size of the back-substituted
+    kernel on the centralizer and graded systems of every realization with
+    dim_F <= 4; centralizer kernel vectors lie in the algebra and commute
+    with x."""
+    count = 0
+    for v in iter_spaces(4):
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            amb, n = r.ambient, r.ambient.n_real
+            wts = [r.weights[i // amb.dr] for i in range(n)]
+            full = [(i, j) for i in range(n) for j in range(n)]
+            systems = [(full, [r.x])]
+            for d in range(-2 * max(r.weights), 2 * max(r.weights) + 1):
+                pairs = [(p, q) for p, q in full if wts[p] == wts[q] + d]
+                systems += [(pairs, []), (pairs, [r.x])]
+            for pairs, commute in systems:
+                kern = _constrained_kernel(amb, pairs, commute)
+                assert _constrained_nullity(amb, pairs, commute) == len(kern)
+            for vec in _constrained_kernel(amb, full, [r.x]):
+                z = zeros(n, n)
+                for (i, j), c in zip(full, vec):
+                    z[i][j] = c
+                assert in_algebra(z, amb) and mul(z, r.x) == mul(r.x, z)
+            count += 1
+    assert count == 62
 
 
 def test_dimension_identity_reports():

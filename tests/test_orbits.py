@@ -131,6 +131,36 @@ def test_orbit_dimension():
     assert orbit_dimension(T211) == 4
 
 
+def closed_formula_dimension(diagram, epsilon):
+    """Collingwood-McGovern Cor. 6.1.4 with lambda* the dual partition:
+    dim O = n(n-1)/2 - 1/2 sum (lambda*_i)^2 + 1/2 #odd parts in so(n), and
+    n(n+1)/2 - 1/2 sum (lambda*_i)^2 - 1/2 #odd parts in sp(n)."""
+    n = sum(diagram)
+    dual = [sum(1 for t in diagram if t > i)
+            for i in range(max(diagram, default=0))]
+    odd = sum(t % 2 for t in diagram)
+    twice = n * (n - epsilon) - sum(c * c for c in dual) + epsilon * odd
+    assert twice % 2 == 0
+    return twice // 2
+
+
+def test_orbit_dimension_matches_closed_formula():
+    cases = [tab for v in iter_spaces(8, bases=("C",))
+             for tab in enumerate_orbits(v)]
+    assert len(cases) == 61
+    real = [tab for v in iter_spaces(6, bases=("R",)) if v.division == "R"
+            for tab in enumerate_orbits(v)]
+    assert len(real) == 92
+    cases += real
+    for space in (complex_symplectic_space(12), complex_orthogonal_space(12)):
+        cases.append(max(enumerate_orbits(space), key=lambda t: t.diagram()))
+    assert [t.diagram() for t in cases[-2:]] == [(12,), (11, 1)]
+    for tab in cases:
+        ct = complexify_tableau(tab) if tab.space.base == "R" else tab
+        expected = closed_formula_dimension(ct.diagram(), ct.space.epsilon)
+        assert orbit_dimension(tab) == expected, tab.render()
+
+
 def test_stabilizer_descriptors():
     assert stabilizer(T211).name == "O(1,C) x Sp(2,C)"
     assert stabilizer(T211).lie_dim == 3

@@ -1,13 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (add, eye, inv, is_zero_mat, kron, mat,
-                                mat_vec, monomial, monomial_inv, mul,
-                                nullspace, rank, rref, sandwich, shape, sub,
-                                sylvester_signature, transpose, zeros)
+from dualpairs.rational import (add, echelon, eye, inv, is_zero_mat, kron,
+                                mat, mat_vec, monomial, monomial_inv, mul,
+                                nullspace, rank, rref, sandwich, shape,
+                                sparse_rows, sub, sylvester_signature,
+                                transpose, zeros)
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -59,6 +61,85 @@ def test_monomial_rejects_non_monomial_rows():
         monomial(mat([[1, 1], [0, 1]]))          # a row with two
     with pytest.raises(ValueError):
         monomial(mat([[1, 0], [2, 0]]))          # two rows share a column
+
+
+def textbook_rref(a):
+    """Dense Gauss-Jordan on Fractions: (R, pivot columns)."""
+    r = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for col in range(shape(a)[1]):
+        k = len(pivots)
+        i = next((i for i in range(k, len(r)) if r[i][col]), None)
+        if i is None:
+            continue
+        r[k], r[i] = r[i], r[k]
+        r[k] = [x / r[k][col] for x in r[k]]
+        for i in range(len(r)):
+            if i != k and r[i][col]:
+                f = r[i][col]
+                r[i] = [x - f * y for x, y in zip(r[i], r[k])]
+        pivots.append(col)
+    return r, pivots
+
+
+@st.composite
+def elimination_input(draw):
+    """A matrix with mostly zero entries over denominators 1..6, built row
+    by row from new rows, zero rows and rational multiples of earlier rows;
+    m = 0, n = 0, wide and tall shapes all occur."""
+    n = draw(st.integers(0, 6))
+    entries = st.one_of(st.just(Fraction(0)), SMALL)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["new", "zero", "repeat"]),
+                              max_size=7)):
+        if kind == "repeat" and rows:
+            c = draw(SMALL)
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * n)
+        else:
+            rows.append(draw(small_mat(1, n, entries))[0])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_input())
+def test_elimination_matches_textbook_gauss_jordan(a):
+    m, n = shape(a)
+    r, pivots = textbook_rref(a)
+    assert rref(a) == (r, pivots)
+    assert rank(a) == len(pivots)
+    free = [j for j in range(n) if j not in pivots]
+    expected = []
+    for f in free:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        expected.append(v)
+    assert nullspace(a) == expected
+    if m == n:
+        if len(pivots) < n:
+            with pytest.raises(ValueError):
+                inv(a)
+        else:
+            aug = [row + [Fraction(int(i == j)) for j in range(n)]
+                   for i, row in enumerate(a)]
+            assert inv(a) == [row[n:] for row in textbook_rref(aug)[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_input(), st.integers(0, 7))
+def test_echelon_invariants(a, split):
+    pivots = echelon(sparse_rows(a))
+    assert sorted(pivots) == textbook_rref(a)[1]
+    for col, row in pivots.items():
+        assert min(row) == col and row[col] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+    # extending the echelon form of the first rows by the rest
+    first = echelon(sparse_rows(a[:split]))
+    assert sorted(echelon(sparse_rows(a[split:]), first)) == sorted(pivots)
 
 
 def test_shapes_and_identity():
