@@ -21,10 +21,9 @@ DIM_KINDS = {("R", "R", -1), ("R", "H", -1), ("C", "C", 1), ("C", "C", -1)}
 # dim-classified types whose dimension over D must be even
 EVEN_DIM_KINDS = {("R", "R", -1), ("C", "C", -1)}
 
-# dimension of D over the base field F
+# dimension of D over the base field F, also the oracle's coordinate width
+# (it realizes a base-C space on its Q-form, where D = C acts as Q)
 _DIM_F_D = {("R", "R"): 1, ("R", "C"): 2, ("R", "H"): 4, ("C", "C"): 1}
-# dimension of D over R (realification width used by the oracle)
-_DIM_R_D = {"R": 1, "C": 2, "H": 4}
 
 
 def json_int(value, what: str) -> int:
@@ -74,11 +73,6 @@ class FormedSpace:
     def d(self) -> int:
         """dim_F D for this space's base field."""
         return _DIM_F_D[(self.base, self.division)]
-
-    @property
-    def dim_over_r(self) -> int:
-        """dim of D over R, the realification width."""
-        return _DIM_R_D[self.division]
 
     @property
     def dim_f(self) -> int:

@@ -1,9 +1,13 @@
 """Exact-rational matrix ground truth for the orbit combinatorics.
 
-Everything is realified: a module over D in {R, C, H} becomes a rational
-matrix space with the right-multiplication structure matrices stored
-alongside, and a D-valued form becomes its real part.  Division indices are
-innermost: D-basis index a occupies real indices a*dr .. a*dr+dr-1.
+Every space is a rational matrix space.  A base-C space is its Q-form: the
+Gram matrices, sl2 triples and witnesses of the complex pairs are rational,
+and ranks and kernel dimensions do not change under field extension, so
+n_d x n_d rational matrices carry the complex algebra and D acts as Q.  A
+base-R module over D in {R, C, H} is realified: its rational matrix space
+stores the right-multiplication structure matrices alongside, and its
+D-valued form becomes its real part.  Division indices are innermost:
+D-basis index a occupies coordinates a*dr .. a*dr+dr-1 (dr = dim_F D).
 
 Conventions for the sl2 blocks (fixed once, used by realize and identify):
   X e_r = r e_{r-1},  H e_r = (t-1-2r) e_r,  Y e_r = (t-1-r) e_{r+1};
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .division import DIVISIONS
+from .division import DIVISIONS, DivisionAlgebra
 from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
                      NotNilpotent)
 from .forms import FormedSpace, formed_space
@@ -80,9 +84,15 @@ def sl2_triple(t: int) -> tuple:
 # -- realification -------------------------------------------------------
 
 
+def coordinates(base: str, division: str) -> DivisionAlgebra:
+    """The algebra whose tuples are a space's matrix entries: Q itself over
+    base C (the Q-form), D over base R (the realification)."""
+    return DIVISIONS["R" if base == "C" else division]
+
+
 def standard_gram(space: FormedSpace) -> list:
-    """D-valued Gram matrix of the reference form, entries as D-tuples."""
-    div = DIVISIONS[space.division]
+    """Gram matrix of the reference form, entries as coordinate tuples."""
+    div = coordinates(space.base, space.division)
     n = space.dim
     g = [[div.zero() for _ in range(n)] for _ in range(n)]
     key = space.tag()
@@ -110,11 +120,11 @@ def standard_gram(space: FormedSpace) -> list:
     return g
 
 
-def realify(m_d: list, division: str) -> Mat:
-    """Realify a matrix with D-tuple entries (left-multiplication blocks).
-    Correct for D-linear maps, and for Gram matrices of forms that are
-    conjugate-linear in the first argument (division algebras over R)."""
-    div = DIVISIONS[division]
+def realify(m_d: list, div: DivisionAlgebra) -> Mat:
+    """Rational matrix of one with coordinate-tuple entries over div
+    (left-multiplication blocks).  Correct for D-linear maps, and for Gram
+    matrices of forms that are conjugate-linear in the first argument; over
+    Q (base C) each 1-tuple is its own entry."""
     dr = div.dim
     rows, cols = len(m_d), len(m_d[0]) if m_d else 0
     out = zeros(rows * dr, cols * dr)
@@ -130,42 +140,20 @@ def realify(m_d: list, division: str) -> Mat:
     return out
 
 
-def realify_form(g_d: list, division: str, base: str) -> Mat:
-    """Realify a Gram matrix.  Over base R the form is conjugate-linear in
-    its first argument and the map rule applies; over base C it is bilinear
-    and the real part is taken without conjugation:
-    B_R[(a,al),(b,be)] = Re(e_al * G_ab * e_be)."""
-    if base == "R":
-        return realify(g_d, division)
-    div = DIVISIONS[division]
-    dr = div.dim
-    rows = len(g_d)
-    out = zeros(rows * dr, rows * dr)
-    for a in range(rows):
-        for b in range(rows):
-            entry = g_d[a][b]
-            if all(not c for c in entry):
-                continue
-            for al in range(dr):
-                for be in range(dr):
-                    prod = div.mul(div.mul(div.unit(al), entry), div.unit(be))
-                    out[a * dr + al][b * dr + be] = prod[0]
-    return out
-
-
-def structure_matrices(n_d: int, division: str) -> list:
-    div = DIVISIONS[division]
+def structure_matrices(n_d: int, div: DivisionAlgebra) -> list:
     return [kron(eye(n_d), div.rmat(div.unit(k))) for k in range(1, div.dim)]
 
 
 class AmbientSpace:
-    """Realified carrier of a formed space: gram and D-structures, dense and
-    in monomial form, and the monomial inverse of gram."""
+    """Rational carrier of a formed space: gram and the D-structures (none
+    over base C, where D acts as Q), dense and in monomial form, and the
+    monomial inverse of gram."""
 
     def __init__(self, space: FormedSpace, gram: Mat):
         self.space = space
         self.gram = gram
-        self.structures = structure_matrices(space.dim, space.division)
+        self.structures = structure_matrices(
+            space.dim, coordinates(space.base, space.division))
         try:
             self.gram_mono = monomial(gram)
             self.structure_monos = [monomial(j) for j in self.structures]
@@ -176,7 +164,7 @@ class AmbientSpace:
 
     @property
     def dr(self) -> int:
-        return self.space.dim_over_r
+        return self.space.d
 
     @property
     def n_real(self) -> int:
@@ -215,8 +203,8 @@ def realize_triple(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> Ma
 def _realize(tab: AdmissibleTableau) -> MatrixRealization:
     validate(tab)
     space = tab.space
-    div = DIVISIONS[space.division]
     base = space.base
+    div = coordinates(base, space.division)
     n_d = sum(row.t * row.mult.dim for row in tab.rows)
     g_d = [[div.zero() for _ in range(n_d)] for _ in range(n_d)]
     x_d, h_d, y_d = zeros(n_d, n_d), zeros(n_d, n_d), zeros(n_d, n_d)
@@ -246,7 +234,7 @@ def _realize(tab: AdmissibleTableau) -> MatrixRealization:
                     h_d[i][j] = ht[r][r2]
                     y_d[i][j] = yt[r][r2]
         off += t * m
-    gram = realify_form(g_d, space.division, base)
+    gram = realify(g_d, div)
     amb = AmbientSpace(space, gram)
     dr = div.dim
     x, h, y = (kron(m_, eye(dr)) for m_ in (x_d, h_d, y_d))
@@ -363,15 +351,12 @@ def kernel_form_nondegenerate(rm: RationalMap) -> bool:
 
 
 def _d_form(us: list, ws: list, amb: AmbientSpace) -> list:
-    """[[B_D(u, w) for w in ws] for u in us], reconstructed from the real
-    form and the structures.  Over base R the form is conjugate-linear in u,
-    so the e_al component is B_R(u*e_al, w); over base C it is bilinear, so
-    Im B = -B_R(u*i, w)."""
+    """[[B_D(u, w) for w in ws] for u in us] on a base-R space,
+    reconstructed from the real form and the structures: the form is
+    conjugate-linear in u, so the e_al component is B_R(u*e_al, w)."""
     bw = mul(amb.gram, transpose(ws))  # column k is B ws[k]
     comps = [mul(us, bw)] + [mul(mul(us, transpose(j)), bw)
                              for j in amb.structures]
-    if amb.space.base == "C":
-        comps[1] = scal(-1, comps[1])
     return [[tuple(c[a][b] for c in comps) for b in range(len(ws))]
             for a in range(len(us))]
 
@@ -380,7 +365,6 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
                 expect: int) -> list:
     """Greedy D-basis, modulo the D-submodule spanned by lower, of the
     D-submodule spanned by lower and a list of real-space vectors."""
-    div = DIVISIONS[amb.space.division]
     span = echelon(sparse_rows(lower))
     base_rank = len(span)
     chosen = []
@@ -393,7 +377,7 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
             continue
         chosen.append(v)
         echelon(sparse_rows([mat_vec(j, v) for j in amb.structures]), span)
-    if len(chosen) != expect or len(span) != base_rank + expect * div.dim:
+    if len(chosen) != expect or len(span) != base_rank + expect * amb.dr:
         raise IdentityViolated("could not extract a D-basis",
                                expected=expect, got=len(chosen))
     return chosen
@@ -401,16 +385,15 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
 
 def classify_space(beta_d: list, base: str, division: str, epsilon: int) -> FormedSpace:
     """Isometry class of a non-degenerate D-valued epsilon-Hermitian form."""
-    div = DIVISIONS[division]
+    div = coordinates(base, division)
     m = len(beta_d)
     for a in range(m):
         for b in range(m):
-            lhs = beta_d[b][a] if base == "C" else div.conj(beta_d[b][a])
             rhs = div.mul(div.scalar(epsilon), beta_d[a][b])
-            if lhs != rhs:
+            if div.conj(beta_d[b][a]) != rhs:
                 raise IdentityViolated("form is not epsilon-Hermitian",
                                        epsilon=epsilon)
-    br = realify(beta_d, division)
+    br = realify(beta_d, div)
     if rank(br) != m * div.dim:
         raise IdentityViolated("form is degenerate", dim=m)
     tag = (base, division, epsilon)
@@ -428,7 +411,8 @@ def classify_space(beta_d: list, base: str, division: str, epsilon: int) -> Form
 
 
 def algebra_basis(amb: AmbientSpace) -> list:
-    """Basis of the realified isometry Lie algebra (list of matrices)."""
+    """Rational basis of the isometry Lie algebra in the space's
+    coordinates (list of matrices); its size is the dimension over F."""
     n = amb.n_real
     pairs = [(i, j) for i in range(n) for j in range(n)]
     nullity_vecs = _constrained_kernel(amb, pairs, commute_with=[])
@@ -495,8 +479,7 @@ def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
     assert_in_algebra(x, amb)
     n = amb.n_real
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    real_dim = _constrained_nullity(amb, pairs, commute_with=[x])
-    return real_dim // (2 if amb.space.base == "C" else 1)
+    return _constrained_nullity(amb, pairs, commute_with=[x])
 
 
 def triple_centralizer_dim(real: MatrixRealization) -> int:
@@ -505,8 +488,7 @@ def triple_centralizer_dim(real: MatrixRealization) -> int:
     wts = [real.weights[i // dr] for i in range(real.ambient.n_real)]
     pairs = [(i, j) for i in range(len(wts)) for j in range(len(wts))
              if wts[i] == wts[j]]
-    real_dim = _constrained_nullity(real.ambient, pairs, commute_with=[real.x])
-    return real_dim // (2 if real.ambient.space.base == "C" else 1)
+    return _constrained_nullity(real.ambient, pairs, commute_with=[real.x])
 
 
 def graded_dim_at(real: MatrixRealization, j: int) -> int:
@@ -516,8 +498,7 @@ def graded_dim_at(real: MatrixRealization, j: int) -> int:
              if wts[p] == wts[q] + j]
     if not pairs:
         return 0
-    real_dim = _constrained_nullity(real.ambient, pairs, commute_with=[])
-    return real_dim // (2 if real.ambient.space.base == "C" else 1)
+    return _constrained_nullity(real.ambient, pairs, commute_with=[])
 
 
 def graded_dims(real: MatrixRealization) -> dict:
@@ -713,16 +694,17 @@ def sample_raising_map(v_real: MatrixRealization, vp_real: MatrixRealization,
                        rng) -> RationalMap:
     """Random D-linear T whose entries strictly raise reference weights, so
     that both moment-map values are nilpotent."""
-    div = DIVISIONS[v_real.ambient.space.division]
+    space = v_real.ambient.space
+    div = coordinates(space.base, space.division)
     dr = div.dim
-    n_src = v_real.ambient.space.dim
+    n_src = space.dim
     n_tgt = vp_real.ambient.space.dim
     t_d = [[div.zero() for _ in range(n_src)] for _ in range(n_tgt)]
     for p in range(n_tgt):
         for q in range(n_src):
             if vp_real.weights[p] >= v_real.weights[q] + 1:
                 t_d[p][q] = tuple(Fraction(rng.randint(-9, 9)) for _ in range(dr))
-    return make_map(v_real.ambient, vp_real.ambient, realify(t_d, div.name))
+    return make_map(v_real.ambient, vp_real.ambient, realify(t_d, div))
 
 
 # -- reports -------------------------------------------------------------

@@ -102,7 +102,7 @@ def suite_forms(report: SuiteReport, rng):
             if m.dim_f * t > 12:
                 continue
             want = tensor_with_sl2(m, t)
-            div = oracle.DIVISIONS[m.division]
+            div = oracle.coordinates(m.base, m.division)
             st = oracle.sl2_gram(t, m.base)
             g = [[div.zero() for _ in range(m.dim * t)] for _ in range(m.dim * t)]
             gm = oracle.standard_gram(m)

@@ -16,9 +16,8 @@ from dualpairs.oracle import (_constrained_kernel, _constrained_nullity,
                               kernel_form_nondegenerate, make_map,
                               mat_from_json, mat_to_json, random_isometry,
                               sample_raising_map, sl2_gram, truncate_map)
-from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat,
-                                kron, mat, matpow, mul, rank, scal, transpose,
-                                zeros)
+from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat, mat,
+                                matpow, mul, rank, scal, transpose, zeros)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -39,10 +38,9 @@ T31_O4 = ctab(O4, [(3, 1, 1), (1, 1, 1)])
 
 def test_realize_standard_sl2():
     r = realize_triple(REG2)
-    assert r.x == kron(mat([[0, 1], [0, 0]]), eye(2))
-    assert r.h == kron(mat([[1, 0], [0, -1]]), eye(2))
-    assert r.ambient.gram == kron(mat([[0, 1], [-1, 0]]),
-                                  mat([[1, 0], [0, -1]]))
+    assert r.x == mat([[0, 1], [0, 0]])
+    assert r.h == mat([[1, 0], [0, -1]])
+    assert r.ambient.gram == mat([[0, 1], [-1, 0]])
 
 
 def test_realize_zero_orbit():
@@ -64,6 +62,7 @@ def test_triple_relations_and_membership():
             assert commutator(r.x, r.y) == r.h
             for z in (r.x, r.h, r.y):
                 assert in_algebra(z, r.ambient)
+            assert r.ambient.n_real == v.dim_f
 
 
 def test_identify_realize_round_trip_dims_8():
@@ -74,6 +73,23 @@ def test_identify_realize_round_trip_dims_8():
             assert identify(r.x, r.ambient) == tab
             count += 1
     assert count == 373
+
+
+def test_identify_realize_round_trip_dimension_bound():
+    """All orbits of sp(12,C) and O(12,C), and the principal orbit of each
+    conjugated by a random isometry, identify back to their tableaux."""
+    rng = random.Random(12)
+    count = 0
+    for v in [complex_symplectic_space(12), complex_orthogonal_space(12)]:
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            assert identify(r.x, r.ambient) == tab
+            count += 1
+        principal = enumerate_orbits(v)[0]
+        r = realize_triple(principal)
+        g = random_isometry(r.ambient, rng)
+        assert identify(mul(g, mul(r.x, inv(g))), r.ambient) == principal
+    assert count == 68
 
 
 def test_identify_is_conjugation_invariant():
@@ -102,7 +118,7 @@ def test_identify_errors():
     with pytest.raises(NotNilpotent):
         identify(r.h, r.ambient)
     with pytest.raises(NotInAlgebra):
-        bad = zeros(4, 4)
+        bad = zeros(2, 2)  # the right shape, not skew for the form
         bad[0][0] = Fraction(1)
         identify(bad, r.ambient)
 
@@ -139,6 +155,8 @@ def test_in_algebra_matches_dense_definition():
         for tab in enumerate_orbits(v):
             r = realize_triple(tab)
             amb = r.ambient
+            if v.base == "C":
+                assert amb.structures == []
             cases = [(r.x, True, True), (r.h, True, True), (r.y, True, True),
                      (eye(amb.n_real), False, True)]
             z = _fails_only_d_linearity(amb)
@@ -151,7 +169,7 @@ def test_in_algebra_matches_dense_definition():
                 assert in_algebra(z, amb) == (skew and d_linear)
                 checked += 1
     assert {v.division for v in iter_spaces(4)} == {"R", "C", "H"}
-    assert checked > 250 and non_d_linear > 20
+    assert checked > 250 and non_d_linear == 15
 
 
 def test_make_map_adjoint_and_d_linearity():
@@ -169,8 +187,12 @@ def test_make_map_adjoint_and_d_linearity():
             rm = sample_raising_map(v_real, vp_real, rng)
             dense = mul(inv(src.gram), mul(transpose(rm.t), tgt.gram))
             assert rm.t_star == dense
-        bad = zeros(tgt.n_real, src.n_real)
-        bad[0][0] = Fraction(1, 3)
+        if v.base == "C":
+            # no D-structures on a Q-form: only the shape can be wrong
+            bad = zeros(tgt.n_real + 1, src.n_real)
+        else:
+            bad = zeros(tgt.n_real, src.n_real)
+            bad[0][0] = Fraction(1, 3)
         with pytest.raises(NotInAlgebra):
             make_map(src, tgt, bad)
 
@@ -202,7 +224,7 @@ def test_random_isometry_preserves_form():
 def test_adjoint_identity():
     src = realize_triple(zero_orbit(O1)).ambient
     tgt = realize_triple(zero_orbit(SP2)).ambient
-    t = kron(mat([[3], [5]]), eye(2))  # realified scalar blocks
+    t = mat([[3], [5]])
     rm = make_map(src, tgt, t)
     assert mul(transpose(rm.t), tgt.gram) == mul(src.gram, rm.t_star)
 
@@ -210,7 +232,7 @@ def test_adjoint_identity():
 def test_moment_maps_zero():
     src = realize_triple(zero_orbit(O3)).ambient
     tgt = realize_triple(zero_orbit(SP4)).ambient
-    rm = make_map(src, tgt, zeros(8, 6))
+    rm = make_map(src, tgt, zeros(4, 3))
     x, xp = moment_maps(rm)
     assert is_zero_mat(x) and is_zero_mat(xp)
 
@@ -232,7 +254,7 @@ def test_descent_witness_regular_sp2():
     assert xp == src.x
     # rank sequences of T*T and TT* differ here (0 vs 1 at k=1): adjoint
     # pairs over isotropic forms only satisfy the product interlacing below
-    assert rank(x) == 0 and rank(xp) == 2
+    assert rank(x) == 0 and rank(xp) == 1
 
 
 def test_moment_rank_interlacing():
@@ -345,7 +367,7 @@ def test_random_maps_land_in_lift_closure():
 
 def test_centralizer_dims():
     amb4 = realize_triple(zero_orbit(SP4)).ambient
-    assert centralizer_dim(zeros(8, 8), amb4) == 10
+    assert centralizer_dim(zeros(4, 4), amb4) == 10
     reg = realize_triple(REG2)
     assert centralizer_dim(reg.x, reg.ambient) == 1
     r211 = realize_triple(T211)
@@ -400,9 +422,7 @@ def test_algebra_basis_spans_lie_dim():
     for v in [SP4, O3, orthogonal_space(2, 1),
               formed_space("R", "C", 1, signature=(2, 0))]:
         amb = realize_triple(zero_orbit(v)).ambient
-        basis = algebra_basis(amb)
-        factor = 2 if v.base == "C" else 1
-        assert len(basis) == factor * isometry_group(v).lie_dim
+        assert len(algebra_basis(amb)) == isometry_group(v).lie_dim
 
 
 def test_matrix_json():

@@ -22,3 +22,8 @@ def test_failing_check_names_first_instance(monkeypatch):
     monkeypatch.undo()
     check, = run_suite("descent", max_dims=(2, 2)).checks
     assert check.passed and check.detail == f"{len(calls)}/{len(calls)}"
+
+
+def test_all_suites_pass_at_six_eight():
+    report = run_suite("all", max_dims=(6, 8), seed=0)
+    assert report.passed, report.render()
