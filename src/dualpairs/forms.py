@@ -145,6 +145,13 @@ def formed_space(base: str, division: str, epsilon: int,
     return FormedSpace(base, division, epsilon, None, int(dim))
 
 
+def zero_space(tag: tuple) -> FormedSpace:
+    """The zero space of type tag = (base, division, epsilon)."""
+    if tag in SIG_KINDS:
+        return formed_space(*tag, signature=(0, 0))
+    return formed_space(*tag, dim=0)
+
+
 # convenience constructors for the seven families
 
 def orthogonal_space(p: int, q: int) -> FormedSpace:

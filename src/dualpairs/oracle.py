@@ -32,7 +32,7 @@ from fractions import Fraction
 from .division import DIVISIONS, DivisionAlgebra
 from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
                      NotNilpotent)
-from .forms import FormedSpace, formed_space
+from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
 from .rational import (Mat, add, cleared_mat, commutator, echelon, eye,
@@ -40,6 +40,7 @@ from .rational import (Mat, add, cleared_mat, commutator, echelon, eye,
                        monomial, monomial_inv, mul, nullspace, rank, sandwich,
                        scal, shape, sparse_rows, sub, sylvester_signature,
                        transpose, zeros)
+from .theta import generalized_descent, reduced_pair_dims
 
 
 def sigma_t(t: int, base: str) -> int:
@@ -397,7 +398,6 @@ def classify_space(beta_d: list, base: str, division: str, epsilon: int) -> Form
     if rank(br) != m * div.dim:
         raise IdentityViolated("form is degenerate", dim=m)
     tag = (base, division, epsilon)
-    from .forms import SIG_KINDS
     if tag not in SIG_KINDS:
         return formed_space(base, division, epsilon, dim=m)
     if tag == ("R", "C", -1):
@@ -482,20 +482,22 @@ def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
     return _constrained_nullity(amb, pairs, commute_with=[x])
 
 
-def triple_centralizer_dim(real: MatrixRealization) -> int:
-    """dim of the centralizer of the (X, H) pair: the reductive piece M_X."""
+def _graded_pairs(real: MatrixRealization, j: int) -> list:
+    """The matrix entries (p, q) of ad H-degree j: wt(p) = wt(q) + j."""
     dr = real.ambient.dr
     wts = [real.weights[i // dr] for i in range(real.ambient.n_real)]
-    pairs = [(i, j) for i in range(len(wts)) for j in range(len(wts))
-             if wts[i] == wts[j]]
-    return _constrained_nullity(real.ambient, pairs, commute_with=[real.x])
+    return [(p, q) for p, wp in enumerate(wts) for q, wq in enumerate(wts)
+            if wp == wq + j]
+
+
+def triple_centralizer_dim(real: MatrixRealization) -> int:
+    """dim of the centralizer of the (X, H) pair: the reductive piece M_X."""
+    return _constrained_nullity(real.ambient, _graded_pairs(real, 0),
+                                commute_with=[real.x])
 
 
 def graded_dim_at(real: MatrixRealization, j: int) -> int:
-    dr = real.ambient.dr
-    wts = [real.weights[i // dr] for i in range(real.ambient.n_real)]
-    pairs = [(p, q) for p in range(len(wts)) for q in range(len(wts))
-             if wts[p] == wts[q] + j]
+    pairs = _graded_pairs(real, j)
     if not pairs:
         return 0
     return _constrained_nullity(real.ambient, pairs, commute_with=[])
@@ -503,9 +505,7 @@ def graded_dim_at(real: MatrixRealization, j: int) -> int:
 
 def graded_dims(real: MatrixRealization) -> dict:
     """dim g_j (base field) for every j in the weight span of ad H."""
-    if real.ambient.n_real == 0:
-        return {}
-    span = 2 * (max(real.weights) if real.weights else 0)
+    span = 2 * max(real.weights, default=-1)  # no j at all for the zero space
     return {j: graded_dim_at(real, j) for j in range(-span, span + 1)}
 
 
@@ -596,7 +596,6 @@ def construct_descent_element(src_real: MatrixRealization, v: FormedSpace,
     Asserts identify(T*T) = descent target, identify(TT*) = source orbit,
     T(V_k) in V'_{k+1}, and Ker T non-degenerate.
     """
-    from .theta import generalized_descent
     op = src_real.tableau
     dres = generalized_descent(op, v)
     tgt_real = realize_triple(dres.target, bound=bound)
@@ -730,21 +729,15 @@ class DimIdentityReport:
 
 def verify_dimension_identity(dres, bound: int = DEFAULT_DIM_BOUND) -> DimIdentityReport:
     """dim g_{-1} + dim g'_{-1} = dim W_0 - d * dim Ker T * dim (V')^{gamma',1}_0,
-    all computed from matrices."""
+    with the graded dimensions on the left computed from matrices and both
+    terms on the right from theta.reduced_pair_dims."""
     tgt = realize_triple(dres.target, bound=bound)
     src = realize_triple(dres.source, bound=bound)
     g1 = graded_dim_at(tgt, -1)
     gp1 = graded_dim_at(src, -1)
-    d = dres.target.space.d
-    wv: dict = {}
-    for w in tgt.weights:
-        wv[w] = wv.get(w, 0) + 1
-    wvp: dict = {}
-    for w in src.weights:
-        wvp[w] = wvp.get(w, 0) + 1
-    w0 = sum(d * wv[k] * wvp.get(k, 0) for k in wv)
+    dim_w, w0 = reduced_pair_dims(dres)
     lhs = g1 + gp1
-    rhs = w0 - d * dres.b * dres.s
+    rhs = w0 - dim_w
     report = DimIdentityReport(dim_g_minus1=g1, dim_gp_minus1=gp1, dim_w0=w0,
                                dim_ker_t=dres.b, dim_one_row=dres.s,
                                lhs=lhs, rhs=rhs)
@@ -752,11 +745,3 @@ def verify_dimension_identity(dres, bound: int = DEFAULT_DIM_BOUND) -> DimIdenti
         raise IdentityViolated("graded dimension identity fails",
                                report=report.to_json())
     return report
-
-
-def mat_to_json(m: Mat) -> list:
-    return [[str(v) for v in row] for row in m]
-
-
-def mat_from_json(rows: list) -> Mat:
-    return [[Fraction(v) for v in row] for row in rows]

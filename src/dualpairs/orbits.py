@@ -11,13 +11,15 @@ forms of an orbit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (BadShape, BadSign, BoundExceeded, NotAdmissible,
                      UnsupportedRealClosure)
-from .forms import (FormedSpace, GroupDescriptor, complexify, direct_sum,
-                    formed_space, group_factor, isometry_group, json_int,
-                    tensor_with_sl2)
+from .forms import (EVEN_DIM_KINDS, SIG_KINDS, FormedSpace, GroupDescriptor,
+                    complexify, direct_sum, formed_space, group_factor,
+                    isometry_group, json_int, tensor_with_sl2, zero_space)
 
 DEFAULT_DIM_BOUND = 12
 
@@ -112,8 +114,7 @@ def validate(tab: AdmissibleTableau) -> None:
         raise BadShape("row lengths must be strictly decreasing", rows=ts)
     if any(row.mult.dim == 0 for row in tab.rows):
         raise BadShape("rows must have nonzero multiplicity")
-    total = formed_space(*tab.space.tag(),
-                         **({"signature": (0, 0)} if tab.space.kind == "sig" else {"dim": 0}))
+    total = zero_space(tab.space.tag())
     for row in tab.rows:
         expected_eps = tab.space.epsilon * (-1) ** (row.t - 1)
         if (row.mult.base, row.mult.division) != (tab.space.base, tab.space.division):
@@ -132,7 +133,6 @@ def _mult_choices(space: FormedSpace, t: int, count: int):
     """All multiplicity spaces of D-dimension count for a row of length t."""
     eps = space.epsilon * (-1) ** (t - 1)
     tag = (space.base, space.division, eps)
-    from .forms import EVEN_DIM_KINDS, SIG_KINDS
     if tag in SIG_KINDS:
         return [formed_space(*tag, signature=(p, count - p)) for p in range(count + 1)]
     if tag in EVEN_DIM_KINDS and count % 2 != 0:
@@ -165,7 +165,7 @@ def enumerate_orbits(v: FormedSpace, bound: int = DEFAULT_DIM_BOUND) -> list:
         pools = [_mult_choices(v, t, parts[t]) for t in lengths]
         if any(not pool for pool in pools):
             continue
-        for combo in _product(pools):
+        for combo in product(*pools):
             tab = AdmissibleTableau(v, tuple(TableauRow(t, m)
                                              for t, m in zip(lengths, combo)))
             try:
@@ -175,15 +175,6 @@ def enumerate_orbits(v: FormedSpace, bound: int = DEFAULT_DIM_BOUND) -> list:
             found.append(tab)
     found.sort(key=lambda tb: tb.sort_key(), reverse=True)
     return found
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 def complexify_tableau(tab: AdmissibleTableau) -> AdmissibleTableau:
@@ -237,13 +228,40 @@ def closure_leq(a: AdmissibleTableau, b: AdmissibleTableau) -> bool:
     return _dominates(b.diagram(), a.diagram())
 
 
+def weight_dims(diagram: tuple) -> Counter:
+    """D-dimension of each H-weight space of V: a row of length t carries
+    the weights t-1, t-3, ..., 1-t."""
+    return Counter(k for t in diagram for k in range(t - 1, -t, -2))
+
+
+def graded_dims(tab: AdmissibleTableau) -> dict:
+    """dim g_j over the base field for every j in the weight span of ad H,
+    by weight counting: g is Lambda^2 V (epsilon = +1) or Sym^2 V
+    (epsilon = -1) over base C, gl(V) for u(V) over base R, and the
+    complexified algebra for base R with D = R or H."""
+    space = tab.space
+    if space.base == "R" and space.division != "C":
+        return graded_dims(complexify_tableau(tab))
+    c = weight_dims(tab.diagram())
+    span = 2 * max(c, default=-1)  # no j at all for the zero space
+    out = {}
+    for j in range(-span, span + 1):
+        # ordered pairs of weights with sum j, which by the symmetry of the
+        # weights are also the pairs with difference j that grade gl(V)
+        ordered = sum(n * c[j - k] for k, n in c.items())
+        diagonal = c[j // 2] if j % 2 == 0 else 0
+        out[j] = ordered if space.base == "R" else \
+            (ordered - space.epsilon * diagonal) // 2
+    return out
+
+
 def orbit_dimension(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> int:
-    """dim of the orbit through tab over the base field, via the matrix oracle."""
-    from . import oracle
-    validate(tab)
-    real = oracle.realize_triple(tab, bound=bound)
-    g_dim = isometry_group(tab.space).lie_dim
-    return g_dim - oracle.centralizer_dim(real.x, real.ambient)
+    """dim of the orbit through tab over the base field: dim g - dim g^X,
+    with dim g^X = dim g_0 + dim g_1 because every irreducible summand of g
+    under the sl2 triple has one X-fixed vector and one weight in {0, 1}."""
+    grading = whittaker_datum(tab, bound).grading
+    return (isometry_group(tab.space).lie_dim - grading.get(0, 0)
+            - grading.get(1, 0))
 
 
 @dataclass(frozen=True)
@@ -265,10 +283,11 @@ class WhittakerDatum:
 
 def whittaker_datum(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> WhittakerDatum:
     """Grading dims of g under ad(H) plus the character/Heisenberg dichotomy."""
-    from . import oracle
     validate(tab)
-    real = oracle.realize_triple(tab, bound=bound)
-    grading = oracle.graded_dims(real)
+    if tab.space.dim_f > bound:
+        raise BoundExceeded("space exceeds dimension bound",
+                            dim_f=tab.space.dim_f, bound=bound)
+    grading = graded_dims(tab)
     dim_u = sum(v for k, v in grading.items() if k <= -2)
     g1 = grading.get(-1, 0)
     return WhittakerDatum(grading=grading, dim_u=dim_u, dim_n=dim_u + g1,

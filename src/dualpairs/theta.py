@@ -13,17 +13,10 @@ from dataclasses import dataclass
 from .errors import (AmbiguousMaximum, EmptyLift, IncompatiblePair,
                      NotInImage, UnsupportedRealClosure)
 from .forms import (FormedSpace, GroupDescriptor, direct_sum, embeds,
-                    formed_space, group_factor, isometry_group,
-                    orth_complement, tensor_with_sl2)
+                    group_factor, isometry_group, orth_complement,
+                    tensor_with_sl2, zero_space)
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
-                     closure_leq, enumerate_orbits, validate)
-
-
-def _zero_space(model: FormedSpace, tag: tuple) -> FormedSpace:
-    from .forms import SIG_KINDS
-    if tag in SIG_KINDS:
-        return formed_space(*tag, signature=(0, 0))
-    return formed_space(*tag, dim=0)
+                     closure_leq, enumerate_orbits, validate, weight_dims)
 
 
 def _check_pair(op_space: FormedSpace, v: FormedSpace):
@@ -36,9 +29,7 @@ def _check_pair(op_space: FormedSpace, v: FormedSpace):
 def _descent_pieces(op: AdmissibleTableau, v: FormedSpace):
     """Core (rows >= 3 after erasure), U1 (2-row mult), s (1-row mult dim)."""
     validate(op)
-    eps = v.epsilon
-    core = _zero_space(v, v.tag())
-    u1 = _zero_space(v, (v.base, v.division, eps))
+    core = u1 = zero_space(v.tag())
     s_mult = None
     for row in op.rows:
         if row.t >= 3:
@@ -151,20 +142,10 @@ def pair_factorization(dr: DescentResult) -> PairFactorization:
     ker_t = orth_complement(dr.U1, dr.U)
     one_row = dr.source.row_of_length(1)
     lp_space = one_row.mult if one_row is not None else \
-        _zero_space(dr.source.space, dr.source.space.tag())
+        zero_space(dr.source.space.tag())
     return PairFactorization(m_xxp=m_xxp, l=isometry_group(ker_t),
                              lp=isometry_group(lp_space),
                              l_space=ker_t, lp_space=lp_space)
-
-
-def _weight_dims(diagram: tuple) -> dict:
-    """D-dimension of each H-weight space of the standard realization."""
-    out = {}
-    for t in diagram:
-        for r in range(t):
-            k = t - 1 - 2 * r
-            out[k] = out.get(k, 0) + 1
-    return out
 
 
 def reduced_pair_dims(dr: DescentResult) -> tuple:
@@ -175,7 +156,7 @@ def reduced_pair_dims(dr: DescentResult) -> tuple:
     """
     d = dr.target.space.d
     dim_w = d * dr.b * dr.s
-    wv = _weight_dims(dr.target.diagram())
-    wvp = _weight_dims(dr.source.diagram())
-    dim_w0 = sum(d * wv[k] * wvp.get(k, 0) for k in wv)
+    wv = weight_dims(dr.target.diagram())
+    wvp = weight_dims(dr.source.diagram())
+    dim_w0 = sum(d * wv[k] * wvp[k] for k in wv)
     return dim_w, dim_w0

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import cycles as cyc
 from . import oracle, theta
@@ -14,8 +15,9 @@ from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
                     tensor_with_sl2)
-from .orbits import enumerate_orbits, real_forms, stabilizer, whittaker_datum
-from .rational import mul
+from .orbits import (enumerate_orbits, graded_dims, orbit_dimension,
+                     real_forms, stabilizer, whittaker_datum)
+from .rational import inv, mul
 
 
 @dataclass
@@ -160,7 +162,6 @@ def suite_orbit_enum(report: SuiteReport, rng):
         for tab in enumerate_orbits(sp[1]):
             r = oracle.realize_triple(tab)
             g = oracle.random_isometry(r.ambient, rng)
-            from .rational import inv
             xg = mul(g, mul(r.x, inv(g)))
             conj_tot += 1
             conj_ok += oracle.identify(xg, r.ambient) == tab
@@ -236,17 +237,24 @@ def suite_lift(report: SuiteReport, rng):
 
 
 def suite_stabilizer(report: SuiteReport, rng):
-    tot = ok = 0
+    tot = ok = grade_ok = dim_ok = 0
     for sp in iter_spaces(report.max_dims[1]):
         if sp.is_zero:
             continue
+        g = isometry_group(sp).lie_dim
         for tab in enumerate_orbits(sp):
             tot += 1
-            want = stabilizer(tab).lie_dim
-            got = oracle.triple_centralizer_dim(oracle.realize_triple(tab))
-            ok += want == got
+            real = oracle.realize_triple(tab)
+            ok += stabilizer(tab).lie_dim == oracle.triple_centralizer_dim(real)
+            grade_ok += graded_dims(tab) == oracle.graded_dims(real)
+            dim_ok += orbit_dimension(tab) == \
+                g - oracle.centralizer_dim(real.x, real.ambient)
     report.add("combinatorial stabilizer dim = oracle centralizer of (X, H)",
                ok == tot, f"{ok}/{tot}")
+    report.add("weight-counted grading = oracle graded dims of ad H",
+               grade_ok == tot, f"{grade_ok}/{tot}")
+    report.add("orbit dimension = dim g - oracle centralizer of X",
+               dim_ok == tot, f"{dim_ok}/{tot}")
     ftot = fok = 0
     for v, vp, op in _image_descents(report.max_dims):
         ftot += 1
@@ -329,7 +337,6 @@ def suite_cycles(report: SuiteReport, rng):
 
 
 def suite_range(report: SuiteReport, rng):
-    from fractions import Fraction
     table = [(orthogonal_space(3, 2), Fraction(3)),          # n - 2
              (symplectic_space(4), Fraction(4)),             # 2n
              (hermitian := formed_space("R", "C", 1, signature=(2, 1)),

@@ -237,6 +237,20 @@ def test_domain_error_exit_2_machine_readable():
         assert err["code"] == code
 
 
+def test_orbit_past_dimension_bound_is_domain_error():
+    o13 = {"base": "C", "division": "C", "epsilon": 1, "dim": 13}
+    regular = json.dumps({"space": o13, "rows": [
+        {"t": 13, "mult": {"base": "C", "division": "C", "epsilon": 1,
+                           "dim": 1}}]})
+    for command in ("stabilizer", "whittaker"):
+        res = run(command, "--orbit", regular, "--json")
+        assert res.returncode == 2, (command, res.stderr)
+        assert res.stdout == ""
+        err = json.loads(res.stderr)["error"]
+        assert err["code"] == "bound_exceeded"
+        assert err["context"] == {"dim_f": 13, "bound": 12}
+
+
 def test_text_and_json_agree():
     res_t = run("descend", "--orbit-prime", T31_O4, "--target-space", SP4)
     res_j = run("descend", "--orbit-prime", T31_O4, "--target-space", SP4,

@@ -1,0 +1,49 @@
+"""Module layering of the package, read from the source with ast.
+
+The combinatorial modules compute their claims without the matrix oracle,
+which only checks them, and every import sits at module level, so the
+import graph is the one the module headers show.
+"""
+
+import ast
+from pathlib import Path
+
+import dualpairs
+
+PACKAGE = Path(dualpairs.__file__).parent
+COMBINATORIAL = ("forms", "orbits", "theta", "cycles")
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    """Names of the package modules (and of the names imported from them)
+    that the imports of tree mention, relative or absolute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("dualpairs"):
+                continue
+            out.add(module.removeprefix("dualpairs").lstrip("."))
+            out.update(a.name for a in node.names)  # from . import oracle
+        elif isinstance(node, ast.Import):
+            out.update(a.name.removeprefix("dualpairs.") for a in node.names)
+    return out
+
+
+def test_combinatorial_modules_do_not_import_the_oracle():
+    for module in COMBINATORIAL:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        assert "oracle" not in _imported_modules(tree), module
+
+
+def test_no_function_level_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [f"{path.name}:{node.lineno} in {func.name}"
+                      for node in ast.walk(func)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []

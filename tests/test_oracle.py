@@ -14,8 +14,8 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
 from dualpairs.oracle import (_constrained_kernel, _constrained_nullity,
                               algebra_basis, in_algebra, kernel_basis,
                               kernel_form_nondegenerate, make_map,
-                              mat_from_json, mat_to_json, random_isometry,
-                              sample_raising_map, sl2_gram, truncate_map)
+                              random_isometry, sample_raising_map, sl2_gram,
+                              truncate_map)
 from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat, mat,
                                 matpow, mul, rank, scal, transpose, zeros)
 
@@ -423,10 +423,3 @@ def test_algebra_basis_spans_lie_dim():
               formed_space("R", "C", 1, signature=(2, 0))]:
         amb = realize_triple(zero_orbit(v)).ambient
         assert len(algebra_basis(amb)) == isometry_group(v).lie_dim
-
-
-def test_matrix_json():
-    m = mat([[Fraction(1, 2), Fraction(-3)], [0, Fraction(7, 5)]])
-    js = mat_to_json(m)
-    assert js == [["1/2", "-3"], ["0", "7/5"]]
-    assert mat_from_json(js) == m

@@ -9,6 +9,7 @@ from dualpairs import (AdmissibleTableau, BadShape, BadSign, BoundExceeded,
                        orbit_dimension, orthogonal_space, real_forms,
                        stabilizer, symplectic_space, tableau, validate,
                        whittaker_datum, zero_orbit)
+from dualpairs.oracle import graded_dims, realize_triple
 from helpers import expected_grading
 
 SP2 = complex_symplectic_space(2)
@@ -203,6 +204,7 @@ def test_grading_against_weight_counting():
         for tab in enumerate_orbits(v):
             w = whittaker_datum(tab)
             assert nonzero(w.grading) == expected_grading(tab)
+            assert w.grading == graded_dims(realize_triple(tab))
             assert sum(w.grading.values()) == lie_dim
             assert all(w.grading.get(j, 0) == w.grading.get(-j, 0)
                        for j in w.grading)
