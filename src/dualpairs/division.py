@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import frac, zeros
+from .rational import zeros
 
 
 class DivisionAlgebra:
@@ -19,14 +19,8 @@ class DivisionAlgebra:
         self.dim = dim
         self._mul = mul_fn
 
-    def scalar(self, x) -> tuple:
-        return (frac(x),) + (Fraction(0),) * (self.dim - 1)
-
     def unit(self, k: int) -> tuple:
         return tuple(Fraction(1 if i == k else 0) for i in range(self.dim))
-
-    def zero(self) -> tuple:
-        return (Fraction(0),) * self.dim
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         return self._mul(x, y)

@@ -212,15 +212,10 @@ def tensor_with_sl2(a: FormedSpace, m: int) -> FormedSpace:
         raise BadShape("tensor length must be positive", m=m)
     eps = a.epsilon * (-1) ** (m - 1)
     tag = (a.base, a.division, eps)
-    if a.kind == "sig":
+    if a.kind == "sig" and m % 2 == 1:
         p, q = a.signature
-        if m % 2 == 1:
-            hi, lo = (m + 1) // 2, m // 2
-            return formed_space(*tag, signature=(p * hi + q * lo, p * lo + q * hi))
-        n = (p + q) * m
-        if tag in SIG_KINDS:
-            return formed_space(*tag, signature=(n // 2, n // 2))
-        return formed_space(*tag, dim=n)
+        hi, lo = (m + 1) // 2, m // 2
+        return formed_space(*tag, signature=(p * hi + q * lo, p * lo + q * hi))
     n = a.dim * m
     if tag in SIG_KINDS:
         # only reachable for even m, so n is even

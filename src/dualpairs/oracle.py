@@ -1,13 +1,15 @@
 """Exact-rational matrix ground truth for the orbit combinatorics.
 
-Every space is a rational matrix space.  A base-C space is its Q-form: the
-Gram matrices, sl2 triples and witnesses of the complex pairs are rational,
-and ranks and kernel dimensions do not change under field extension, so
-n_d x n_d rational matrices carry the complex algebra and D acts as Q.  A
-base-R module over D in {R, C, H} is realified: its rational matrix space
-stores the right-multiplication structure matrices alongside, and its
-D-valued form becomes its real part.  Division indices are innermost:
-D-basis index a occupies coordinates a*dr .. a*dr+dr-1 (dr = dim_F D).
+Every form and map is one rational matrix.  A base-C space is its Q-form:
+the Gram matrices, sl2 triples and witnesses of the complex pairs are
+rational, and ranks and kernel dimensions do not change under field
+extension, so n_d x n_d rational matrices carry the complex algebra and D
+acts as Q.  A base-R module over D in {R, C, H} is realified: a D-valued
+entry z becomes the dr x dr block L_z of left multiplication by z, so a
+D-valued form becomes its real part, and the space stores the
+right-multiplication structure matrices alongside.  Division indices are
+innermost: D-basis index a occupies coordinates a*dr .. a*dr+dr-1
+(dr = dim_F D).
 
 Conventions for the sl2 blocks (fixed once, used by realize and identify):
   X e_r = r e_{r-1},  H e_r = (t-1-2r) e_r,  Y e_r = (t-1-r) e_{r+1};
@@ -35,11 +37,11 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, add, cleared_mat, commutator, echelon, eye,
-                       int_mul, inv, is_zero_mat, kernel, kron, mat_vec,
-                       monomial, monomial_inv, mul, nullspace, rank, sandwich,
-                       scal, shape, sparse_rows, sub, sylvester_signature,
-                       transpose, zeros)
+from .rational import (Mat, add, block_diag, cleared_mat, commutator,
+                       echelon, eye, int_mul, inv, is_zero_mat, kernel, kron,
+                       mat, mat_vec, monomial, monomial_inv, mul, nullspace,
+                       rank, sandwich, scal, shape, sparse_rows, sub,
+                       sylvester_signature, transpose, zeros)
 from .theta import generalized_descent, reduced_pair_dims
 
 
@@ -86,59 +88,30 @@ def sl2_triple(t: int) -> tuple:
 
 
 def coordinates(base: str, division: str) -> DivisionAlgebra:
-    """The algebra whose tuples are a space's matrix entries: Q itself over
-    base C (the Q-form), D over base R (the realification)."""
+    """The algebra whose L_z blocks are a space's matrix entries: Q itself
+    over base C (the Q-form), D over base R (the realification)."""
     return DIVISIONS["R" if base == "C" else division]
 
 
-def standard_gram(space: FormedSpace) -> list:
-    """Gram matrix of the reference form, entries as coordinate tuples."""
+def _reference_form(space: FormedSpace) -> tuple:
+    """(g, L_u) with standard_gram(space) = kron(g, L_u)."""
     div = coordinates(space.base, space.division)
     n = space.dim
-    g = [[div.zero() for _ in range(n)] for _ in range(n)]
-    key = space.tag()
-    if key == ("R", "C", -1):
-        p, _ = space.signature
-        for i in range(n):
-            unit_i = div.unit(1)
-            g[i][i] = unit_i if i < p else div.mul(div.scalar(-1), unit_i)
-    elif space.kind == "sig":
-        p, _ = space.signature
-        for i in range(n):
-            g[i][i] = div.scalar(1 if i < p else -1)
-    elif key in (("R", "R", -1), ("C", "C", -1)):
-        for k in range(n // 2):
-            g[2 * k][2 * k + 1] = div.scalar(1)
-            g[2 * k + 1][2 * k] = div.scalar(-1)
-    elif key == ("C", "C", 1):
-        for i in range(n):
-            g[i][i] = div.scalar(1)
-    elif key == ("R", "H", -1):
-        for i in range(n):
-            g[i][i] = div.unit(1)  # the quaternion i
-    else:
-        raise IdentityViolated("no reference gram for this type", space=space.render())
-    return g
+    g = eye(n)
+    if space.kind == "sig":
+        for i in range(space.signature[0], n):
+            g[i][i] = Fraction(-1)
+    elif space.epsilon == -1 and space.division != "H":  # symplectic
+        g = kron(eye(n // 2), mat([[0, 1], [-1, 0]]))
+    u = 1 if space.tag() in (("R", "C", -1), ("R", "H", -1)) else 0
+    return g, div.lmat(div.unit(u))
 
 
-def realify(m_d: list, div: DivisionAlgebra) -> Mat:
-    """Rational matrix of one with coordinate-tuple entries over div
-    (left-multiplication blocks).  Correct for D-linear maps, and for Gram
-    matrices of forms that are conjugate-linear in the first argument; over
-    Q (base C) each 1-tuple is its own entry."""
-    dr = div.dim
-    rows, cols = len(m_d), len(m_d[0]) if m_d else 0
-    out = zeros(rows * dr, cols * dr)
-    for a in range(rows):
-        for b in range(cols):
-            entry = m_d[a][b]
-            if all(not c for c in entry):
-                continue
-            blk = div.lmat(entry)
-            for al in range(dr):
-                for be in range(dr):
-                    out[a * dr + al][b * dr + be] = blk[al][be]
-    return out
+def standard_gram(space: FormedSpace) -> Mat:
+    """Rational Gram matrix of the reference form: kron(g, L_u), g the +-1
+    or hyperbolic pattern of D-entries and L_u left multiplication by u,
+    the unit i for the (R, C, -1) and (R, H, -1) types and 1 otherwise."""
+    return kron(*_reference_form(space))
 
 
 def structure_matrices(n_d: int, div: DivisionAlgebra) -> list:
@@ -205,40 +178,21 @@ def _realize(tab: AdmissibleTableau) -> MatrixRealization:
     validate(tab)
     space = tab.space
     base = space.base
-    div = coordinates(base, space.division)
-    n_d = sum(row.t * row.mult.dim for row in tab.rows)
-    g_d = [[div.zero() for _ in range(n_d)] for _ in range(n_d)]
-    x_d, h_d, y_d = zeros(n_d, n_d), zeros(n_d, n_d), zeros(n_d, n_d)
+    dr = space.d
+    grams, xs, hs, ys = [], [], [], []
     weights, string_pos, offsets = [], [], []
-    off = 0
     for row in tab.rows:
-        offsets.append(off)
+        offsets.append(len(weights))
         t, m = row.t, row.mult.dim
-        gm = standard_gram(row.mult)
-        st = sl2_gram(t, base)
-        tw = s_twist(t, base)
-        xt, ht, yt = sl2_triple(t)
-        for a in range(m):
-            for r in range(t):
-                weights.append(t - 1 - 2 * r)
-                string_pos.append(r)
-            for b in range(m):
-                for r in range(t):
-                    for r2 in range(t):
-                        if st[r][r2]:
-                            val = div.mul(gm[a][b], div.scalar(tw * st[r][r2]))
-                            g_d[off + a * t + r][off + b * t + r2] = val
-            for r in range(t):
-                for r2 in range(t):
-                    i, j = off + a * t + r, off + a * t + r2
-                    x_d[i][j] = xt[r][r2]
-                    h_d[i][j] = ht[r][r2]
-                    y_d[i][j] = yt[r][r2]
-        off += t * m
-    gram = realify(g_d, div)
-    amb = AmbientSpace(space, gram)
-    dr = div.dim
-    x, h, y = (kron(m_, eye(dr)) for m_ in (x_d, h_d, y_d))
+        weights += [t - 1 - 2 * r for r in range(t)] * m
+        string_pos += list(range(t)) * m
+        g, l_u = _reference_form(row.mult)
+        st = scal(s_twist(t, base), sl2_gram(t, base))
+        grams.append(kron(kron(g, st), l_u))
+        for out, z in zip((xs, hs, ys), sl2_triple(t)):
+            out.append(kron(kron(eye(m), z), eye(dr)))
+    amb = AmbientSpace(space, block_diag(grams))
+    x, h, y = (block_diag(zs) for zs in (xs, hs, ys))
     real = MatrixRealization(ambient=amb, tableau=tab, x=x, h=h, y=y,
                              weights=tuple(weights), string_pos=tuple(string_pos),
                              row_offsets=tuple(offsets))
@@ -351,51 +305,41 @@ def kernel_form_nondegenerate(rm: RationalMap) -> bool:
 # -- identification ------------------------------------------------------
 
 
-def _d_form(us: list, ws: list, amb: AmbientSpace) -> list:
-    """[[B_D(u, w) for w in ws] for u in us] on a base-R space,
-    reconstructed from the real form and the structures: the form is
-    conjugate-linear in u, so the e_al component is B_R(u*e_al, w)."""
-    bw = mul(amb.gram, transpose(ws))  # column k is B ws[k]
-    comps = [mul(us, bw)] + [mul(mul(us, transpose(j)), bw)
-                             for j in amb.structures]
-    return [[tuple(c[a][b] for c in comps) for b in range(len(ws))]
-            for a in range(len(us))]
-
-
 def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
                 expect: int) -> list:
     """Greedy D-basis, modulo the D-submodule spanned by lower, of the
-    D-submodule spanned by lower and a list of real-space vectors."""
+    D-submodule spanned by lower and a list of real-space vectors.  Returns
+    the D-lines of the chosen vectors v: the rows v*e_al, al < dr, so that
+    a D-valued form on the basis has the rational Gram matrix with blocks
+    L_z on them."""
     span = echelon(sparse_rows(lower))
     base_rank = len(span)
-    chosen = []
+    lines = []
     for v in vectors:
-        if len(chosen) == expect:
+        if len(lines) == expect * amb.dr:
             break
         before = len(span)
         echelon(sparse_rows([v]), span)
         if len(span) == before:
             continue
-        chosen.append(v)
-        echelon(sparse_rows([mat_vec(j, v) for j in amb.structures]), span)
-    if len(chosen) != expect or len(span) != base_rank + expect * amb.dr:
+        line = [v] + [mat_vec(j, v) for j in amb.structures]
+        lines += line
+        echelon(sparse_rows(line[1:]), span)
+    if len(lines) != expect * amb.dr or len(span) != base_rank + len(lines):
         raise IdentityViolated("could not extract a D-basis",
-                               expected=expect, got=len(chosen))
-    return chosen
+                               expected=expect, got=len(lines) // amb.dr)
+    return lines
 
 
-def classify_space(beta_d: list, base: str, division: str, epsilon: int) -> FormedSpace:
-    """Isometry class of a non-degenerate D-valued epsilon-Hermitian form."""
+def classify_space(br: Mat, base: str, division: str, epsilon: int) -> FormedSpace:
+    """Isometry class of a non-degenerate D-valued epsilon-Hermitian form,
+    given as its rational Gram matrix: blocks L_z for the D-entries z.  As
+    L_conj(z) = L_z^T, the form is epsilon-Hermitian iff br^T = epsilon br."""
     div = coordinates(base, division)
-    m = len(beta_d)
-    for a in range(m):
-        for b in range(m):
-            rhs = div.mul(div.scalar(epsilon), beta_d[a][b])
-            if div.conj(beta_d[b][a]) != rhs:
-                raise IdentityViolated("form is not epsilon-Hermitian",
-                                       epsilon=epsilon)
-    br = realify(beta_d, div)
-    if rank(br) != m * div.dim:
+    if transpose(br) != scal(epsilon, br):
+        raise IdentityViolated("form is not epsilon-Hermitian", epsilon=epsilon)
+    m = len(br) // div.dim
+    if rank(br) != len(br):
         raise IdentityViolated("form is degenerate", dim=m)
     tag = (base, division, epsilon)
     if tag not in SIG_KINDS:
@@ -510,7 +454,14 @@ def graded_dims(real: MatrixRealization) -> dict:
 
 
 def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
-    """Orbit of a nilpotent x: diagram from the D-ranks of its powers.
+    """Orbit of a nilpotent x, checked to lie in the isometry algebra."""
+    assert_in_algebra(x, amb)
+    return _identify(x, amb)
+
+
+def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
+    """Orbit of a nilpotent x of the isometry algebra (unchecked): diagram
+    from the D-ranks of its powers.
 
     Over base R the multiplicity space of row length t is
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
@@ -518,7 +469,6 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
     Burgoyne-Cushman.  On a realized block x^(t-1) e_(t-1) = (t-1)! e_0 and
     S_t[t-1][0] = (-1)^(t-1) sigma_t, so the scale below gives back the
     multiplicity Gram matrix of realize_triple."""
-    assert_in_algebra(x, amb)
     dr = amb.dr
     n_d = amb.space.dim
     ranks = [n_d]
@@ -562,13 +512,12 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
         # rows x v for v in ker x^(t+1); below, the rows xi^(t-1) v =
         # den^(t-1) x^(t-1) v for v in the basis, with den^(t-1) in the scale
         lower = kers[t - 1] + mul(kers[min(t + 1, top)], transpose(x))
-        basis = _d_basis_of(kers[t], lower, amb, mults[t])
+        lines = _d_basis_of(kers[t], lower, amb, mults[t])
         scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
                          sigma_t(t, base) * math.factorial(t - 1)
                          * den ** (t - 1))
-        beta = [[tuple(scale * c for c in value) for value in row]
-                for row in _d_form(basis, mul(basis, transpose(powers[t - 1])),
-                                   amb)]
+        images = mul(lines, transpose(powers[t - 1]))  # xi^(t-1) of each line
+        beta = scal(scale, mul(lines, mul(amb.gram, transpose(images))))
         mult = classify_space(beta, base, amb.space.division,
                               eps * (-1) ** (t - 1))
         rows.append(TableauRow(t, mult))
@@ -621,12 +570,12 @@ def construct_descent_element(src_real: MatrixRealization, v: FormedSpace,
     rm = make_map(tgt_real.ambient, src_real.ambient, t_real)
     _check_degree(rm, tgt_real, src_real)
     x, xp = moment_maps(rm)
-    got_target = identify(x, tgt_real.ambient)
+    got_target = _identify(x, tgt_real.ambient)
     if got_target != dres.target:
         raise IdentityViolated("moment map misses the descent target",
                                expected=dres.target.to_json(),
                                got=got_target.to_json())
-    got_source = identify(xp, src_real.ambient)
+    got_source = _identify(xp, src_real.ambient)
     if got_source != op:
         raise IdentityViolated(
             "descent witness does not recover the source orbit; its even "
@@ -696,14 +645,14 @@ def sample_raising_map(v_real: MatrixRealization, vp_real: MatrixRealization,
     space = v_real.ambient.space
     div = coordinates(space.base, space.division)
     dr = div.dim
-    n_src = space.dim
-    n_tgt = vp_real.ambient.space.dim
-    t_d = [[div.zero() for _ in range(n_src)] for _ in range(n_tgt)]
-    for p in range(n_tgt):
-        for q in range(n_src):
-            if vp_real.weights[p] >= v_real.weights[q] + 1:
-                t_d[p][q] = tuple(Fraction(rng.randint(-9, 9)) for _ in range(dr))
-    return make_map(v_real.ambient, vp_real.ambient, realify(t_d, div))
+    t = zeros(vp_real.ambient.n_real, v_real.ambient.n_real)
+    for p, wp in enumerate(vp_real.weights):
+        for q, wq in enumerate(v_real.weights):
+            if wp >= wq + 1:
+                z = tuple(rng.randint(-9, 9) for _ in range(dr))
+                for al, row in enumerate(div.lmat(z)):
+                    t[p * dr + al][q * dr:(q + 1) * dr] = row
+    return make_map(v_real.ambient, vp_real.ambient, t)
 
 
 # -- reports -------------------------------------------------------------

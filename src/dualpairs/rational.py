@@ -195,6 +195,18 @@ def kron(a: Mat, b: Mat) -> Mat:
     return out
 
 
+def block_diag(blocks: list) -> Mat:
+    """Square blocks down the diagonal, zeros elsewhere."""
+    n = sum(len(b) for b in blocks)
+    out = zeros(n, n)
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
 def hstack(a: Mat, b: Mat) -> Mat:
     if not a:
         return copy_mat(b)

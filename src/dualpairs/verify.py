@@ -15,8 +15,9 @@ from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
                     tensor_with_sl2)
-from .orbits import (enumerate_orbits, graded_dims, orbit_dimension,
-                     real_forms, stabilizer, whittaker_datum)
+from .orbits import (AdmissibleTableau, TableauRow, enumerate_orbits,
+                     graded_dims, orbit_dimension, real_forms, stabilizer,
+                     whittaker_datum)
 from .rational import inv, mul
 
 
@@ -104,18 +105,9 @@ def suite_forms(report: SuiteReport, rng):
             if m.dim_f * t > 12:
                 continue
             want = tensor_with_sl2(m, t)
-            div = oracle.coordinates(m.base, m.division)
-            st = oracle.sl2_gram(t, m.base)
-            g = [[div.zero() for _ in range(m.dim * t)] for _ in range(m.dim * t)]
-            gm = oracle.standard_gram(m)
-            for a in range(m.dim):
-                for b in range(m.dim):
-                    for r in range(t):
-                        for r2 in range(t):
-                            if st[r][r2]:
-                                g[a * t + r][b * t + r2] = div.mul(
-                                    gm[a][b], div.scalar(st[r][r2]))
-            got = oracle.classify_space(g, m.base, m.division,
+            real = oracle.realize_triple(
+                AdmissibleTableau(want, (TableauRow(t, m),)))
+            got = oracle.classify_space(real.ambient.gram, m.base, m.division,
                                         m.epsilon * (-1) ** (t - 1))
             tensor_tot += 1
             tensor_ok += got == want
@@ -218,8 +210,8 @@ def suite_lift(report: SuiteReport, rng):
         for _ in range(200):
             rm = oracle.sample_raising_map(vr, vpr, rng)
             x, xp = oracle.moment_maps(rm)
-            o = oracle.identify(x, vr.ambient)
-            op_id = oracle.identify(xp, vpr.ambient)
+            o = oracle._identify(x, vr.ambient)
+            op_id = oracle._identify(xp, vpr.ambient)
             if o not in lift_cache:
                 try:
                     lift_cache[o] = theta.theta_lift(o, vp)

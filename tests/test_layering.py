@@ -47,3 +47,11 @@ def test_no_function_level_imports():
                       for node in ast.walk(func)
                       if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_only_the_oracle_imports_division():
+    # the D-coordinate tuples stay behind the oracle's rational matrices
+    importers = sorted(path.stem for path in PACKAGE.glob("*.py")
+                       if "division" in _imported_modules(
+                           ast.parse(path.read_text())))
+    assert importers == ["oracle"]

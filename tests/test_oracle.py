@@ -12,12 +12,12 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
                        tableau, theta_lift, verify_dimension_identity,
                        zero_orbit)
 from dualpairs.oracle import (_constrained_kernel, _constrained_nullity,
-                              algebra_basis, in_algebra, kernel_basis,
-                              kernel_form_nondegenerate, make_map,
-                              random_isometry, sample_raising_map, sl2_gram,
-                              truncate_map)
-from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat, mat,
-                                matpow, mul, rank, scal, transpose, zeros)
+                              algebra_basis, classify_space, in_algebra,
+                              kernel_basis, kernel_form_nondegenerate,
+                              make_map, random_isometry, sample_raising_map,
+                              sl2_gram, standard_gram, truncate_map)
+from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat, kron,
+                                mat, matpow, mul, rank, scal, transpose, zeros)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -51,6 +51,26 @@ def test_realize_zero_orbit():
 def test_principal_orthogonal_gram_is_antidiagonal():
     g = sl2_gram(3, "C")
     assert g == mat([[0, 0, 1], [0, Fraction(-1, 2), 0], [1, 0, 0]])
+
+
+def test_classify_space_reads_rational_gram_matrices():
+    spaces = list(iter_spaces(6))
+    assert {("R", "C", -1), ("R", "H", -1)} <= {s.tag() for s in spaces}
+    for s in spaces:
+        gram = standard_gram(s)
+        assert len(gram) == s.dim_f
+        assert classify_space(gram, s.base, s.division, s.epsilon) == s
+        with pytest.raises(IdentityViolated, match="not epsilon-Hermitian"):
+            classify_space(gram, s.base, s.division, -s.epsilon)
+
+
+def test_classify_space_refuses_degenerate_forms():
+    singular = [("R", "R", 1, mat([[1, 0], [0, 0]])),
+                ("R", "R", -1, mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])),
+                ("R", "H", 1, kron(mat([[1, 0], [0, 0]]), eye(4)))]
+    for base, division, eps, gram in singular:
+        with pytest.raises(IdentityViolated, match="form is degenerate"):
+            classify_space(gram, base, division, eps)
 
 
 def test_triple_relations_and_membership():
@@ -363,6 +383,26 @@ def test_random_maps_land_in_lift_closure():
             assert closure_leq(opp, lifted)
             contained += 1
         assert contained > 0
+
+
+def test_raising_map_draws_over_base_r_are_pinned():
+    # U(1,1) x U(2,1) and O*(2) x Sp(1,1), top orbits: each raising
+    # D-entry z is drawn as dr integers and written as its block L_z
+    cases = [
+        (formed_space("R", "C", -1, signature=(1, 1)),
+         formed_space("R", "C", 1, signature=(2, 1)),
+         [[3, -4, -8, 1], [4, 3, -1, -8], [0, 0, 7, -6], [0, 0, 6, 7],
+          [0, 0, 0, 0], [0, 0, 0, 0]]),
+        (formed_space("R", "H", -1, dim=1),
+         formed_space("R", "H", 1, signature=(1, 1)),
+         [[3, -4, 8, 1], [4, 3, 1, -8], [-8, -1, 3, -4], [-1, 8, 4, 3]]
+         + [[0, 0, 0, 0]] * 4),
+    ]
+    for v, vp, want in cases:
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        rm = sample_raising_map(v_real, vp_real, random.Random(0))
+        assert rm.t == mat(want)
 
 
 def test_centralizer_dims():
