@@ -3,12 +3,11 @@ admissible tableaux for nilpotent orbits, descent and lift along moment maps,
 stabilizer factorizations, Whittaker grading data, associated-cycle transport,
 and an exact-rational matrix oracle cross-checking all of it."""
 
-from .errors import (AmbiguousMaximum, BadShape, BadSign, BoundExceeded,
-                     DomainError, EmptyLift, IdentityViolated,
-                     IncomparableSupports, IncompatiblePair, MismatchedType,
-                     NonpositiveDimCirc, NotAdmissible, NotDescentPair,
-                     NotEmbeddable, NotInAlgebra, NotInImage, NotNilpotent,
-                     UnsupportedRealClosure)
+from .errors import (BadShape, BadSign, BoundExceeded, DomainError, EmptyLift,
+                     IdentityViolated, IncomparableSupports, IncompatiblePair,
+                     MismatchedType, NonpositiveDimCirc, NotAdmissible,
+                     NotDescentPair, NotEmbeddable, NotInAlgebra, NotInImage,
+                     NotNilpotent, UnsupportedRealClosure)
 from .forms import (FormedSpace, GroupDescriptor, GroupFactor, complexify,
                     complex_orthogonal_space, complex_symplectic_space,
                     direct_sum, embeds, formed_space, hermitian_space,
@@ -33,9 +32,9 @@ from .cycles import (Cycle, RangeReport, cycle_leq, dlift_cycle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleTableau", "AmbiguousMaximum", "BadShape", "BadSign",
-    "BoundExceeded", "Cycle", "DescentResult", "DomainError", "EmptyLift",
-    "FormedSpace", "GroupDescriptor", "GroupFactor", "IdentityViolated",
+    "AdmissibleTableau", "BadShape", "BadSign", "BoundExceeded", "Cycle",
+    "DescentResult", "DomainError", "EmptyLift", "FormedSpace",
+    "GroupDescriptor", "GroupFactor", "IdentityViolated",
     "IncomparableSupports", "IncompatiblePair", "MatrixRealization",
     "MismatchedType", "NonpositiveDimCirc", "NotAdmissible", "NotDescentPair",
     "NotEmbeddable", "NotInAlgebra", "NotInImage", "NotNilpotent",

@@ -146,18 +146,15 @@ def build_parser() -> _Parser:
     return p
 
 
-def _emit(payload, text: str, as_json: bool):
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _emit(payload):
+    print(json.dumps(payload, indent=2))
 
 
 def _run_orbits(args) -> int:
     space = _space(args.space)
     orbs = enumerate_orbits(space)
     if args.as_json:
-        _emit([o.to_json() for o in orbs], "", True)
+        _emit([o.to_json() for o in orbs])
         return 0
     print(f"{len(orbs)} orbit(s) in {isometry_group(space).name} "
           f"on {space.render()}")
@@ -173,13 +170,13 @@ def _run_descend(args) -> int:
     if args.real:
         target = theta.k_descent(op, v)
         if args.as_json:
-            _emit(target.to_json() if target else None, "", True)
+            _emit(target.to_json() if target else None)
         else:
             print(target.render() if target else "not in the moment image")
         return 0
     res = theta.generalized_descent(op, v)
     if args.as_json:
-        _emit(res.to_json(), "", True)
+        _emit(res.to_json())
         return 0
     print(f"descent of {op.diagram()} to {v.render()}:")
     print(res.target.render())
@@ -193,7 +190,7 @@ def _run_lift(args) -> int:
     vp = _space(args.target_space, "--target-space")
     lifted = theta.theta_lift(o, vp)
     if args.as_json:
-        _emit(lifted.to_json(), "", True)
+        _emit(lifted.to_json())
     else:
         print(lifted.render())
     return 0
@@ -205,7 +202,7 @@ def _run_stabilizer(args) -> int:
     payload = {"stabilizer": stab.to_json(), "lie_dim": stab.lie_dim,
                "orbit_dimension": orbit_dimension(o)}
     if args.as_json:
-        _emit(payload, "", True)
+        _emit(payload)
     else:
         print(f"stabilizer M_X = {stab.name} (dim {stab.lie_dim}); "
               f"orbit dimension {payload['orbit_dimension']}")
@@ -216,7 +213,7 @@ def _run_whittaker(args) -> int:
     o = _orbit(args.orbit, "--orbit")
     w = whittaker_datum(o)
     if args.as_json:
-        _emit(w.to_json(), "", True)
+        _emit(w.to_json())
         return 0
     grading = "  ".join(f"g[{j}]={d}" for j, d in sorted(w.grading.items()))
     print(grading)
@@ -235,7 +232,7 @@ def _run_pair_factor(args) -> int:
     payload = {"factorization": fact.to_json(),
                "dim_W": dim_w, "dim_W0": dim_w0}
     if args.as_json:
-        _emit(payload, "", True)
+        _emit(payload)
         return 0
     print(f"M_XX' = {fact.m_xxp.name}   L = {fact.l.name}   L' = {fact.lp.name}")
     print(f"dim W = {dim_w}   dim W0 = {dim_w0}")
@@ -249,7 +246,7 @@ def _run_cycle_lift(args) -> int:
     c = _cycle(args.cycle)
     out = cyc.dlift_cycle(o, op, c, vp_real)
     if args.as_json:
-        _emit(out.to_json(), "", True)
+        _emit(out.to_json())
     else:
         print(out.render())
     return 0
@@ -261,7 +258,7 @@ def _run_range(args) -> int:
     vp = _space(args.target_space, "--target-space")
     rep = cyc.range_report(nu, v, vp)
     if args.as_json:
-        _emit(rep.to_json(), "", True)
+        _emit(rep.to_json())
     else:
         print(f"dim_circ(V) = {rep.dim_circ_v}, exponent = {rep.exponent}, "
               f"threshold = {rep.threshold}")
@@ -278,7 +275,7 @@ def _run_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.as_json:
-        _emit(rep.to_json(), "", True)
+        _emit(rep.to_json())
     else:
         print(rep.render())
     return 0 if rep.passed else 2

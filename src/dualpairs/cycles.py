@@ -8,11 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadShape, IncomparableSupports, NonpositiveDimCirc,
-                     NotDescentPair, NotInImage)
-from .forms import FormedSpace, GroupDescriptor, complexify, json_int
+                     NotDescentPair, NotEmbeddable, NotInImage)
+from .forms import (FormedSpace, GroupDescriptor, complexify, json_int,
+                    zero_space)
 from .orbits import (AdmissibleTableau, column_partition, complexify_tableau,
-                     real_forms, validate)
-from .theta import _check_pair, generalized_descent
+                     validate)
+from .theta import _check_pair, add_column, generalized_descent
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ def dlift_cycle(o: AdmissibleTableau, op: AdmissibleTableau, c: Cycle,
     A real orbit sO' over vp_real contributes when its descent to c's real
     space is strict and lands on a key of c; the strictness requirement is
     what keeps the transport injective on terms, so multiplicities move
-    unchanged and none are merged or created.
+    unchanged and none are merged or created.  A strict descent has U1 = U,
+    so a term's one candidate is add_column with its whole 1-row.
     """
     if c.complex_orbit != o:
         raise NotDescentPair("cycle does not live over the stated orbit")
@@ -163,16 +165,16 @@ def dlift_cycle(o: AdmissibleTableau, op: AdmissibleTableau, c: Cycle,
     if cdres.target != o:
         raise NotDescentPair("descent of the source orbit misses the target",
                              expected=o.diagram(), got=cdres.target.diagram())
+    _check_pair(vp_real, c.real_space)
     out = {}
-    for sop in real_forms(op.diagram(), vp_real):
+    for tab, mult in c.terms:
+        one_row = tab.row_of_length(1)
+        u = one_row.mult if one_row is not None else zero_space(tab.space.tag())
         try:
-            rdres = generalized_descent(sop, c.real_space)
-        except NotInImage:
+            sop = add_column(tab, vp_real, u)
+        except NotEmbeddable:
             continue
-        if not rdres.strict:
-            continue
-        mult = c.multiplicity(rdres.target)
-        if mult:
+        if complexify_tableau(sop).diagram() == op.diagram():
             out[sop] = mult
     return Cycle(op, vp_real, tuple(out.items()))
 

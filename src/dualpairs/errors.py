@@ -84,12 +84,6 @@ class EmptyLift(DomainError):
     code = "empty_lift"
 
 
-class AmbiguousMaximum(DomainError):
-    """Candidate set has no unique maximum in the closure order."""
-
-    code = "ambiguous_maximum"
-
-
 class NotNilpotent(DomainError):
     """Matrix is not nilpotent."""
 

@@ -3,20 +3,23 @@
 For a dual pair (G(V), G(V')) with epsilon * epsilon' = -1, an orbit O' in
 g' descends to the orbit O in g obtained by erasing the first column of its
 diagram, keeping the multiplicity forms, and padding with 1-boxes; the lift
-is the inverse operation, resolved to the closure-maximal candidate.
+is the inverse operation, adding a first column.  The orbits that descend to
+O differ only in the 2-row U1 they carve from O's 1-row U, and a larger U1
+dominates a smaller one, so the largest U1 that fits is the closure maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import (AmbiguousMaximum, EmptyLift, IncompatiblePair,
+from .errors import (BoundExceeded, EmptyLift, IncompatiblePair, NotEmbeddable,
                      NotInImage, UnsupportedRealClosure)
 from .forms import (FormedSpace, GroupDescriptor, direct_sum, embeds,
-                    group_factor, isometry_group, orth_complement,
-                    tensor_with_sl2, zero_space)
+                    formed_space, group_factor, isometry_group,
+                    orth_complement, tensor_with_sl2, zero_space)
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
-                     closure_leq, enumerate_orbits, validate, weight_dims)
+                     validate, weight_dims)
 
 
 def _check_pair(op_space: FormedSpace, v: FormedSpace):
@@ -85,29 +88,39 @@ def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
                          strict=b == 0)
 
 
+def add_column(o: AdmissibleTableau, vp: FormedSpace,
+               u1: FormedSpace) -> AdmissibleTableau:
+    """The orbit over vp that descends to o with 2-row u1 (inside o's 1-row):
+    rows t >= 2 of o move to t + 1 and the Witt complement of the rest in vp
+    is the 1-row.  NotEmbeddable when vp has no room."""
+    rows = [TableauRow(row.t + 1, row.mult) for row in o.rows if row.t >= 2]
+    rows.append(TableauRow(2, u1))
+    used = reduce(direct_sum, (tensor_with_sl2(r.mult, r.t) for r in rows))
+    rows.append(TableauRow(1, orth_complement(used, vp)))
+    return AdmissibleTableau(vp, tuple(r for r in rows if not r.mult.is_zero))
+
+
 def theta_lift(o: AdmissibleTableau, vp: FormedSpace,
                bound: int = DEFAULT_DIM_BOUND) -> AdmissibleTableau:
-    """The closure-maximal orbit over vp whose descent to o.space equals o."""
+    """The closure-maximal orbit over vp whose descent to o.space equals o:
+    add_column(o, vp, U1) with the largest U1 that fits, since over base C
+    each dim U1 gives one candidate and a larger U1 dominates a smaller one
+    (one 2-box in place of two 1-boxes)."""
     if o.space.base != "C" or vp.base != "C":
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
-    candidates = []
-    for op in enumerate_orbits(vp, bound):
-        if not in_moment_image(op, o.space):
+    if vp.dim_f > bound:
+        raise BoundExceeded("space exceeds enumeration bound",
+                            dim_f=vp.dim_f, bound=bound)
+    validate(o)
+    step = 2 if o.space.epsilon == -1 else 1  # a symplectic U1 is even
+    for dim_u1 in range(o.diagram().count(1), -1, -step):
+        try:
+            return add_column(o, vp, formed_space(*o.space.tag(), dim=dim_u1))
+        except NotEmbeddable:
             continue
-        if generalized_descent(op, o.space).target == o:
-            candidates.append(op)
-    if not candidates:
-        raise EmptyLift("no orbit descends to the given one",
-                        orbit=o.diagram(), space=vp.render())
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if closure_leq(best, cand):
-            best = cand
-    if not all(closure_leq(cand, best) for cand in candidates):
-        raise AmbiguousMaximum("candidate set has no unique closure maximum",
-                               candidates=[c.diagram() for c in candidates])
-    return best
+    raise EmptyLift("no orbit descends to the given one",
+                    orbit=o.diagram(), space=vp.render())
 
 
 def k_descent(op_real: AdmissibleTableau, v_real: FormedSpace):

@@ -15,9 +15,9 @@ from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
                     tensor_with_sl2)
-from .orbits import (AdmissibleTableau, TableauRow, enumerate_orbits,
-                     graded_dims, orbit_dimension, real_forms, stabilizer,
-                     whittaker_datum)
+from .orbits import (AdmissibleTableau, TableauRow, closure_leq,
+                     enumerate_orbits, graded_dims, orbit_dimension,
+                     real_forms, stabilizer, whittaker_datum)
 from .rational import inv, mul
 
 
@@ -220,7 +220,7 @@ def suite_lift(report: SuiteReport, rng):
             lifted = lift_cache[o]
             if lifted is None:
                 skipped += 1
-            elif theta.closure_leq(op_id, lifted):
+            elif closure_leq(op_id, lifted):
                 checked += 1
             else:
                 failed += 1
@@ -285,23 +285,16 @@ def _random_cycle(complex_orbit, real_space, keys, rng) -> cyc.Cycle:
 def suite_cycles(report: SuiteReport, rng):
     sp2r = symplectic_space(2)
     o21 = orthogonal_space(2, 1)
-    sp2c = complexify(sp2r)
-    o3c = complexify(o21)
     directions = []
-    for o in enumerate_orbits(sp2c):
-        for op in enumerate_orbits(o3c):
-            try:
-                if theta.generalized_descent(op, sp2c).target == o:
-                    directions.append((o, op, sp2r, o21))
-            except NotInImage:
-                pass
-    for o in enumerate_orbits(o3c):
-        for op in enumerate_orbits(sp2c):
-            try:
-                if theta.generalized_descent(op, o3c).target == o:
-                    directions.append((o, op, o21, sp2r))
-            except NotInImage:
-                pass
+    for v_real, vp_real in ((sp2r, o21), (o21, sp2r)):
+        vc = complexify(v_real)
+        for o in enumerate_orbits(vc):
+            for op in enumerate_orbits(complexify(vp_real)):
+                try:
+                    if theta.generalized_descent(op, vc).target == o:
+                        directions.append((o, op, v_real, vp_real))
+                except NotInImage:
+                    pass
     n_cycles = rounds = add_ok = mono_ok = total_ok = 0
     for o, op, v_real, vp_real in directions:
         keys = real_forms(o.diagram(), v_real)

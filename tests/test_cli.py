@@ -114,6 +114,21 @@ def test_lift_empty_is_domain_error():
     assert "message" in err and "context" in err
 
 
+def test_lift_validates_its_orbit():
+    # a 3-row of sp(4,C) needs a multiplicity of sign -1; every command
+    # that takes the orbit reports the same validation error
+    bad = json.dumps({
+        "space": {"base": "C", "division": "C", "epsilon": -1, "dim": 4},
+        "rows": [{"t": 3, "mult": {"base": "C", "division": "C",
+                                   "epsilon": 1, "dim": 1}}]})
+    o6 = json.dumps({"base": "C", "division": "C", "epsilon": 1, "dim": 6})
+    for args in (("lift", "--orbit", bad, "--target-space", o6),
+                 ("stabilizer", "--orbit", bad)):
+        rc, out, err = call(*args, "--json")
+        assert (rc, out) == (2, ""), args
+        assert json.loads(err)["error"]["code"] == "bad_sign", args
+
+
 def test_stabilizer():
     res = run("stabilizer", "--orbit", REG2, "--json")
     assert res.returncode == 0

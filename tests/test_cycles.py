@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs import (BadShape, Cycle, IncomparableSupports,
-                       NonpositiveDimCirc, NotDescentPair,
+from dualpairs import (BadShape, Cycle, IncomparableSupports, IncompatiblePair,
+                       NonpositiveDimCirc, NotDescentPair, NotInImage,
                        complex_orthogonal_space, complex_symplectic_space,
-                       cycle_leq, dlift_cycle, equality_hypotheses,
-                       formed_space, hermitian_space, isometry_group,
-                       orthogonal_space, quaternionic_hermitian_space,
-                       quaternionic_skew_space, range_report,
-                       skew_hermitian_space, symplectic_space, tableau,
-                       zero_cycle)
+                       complexify, cycle_leq, dlift_cycle, enumerate_orbits,
+                       equality_hypotheses, formed_space,
+                       generalized_descent, hermitian_space, in_moment_image,
+                       isometry_group, iter_spaces, orthogonal_space,
+                       quaternionic_hermitian_space, quaternionic_skew_space,
+                       range_report, real_forms, skew_hermitian_space,
+                       symplectic_space, tableau, zero_cycle)
 from dualpairs.cycles import dim_circ
 
 SP2C = complex_symplectic_space(2)
@@ -167,6 +168,53 @@ def test_dlift_rejections():
     o3_zero = tableau(O3C, [(1, formed_space("C", "C", 1, dim=3))])
     with pytest.raises(NotDescentPair):
         dlift_cycle(O_SP, o3_zero, c, O21)  # descent misses the target
+    # O*(4) complexifies to O(4,C), but it does not pair with Sp(2,R)
+    sp2_zero = tableau(SP2C, [(1, SP2C)])
+    c = Cycle(sp2_zero, SP2R, ((tableau(SP2R, [(1, SP2R)]), 1),))
+    o4_22 = tableau(complex_orthogonal_space(4),
+                    [(2, formed_space("C", "C", -1, dim=2))])
+    with pytest.raises(IncompatiblePair):
+        dlift_cycle(sp2_zero, o4_22, c, quaternionic_skew_space(2))
+
+
+def _searched_dlift(op, c, vp_real):
+    """dlift by search: every real form of op's diagram over vp_real whose
+    descent to c's real space is strict and lands on a term of c."""
+    out = {}
+    for sop in real_forms(op.diagram(), vp_real):
+        try:
+            res = generalized_descent(sop, c.real_space)
+        except NotInImage:
+            continue
+        if res.strict and c.multiplicity(res.target):
+            out[sop] = c.multiplicity(res.target)
+    return Cycle(op, vp_real, tuple(out.items()))
+
+
+def test_dlift_matches_the_search_over_every_real_form():
+    n_cycles = n_lifted = 0
+    for v in iter_spaces(4, bases=("R",)):
+        for vp in iter_spaces(8, bases=("R",)):
+            if v.division == "C" or vp.division != v.division \
+                    or v.epsilon * vp.epsilon != -1:
+                continue
+            vc, vpc = complexify(v), complexify(vp)
+            for op in enumerate_orbits(vpc):
+                if not in_moment_image(op, vc):
+                    continue
+                o = generalized_descent(op, vc).target
+                keys = real_forms(o.diagram(), v)
+                if not keys:
+                    continue
+                # distinct multiplicities, so a term landing on the wrong
+                # key shows
+                c = Cycle(o, v, tuple((k, i + 1) for i, k in enumerate(keys)))
+                got = dlift_cycle(o, op, c, vp)
+                assert got == _searched_dlift(op, c, vp), (c.render(), vp)
+                n_cycles += 1
+                n_lifted += not got.is_zero
+    assert n_cycles == 529
+    assert 0 < n_lifted < n_cycles
 
 
 def test_dim_circ_table():

@@ -2,13 +2,15 @@
 
 The combinatorial modules compute their claims without the matrix oracle,
 which only checks them, and every import sits at module level, so the
-import graph is the one the module headers show.
+import graph is the one the module headers show.  Every domain error class
+is still raised somewhere in the package.
 """
 
 import ast
 from pathlib import Path
 
 import dualpairs
+from dualpairs import errors
 
 PACKAGE = Path(dualpairs.__file__).parent
 COMBINATORIAL = ("forms", "orbits", "theta", "cycles")
@@ -55,3 +57,16 @@ def test_only_the_oracle_imports_division():
                        if "division" in _imported_modules(
                            ast.parse(path.read_text())))
     assert importers == ["oracle"]
+
+
+def test_every_domain_error_is_raised():
+    # an error class must not outlive its last raise
+    defined = {cls.__name__ for cls in errors.DomainError.__subclasses__()}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.attr if isinstance(func, ast.Attribute)
+                           else getattr(func, "id", None))
+    assert defined and sorted(defined - raised) == []

@@ -1,13 +1,15 @@
 import pytest
 
-from dualpairs import (EmptyLift, IncompatiblePair,
-                       NotInImage, UnsupportedRealClosure, closure_leq,
-                       complex_orthogonal_space, complex_symplectic_space,
+from dualpairs import (DomainError, EmptyLift, IncompatiblePair,
+                       NotEmbeddable, NotInImage, UnsupportedRealClosure,
+                       closure_leq, complex_orthogonal_space,
+                       complex_symplectic_space,
                        enumerate_orbits, formed_space, generalized_descent,
-                       in_moment_image, k_descent,
+                       in_moment_image, iter_spaces, k_descent,
                        orthogonal_space, pair_factorization,
                        reduced_pair_dims, symplectic_space, tableau,
                        theta_lift, zero_orbit)
+from dualpairs.theta import add_column
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -99,6 +101,59 @@ def test_theta_lift_examples():
     with pytest.raises(UnsupportedRealClosure):
         real = enumerate_orbits(symplectic_space(2))[0]
         theta_lift(real, orthogonal_space(2, 1))
+
+
+def test_add_column_inverts_descent():
+    assert add_column(REG2, O4, formed_space("C", "C", -1, dim=0)) == T31_O4
+    with pytest.raises(NotEmbeddable):
+        add_column(zero_orbit(O2), SP2, O2)  # a 2-row of O(2,C) needs dim 4
+    tot = 0
+    for v in iter_spaces(4):
+        for vp in iter_spaces(6):
+            if v.tag()[:2] != vp.tag()[:2] or v.epsilon * vp.epsilon != -1:
+                continue
+            for op in enumerate_orbits(vp):
+                if in_moment_image(op, v):
+                    res = generalized_descent(op, v)
+                    assert add_column(res.target, vp, res.U1) == op
+                    tot += 1
+    assert tot > 400
+
+
+def _lift_or_code(lift, o, vp):
+    try:
+        return lift(o, vp)
+    except DomainError as exc:
+        return exc.code
+
+
+def _searched_lift(o, vp):
+    """The lift by search: every orbit over vp whose descent is o, resolved
+    to its unique closure maximum."""
+    found = [op for op in enumerate_orbits(vp)
+             if in_moment_image(op, o.space)
+             and generalized_descent(op, o.space).target == o]
+    if not found:
+        raise EmptyLift("no orbit descends to the given one")
+    tops = [op for op in found if all(closure_leq(c, op) for c in found)]
+    assert len(tops) == 1
+    return tops[0]
+
+
+def test_theta_lift_matches_the_search_over_every_orbit():
+    cases = [(o, vp) for v in iter_spaces(8, bases=("C",))
+             for vp in iter_spaces(10, bases=("C",))
+             if v.epsilon * vp.epsilon == -1 for o in enumerate_orbits(v)]
+    cases.append((REG2, complex_orthogonal_space(14)))  # bound_exceeded
+    cases.append((REG2, complex_symplectic_space(4)))  # incompatible_pair
+    assert len(cases) == 447
+    outcomes = set()
+    for o, vp in cases:
+        got = _lift_or_code(theta_lift, o, vp)
+        assert got == _lift_or_code(_searched_lift, o, vp), (o, vp)
+        outcomes.add(got if isinstance(got, str) else "lifted")
+    assert outcomes == {"lifted", "empty_lift", "bound_exceeded",
+                        "incompatible_pair"}
 
 
 def test_lift_descent_round_trip():
