@@ -37,11 +37,11 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, add, block_diag, cleared_mat, commutator,
-                       echelon, eye, int_mul, inv, is_zero_mat, kernel, kron,
-                       mat, mat_vec, monomial, monomial_inv, mul, nullspace,
-                       rank, sandwich, scal, shape, sparse_rows, sub,
-                       sylvester_signature, transpose, zeros)
+from .rational import (Mat, block_diag, cleared, cleared_mat, echelon, eye,
+                       int_mul, kernel, kron, mat, mat_vec, monomial,
+                       monomial_inv, mul, nullspace, rank, sandwich, scal,
+                       shape, solve, sparse_rows, sylvester_signature,
+                       transpose, zeros)
 from .theta import generalized_descent, reduced_pair_dims
 
 
@@ -201,16 +201,35 @@ def _realize(tab: AdmissibleTableau) -> MatrixRealization:
 
 
 def _check_triple(real: MatrixRealization):
-    x, h, y = real.x, real.h, real.y
-    if not is_zero_mat(sub(commutator(h, x), scal(2, x))):
-        raise IdentityViolated("[H,X] != 2X")
-    if not is_zero_mat(sub(commutator(h, y), scal(-2, y))):
-        raise IdentityViolated("[H,Y] != -2Y")
-    if not is_zero_mat(sub(commutator(x, y), h)):
-        raise IdentityViolated("[X,Y] != H")
-    for z, nm in ((x, "X"), (h, "H"), (y, "Y")):
+    """The sl2 relations on sparse integer forms over one denominator d
+    (z = zi / d): [hi, xi] = 2d xi, [hi, yi] = -2d yi, [xi, yi] = d hi;
+    then each matrix's membership in the algebra."""
+    n = len(real.x)
+    zi, d = cleared_mat(real.x + real.h + real.y)
+    x, h, y = (sparse_rows(zi[k:k + n]) for k in (0, n, 2 * n))
+    for a, b, k, c, msg in ((h, x, 2 * d, x, "[H,X] != 2X"),
+                            (h, y, -2 * d, y, "[H,Y] != -2Y"),
+                            (x, y, d, h, "[X,Y] != H")):
+        if not _bracket_is(a, b, k, c):
+            raise IdentityViolated(msg)
+    for z, nm in ((real.x, "X"), (real.h, "H"), (real.y, "Y")):
         if not in_algebra(z, real.ambient):
             raise IdentityViolated(f"{nm} is not in the isometry algebra")
+
+
+def _bracket_is(a: list, b: list, k: int, c: list) -> bool:
+    """ab - ba = k c for square integer matrices given as sparse rows."""
+    for ra, rb, rc in zip(a, b, c):
+        acc = {j: -k * v for j, v in rc.items()}
+        for m, u in ra.items():
+            for j, v in b[m].items():
+                acc[j] = acc.get(j, 0) + u * v
+        for m, u in rb.items():
+            for j, v in a[m].items():
+                acc[j] = acc.get(j, 0) - u * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _is_skew(z: list, b) -> bool:
@@ -479,7 +498,7 @@ def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
     # each ker x^s too.
     xi, den = cleared_mat(x)
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    kers = [[]]
+    kers = [[]]  # integer kernel vectors, each with its denominators cleared
     while ranks[-1] > 0:
         if len(ranks) > n_d + 1:
             raise NotNilpotent("power sequence does not reach zero")
@@ -487,7 +506,8 @@ def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
         if base == "C":
             r = len(echelon(sparse_rows(powers[-1])))
         else:
-            kers.append(kernel(sparse_rows(powers[-1]), n))
+            kers.append([cleared(v)[0]
+                         for v in kernel(sparse_rows(powers[-1]), n)])
             r = n - len(kers[-1])
         ranks.append(_d_rank(r, dr))
     ranks.extend([0, 0])
@@ -507,17 +527,22 @@ def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
         validate(tab)
         return tab
     top = len(kers) - 1  # x^s = 0 from s = top on
+    gram = amb.gram_mono
     rows = []
     for t in sorted(mults, reverse=True):
-        # rows x v for v in ker x^(t+1); below, the rows xi^(t-1) v =
-        # den^(t-1) x^(t-1) v for v in the basis, with den^(t-1) in the scale
-        lower = kers[t - 1] + mul(kers[min(t + 1, top)], transpose(x))
-        lines = _d_basis_of(kers[t], lower, amb, mults[t])
+        # on integers: the rows xi v = den x v for v in ker x^(t+1), the
+        # basis lines times ld, their images under xi^(t-1) = den^(t-1)
+        # x^(t-1) and the Gram matrix times gram.den; scale divides them out
+        lower = kers[t - 1] + int_mul(kers[min(t + 1, top)], transpose(xi))
+        lines, ld = cleared_mat(_d_basis_of(kers[t], lower, amb, mults[t]))
+        images = int_mul(lines, transpose(powers[t - 1]))
+        gram_images = [[c * v[q] for q, c in zip(gram.perm, gram.num)]
+                       for v in images]
         scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
                          sigma_t(t, base) * math.factorial(t - 1)
-                         * den ** (t - 1))
-        images = mul(lines, transpose(powers[t - 1]))  # xi^(t-1) of each line
-        beta = scal(scale, mul(lines, mul(amb.gram, transpose(images))))
+                         * den ** (t - 1) * gram.den * ld ** 2)
+        beta = [[scale * b for b in row]
+                for row in int_mul(lines, transpose(gram_images))]
         mult = classify_space(beta, base, amb.space.division,
                               eps * (-1) ** (t - 1))
         rows.append(TableauRow(t, mult))
@@ -615,26 +640,32 @@ def truncate_map(s_map: RationalMap, src_real: MatrixRealization) -> RationalMap
 
 
 def random_isometry(amb: AmbientSpace, rng) -> Mat:
-    """Exact rational isometry via the Cayley transform of a random algebra
-    element."""
+    """Exact rational isometry: the Cayley transform (I + a)^-1 (I - a) of a
+    random algebra element a, solved from [I + a | I - a] at once.  a is
+    drawn as ai / den, den the common denominator of the basis, and the
+    solve runs on the integer matrices den I +- ai."""
     basis = algebra_basis(amb)
     n = amb.n_real
     if not basis:
         return eye(n)
-    nonzeros = [[(i, j, x) for i, row in enumerate(e)
-                 for j, x in enumerate(row) if x] for e in basis]
+    ints, den = cleared_mat([row for e in basis for row in e])
+    nonzeros = [[(i, j, x) for i, row in enumerate(ints[k:k + n])
+                 for j, x in enumerate(row) if x]
+                for k in range(0, len(ints), n)]
     for _ in range(50):
-        a = zeros(n, n)
+        ai = [[0] * n for _ in range(n)]
         for entries in nonzeros:
             c = rng.randint(-2, 2)
             if c:
                 for i, j, x in entries:
-                    a[i][j] += c * x
+                    ai[i][j] += c * x
         try:
-            cay = mul(sub(eye(n), a), inv(add(eye(n), a)))
+            return solve([[den * (i == j) + x for j, x in enumerate(row)]
+                          for i, row in enumerate(ai)],
+                         [[den * (i == j) - x for j, x in enumerate(row)]
+                          for i, row in enumerate(ai)])
         except ValueError:
             continue
-        return cay
     raise IdentityViolated("could not sample an invertible Cayley transform")
 
 

@@ -58,14 +58,6 @@ def transpose(a: Mat) -> Mat:
     return [[a[i][j] for i in range(m)] for j in range(n)]
 
 
-def add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def scal(c, a: Mat) -> Mat:
     c = frac(c)
     return [[c * x for x in row] for row in a]
@@ -168,18 +160,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
 
 
-def matpow(a: Mat, k: int) -> Mat:
-    n = len(a)
-    out = eye(n)
-    for _ in range(k):
-        out = mul(out, a)
-    return out
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return sub(mul(a, b), mul(b, a))
-
-
 def kron(a: Mat, b: Mat) -> Mat:
     ma, na = shape(a)
     mb, nb = shape(b)
@@ -205,18 +185,6 @@ def block_diag(blocks: list) -> Mat:
             out[off + i][off:off + len(b)] = row
         off += len(b)
     return out
-
-
-def hstack(a: Mat, b: Mat) -> Mat:
-    if not a:
-        return copy_mat(b)
-    if not b:
-        return copy_mat(a)
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def is_zero_mat(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def sparse_rows(a: Mat) -> list:
@@ -328,13 +296,18 @@ def nullspace(a: Mat) -> list:
     return kernel(sparse_rows(a), shape(a)[1])
 
 
-def inv(a: Mat) -> Mat:
+def solve(a: Mat, b: Mat) -> Mat:
+    """a^-1 b for a square a, read from the RREF of [a | b]; the entries
+    may be int.  ValueError if a is singular."""
     n = len(a)
-    aug = hstack(a, eye(n))
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    r, pivots = rref([ra + rb for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in r]
+
+
+def inv(a: Mat) -> Mat:
+    return solve(a, eye(len(a)))
 
 
 def sylvester_signature(b: Mat) -> tuple:

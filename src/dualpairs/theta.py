@@ -110,7 +110,7 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace,
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
     if vp.dim_f > bound:
-        raise BoundExceeded("space exceeds enumeration bound",
+        raise BoundExceeded("space exceeds dimension bound",
                             dim_f=vp.dim_f, bound=bound)
     validate(o)
     step = 2 if o.space.epsilon == -1 else 1  # a symplectic U1 is even

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import cycles as cyc
@@ -26,9 +26,11 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
+    elapsed_s: float = 0.0  # wall time since the suite's previous check
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return {"name": self.name, "passed": self.passed,
+                "detail": self.detail, "elapsed_s": self.elapsed_s}
 
 
 @dataclass
@@ -38,13 +40,17 @@ class SuiteReport:
     max_dims: tuple
     checks: list = field(default_factory=list)
     elapsed_s: float = 0.0  # wall time of the suite, shown in JSON only
+    # perf_counter at the suite's start, then at its latest check
+    mark: float = field(default_factory=time.perf_counter, repr=False)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append(Check(name, bool(passed), detail))
+        now = time.perf_counter()
+        self.checks.append(Check(name, bool(passed), detail, now - self.mark))
+        self.mark = now
 
     def to_json(self) -> dict:
         return {"suite": self.suite, "seed": self.seed,
@@ -362,14 +368,14 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
         for sub in SUITES:
             rep = run_suite(sub, max_dims=max_dims, seed=seed)
             combined.elapsed_s += rep.elapsed_s
-            for c in rep.checks:
-                combined.add(f"{sub}: {c.name}", c.passed, c.detail)
+            combined.checks += [replace(c, name=f"{sub}: {c.name}")
+                                for c in rep.checks]
         return combined
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITES) + ['all'])}")
     report = SuiteReport(suite=name, seed=seed, max_dims=tuple(max_dims))
-    start = time.perf_counter()
+    start = report.mark
     SUITES[name](report, random.Random(seed))
     report.elapsed_s = time.perf_counter() - start
     return report

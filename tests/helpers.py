@@ -4,11 +4,16 @@ Graded dimensions of the isometry Lie algebra are recomputed here purely by
 weight counting on the diagram: g = Sym^2(V) for symplectic-type forms,
 Lambda^2(V) for orthogonal-type ones, and gl(V) = V (x) V* for unitary
 groups.  None of this touches the matrix code under test.
+
+Small dense matrix helpers that only tests need (sums, differences,
+commutators, powers, the zero test) sit at the end; `mul` comes from the
+kernel, which test_rational checks against the textbook product.
 """
 
 from collections import Counter
 
 from dualpairs import complexify_tableau
+from dualpairs.rational import eye, mul
 
 
 def sl2_weights(t: int) -> list:
@@ -52,3 +57,26 @@ def expected_grading(tab) -> dict:
         return unitary_graded_dims(tab.diagram())
     ct = complexify_tableau(tab)
     return graded_dims_by_counting(ct.diagram(), ct.space.epsilon)
+
+
+def add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def commutator(a, b):
+    return sub(mul(a, b), mul(b, a))
+
+
+def matpow(a, k: int):
+    out = eye(len(a))
+    for _ in range(k):
+        out = mul(out, a)
+    return out
+
+
+def is_zero_mat(a) -> bool:
+    return all(not x for row in a for x in row)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -199,6 +200,10 @@ def test_verify_suite():
     elapsed = out["elapsed_s"]
     assert isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool)
     assert elapsed >= 0
+    # each check is timed since the previous one, within the suite's time
+    times = [c["elapsed_s"] for c in out["checks"]]
+    assert all(isinstance(t, float) and t >= 0 for t in times)
+    assert math.fsum(times) <= elapsed
     text = run("verify", "--suite", "range")
     assert "elapsed" not in text.stdout
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,15 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
                        orthogonal_space, realize_triple, symplectic_space,
                        tableau, theta_lift, verify_dimension_identity,
                        zero_orbit)
-from dualpairs.oracle import (_constrained_kernel, _constrained_nullity,
-                              algebra_basis, classify_space, in_algebra,
-                              kernel_basis, kernel_form_nondegenerate,
-                              make_map, random_isometry, sample_raising_map,
-                              sl2_gram, standard_gram, truncate_map)
-from dualpairs.rational import (add, commutator, eye, inv, is_zero_mat, kron,
-                                mat, matpow, mul, rank, scal, transpose, zeros)
+from dualpairs.oracle import (_check_triple, _constrained_kernel,
+                              _constrained_nullity, algebra_basis,
+                              classify_space, in_algebra, kernel_basis,
+                              kernel_form_nondegenerate, make_map,
+                              random_isometry, sample_raising_map, sl2_gram,
+                              standard_gram, truncate_map)
+from dualpairs.rational import (eye, inv, kron, mat, mul, rank, scal,
+                                transpose, zeros)
+from helpers import add, commutator, is_zero_mat, matpow
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -83,6 +86,26 @@ def test_triple_relations_and_membership():
             for z in (r.x, r.h, r.y):
                 assert in_algebra(z, r.ambient)
             assert r.ambient.n_real == v.dim_f
+
+
+def test_check_triple_rejects_broken_triples():
+    """Each sl2 relation and the membership test fails on its own planted
+    realization.  The last triple is the principal one of O(3,C) conjugated
+    by a diagonal non-isometry: its relations hold on matrices with
+    denominators, and X leaves the algebra."""
+    r = realize_triple(enumerate_orbits(O3)[0])
+    g = mat([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
+    conj = {k: mul(g, mul(getattr(r, k), inv(g))) for k in "xhy"}
+    assert any(x.denominator > 1 for row in conj["y"] for x in row)
+    cases = [(replace(r, x=add(r.x, r.h)), r"\[H,X\] != 2X"),
+             (replace(r, h=scal(2, r.h)), r"\[H,X\] != 2X"),
+             (replace(r, y=add(r.y, r.h)), r"\[H,Y\] != -2Y"),
+             (replace(r, x=scal(2, r.x)), r"\[X,Y\] != H"),
+             (replace(r, **conj), "X is not in the isometry algebra")]
+    _check_triple(r)
+    for bad, msg in cases:
+        with pytest.raises(IdentityViolated, match=msg):
+            _check_triple(bad)
 
 
 def test_identify_realize_round_trip_dims_8():
@@ -239,6 +262,32 @@ def test_random_isometry_preserves_form():
         amb = realize_triple(zero_orbit(v)).ambient
         g = random_isometry(amb, rng)
         assert mul(transpose(g), mul(amb.gram, g)) == amb.gram
+
+
+def test_random_isometry_is_pinned():
+    """The exact g at random.Random(0), and the number of draws it takes:
+    O(2,1) at its principal orbit (a basis with denominators), U(1,1),
+    Sp(1) and O(1,1), whose first two draws give a singular I + a."""
+    cases = [
+        (enumerate_orbits(orthogonal_space(2, 1))[0], 1,
+         ["-1/5 -1/5 -1/5", "-4/5 1/5 6/5", "-4/5 6/5 -9/5"]),
+        (zero_orbit(formed_space("R", "C", 1, signature=(1, 1))), 1,
+         ["-25/17 2/17 -14/17 12/17", "-2/17 -25/17 -12/17 -14/17",
+          "-18/17 -4/17 -23/17 10/17", "4/17 -18/17 -10/17 -23/17"]),
+        (zero_orbit(formed_space("R", "H", 1, signature=(1, 0))), 1,
+         ["-5/7 -4/7 -2/7 2/7", "4/7 -5/7 2/7 2/7", "2/7 -2/7 -5/7 -4/7",
+          "-2/7 -2/7 4/7 -5/7"]),
+        (zero_orbit(orthogonal_space(1, 1)), 3, ["-5/3 -4/3", "-4/3 -5/3"]),
+    ]
+    for tab, draws, want in cases:
+        amb = realize_triple(tab).ambient
+        rng = random.Random(0)
+        g = random_isometry(amb, rng)
+        assert [" ".join(map(str, row)) for row in g] == want
+        ref = random.Random(0)
+        for _ in range(draws * len(algebra_basis(amb))):
+            ref.randint(-2, 2)
+        assert rng.random() == ref.random()
 
 
 def test_adjoint_identity():

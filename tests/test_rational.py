@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (add, echelon, eye, inv, is_zero_mat, kron,
-                                mat, mat_vec, monomial, monomial_inv, mul,
-                                nullspace, rank, rref, sandwich, shape,
-                                sparse_rows, sub, sylvester_signature,
+from dualpairs.rational import (block_diag, echelon, eye, inv, kron, mat,
+                                mat_vec, monomial, monomial_inv, mul,
+                                nullspace, rank, rref, sandwich, scal, shape,
+                                solve, sparse_rows, sylvester_signature,
                                 transpose, zeros)
+from helpers import add
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -176,11 +177,15 @@ def test_nullspace_dimension_and_membership(a):
 @settings(max_examples=30, deadline=None)
 @given(small_mat(3, 3))
 def test_inverse(a):
+    b = [[i - 2 * j for j in range(2)] for i in range(3)]  # int entries
     if rank(a) == 3:
         assert mul(a, inv(a)) == eye(3)
+        assert solve(a, b) == mul(inv(a), b)
     else:
         with pytest.raises(ValueError):
             inv(a)
+        with pytest.raises(ValueError):
+            solve(a, b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -209,5 +214,8 @@ def test_sylvester_counts_congruence_invariant(a):
 def test_matrix_ring_ops():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
-    assert sub(add(a, b), b) == a
-    assert is_zero_mat(sub(a, a))
+    assert mul(a, b) == mat([[2, 1], [4, 3]])
+    assert transpose(mul(a, b)) == mul(transpose(b), transpose(a))
+    assert mul(scal(Fraction(-1, 2), a), b) == scal(Fraction(-1, 2), mul(a, b))
+    assert block_diag([a, b]) == add(kron(mat([[1, 0], [0, 0]]), a),
+                                     kron(mat([[0, 0], [0, 1]]), b))

@@ -1,3 +1,5 @@
+import math
+
 from dualpairs import IdentityViolated, oracle
 from dualpairs.verify import run_suite
 
@@ -27,3 +29,7 @@ def test_failing_check_names_first_instance(monkeypatch):
 def test_all_suites_pass_at_six_eight():
     report = run_suite("all", max_dims=(6, 8), seed=0)
     assert report.passed, report.render()
+    # per-check times tile each suite's run, so they sum to less
+    times = [c.to_json()["elapsed_s"] for c in report.checks]
+    assert min(times) >= 0 and math.fsum(times) <= report.elapsed_s
+    assert "elapsed" not in report.render()
