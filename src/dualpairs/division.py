@@ -1,16 +1,13 @@
 """The three real division algebras with exact rational coordinates.
 
-Elements are tuples of Fraction in the basis (1,), (1, i) or (1, i, j, k).
-Left/right multiplication matrices feed the matrix realizations: a module
-over D is realified with the division coordinate innermost, D-linear maps
-become real matrices commuting with the right-multiplication structures.
+Elements are tuples of int or Fraction in the basis (1,), (1, i) or
+(1, i, j, k); the units are int tuples, so the left/right multiplication
+matrices of a unit are int lists.  They feed the matrix realizations: a
+module over D is realified with the division coordinate innermost, D-linear
+maps become real matrices commuting with the right-multiplication structures.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .rational import zeros
 
 
 class DivisionAlgebra:
@@ -20,7 +17,7 @@ class DivisionAlgebra:
         self._mul = mul_fn
 
     def unit(self, k: int) -> tuple:
-        return tuple(Fraction(1 if i == k else 0) for i in range(self.dim))
+        return tuple(int(i == k) for i in range(self.dim))
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         return self._mul(x, y)
@@ -28,23 +25,15 @@ class DivisionAlgebra:
     def conj(self, x: tuple) -> tuple:
         return (x[0],) + tuple(-c for c in x[1:])
 
-    def lmat(self, x: tuple):
-        """Real matrix of y -> x*y."""
-        out = zeros(self.dim, self.dim)
-        for b in range(self.dim):
-            col = self._mul(x, self.unit(b))
-            for a in range(self.dim):
-                out[a][b] = col[a]
-        return out
+    def lmat(self, x: tuple) -> list:
+        """Real matrix of y -> x*y: column b is x*e_b."""
+        return [list(row) for row in
+                zip(*(self._mul(x, self.unit(b)) for b in range(self.dim)))]
 
-    def rmat(self, x: tuple):
-        """Real matrix of y -> y*x."""
-        out = zeros(self.dim, self.dim)
-        for b in range(self.dim):
-            col = self._mul(self.unit(b), x)
-            for a in range(self.dim):
-                out[a][b] = col[a]
-        return out
+    def rmat(self, x: tuple) -> list:
+        """Real matrix of y -> y*x: column b is e_b*x."""
+        return [list(row) for row in
+                zip(*(self._mul(self.unit(b), x) for b in range(self.dim)))]
 
 
 def _mul_r(x, y):

@@ -73,17 +73,6 @@ def sl2_gram(t: int, base: str) -> Mat:
     return out
 
 
-def sl2_triple(t: int) -> tuple:
-    x, h, y = zeros(t, t), zeros(t, t), zeros(t, t)
-    for r in range(t):
-        h[r][r] = Fraction(t - 1 - 2 * r)
-        if r >= 1:
-            x[r - 1][r] = Fraction(r)
-        if r + 1 < t:
-            y[r + 1][r] = Fraction(t - 1 - r)
-    return x, h, y
-
-
 # -- realification -------------------------------------------------------
 
 
@@ -164,23 +153,25 @@ class MatrixRealization:
 REALIZE_CACHE_SIZE = 256
 
 
-def realize_triple(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> MatrixRealization:
+def realize_triple(tab: AdmissibleTableau) -> MatrixRealization:
     """Weight-adapted block realization of the orbit's sl2 triple, from a
     least-recently-used cache of REALIZE_CACHE_SIZE realizations."""
-    if tab.space.dim_f > bound:
+    if tab.space.dim_f > DEFAULT_DIM_BOUND:
         raise BoundExceeded("space exceeds realization bound",
-                            dim_f=tab.space.dim_f, bound=bound)
+                            dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
     return _realize(tab)
 
 
 @functools.lru_cache(maxsize=REALIZE_CACHE_SIZE)
 def _realize(tab: AdmissibleTableau) -> MatrixRealization:
+    """x, h, y written entry by entry from the weight strings as integer
+    matrices, D-coordinate innermost: H = w = t-1-2r on the diagonal, X = r
+    above it and Y = t-1-r = w + r below it, a string step being dr."""
     validate(tab)
     space = tab.space
     base = space.base
     dr = space.d
-    grams, xs, hs, ys = [], [], [], []
-    weights, string_pos, offsets = [], [], []
+    grams, weights, string_pos, offsets = [], [], [], []
     for row in tab.rows:
         offsets.append(len(weights))
         t, m = row.t, row.mult.dim
@@ -189,10 +180,16 @@ def _realize(tab: AdmissibleTableau) -> MatrixRealization:
         g, l_u = _reference_form(row.mult)
         st = scal(s_twist(t, base), sl2_gram(t, base))
         grams.append(kron(kron(g, st), l_u))
-        for out, z in zip((xs, hs, ys), sl2_triple(t)):
-            out.append(kron(kron(eye(m), z), eye(dr)))
     amb = AmbientSpace(space, block_diag(grams))
-    x, h, y = (block_diag(zs) for zs in (xs, hs, ys))
+    n = amb.n_real
+    x, h, y = ([[0] * n for _ in range(n)] for _ in range(3))
+    for i, (w, r) in enumerate(zip(weights, string_pos)):
+        for c in range(i * dr, i * dr + dr):
+            h[c][c] = w
+            if r:
+                x[c - dr][c] = r
+            if w + r:
+                y[c + dr][c] = w + r
     real = MatrixRealization(ambient=amb, tableau=tab, x=x, h=h, y=y,
                              weights=tuple(weights), string_pos=tuple(string_pos),
                              row_offsets=tuple(offsets))
@@ -373,19 +370,15 @@ def classify_space(br: Mat, base: str, division: str, epsilon: int) -> FormedSpa
                         signature=(pos // div.dim, negc // div.dim))
 
 
+def _all_pairs(n: int) -> list:
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
 def algebra_basis(amb: AmbientSpace) -> list:
     """Rational basis of the isometry Lie algebra in the space's
-    coordinates (list of matrices); its size is the dimension over F."""
-    n = amb.n_real
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    nullity_vecs = _constrained_kernel(amb, pairs, commute_with=[])
-    basis = []
-    for vec in nullity_vecs:
-        m = zeros(n, n)
-        for idx, (i, j) in enumerate(pairs):
-            m[i][j] = vec[idx]
-        basis.append(m)
-    return basis
+    coordinates, its size the dimension over F: the kernel vectors of its
+    constraints, each holding the n^2 matrix entries in row-major order."""
+    return _constrained_kernel(amb, _all_pairs(amb.n_real), commute_with=[])
 
 
 def _nonzeros(m: Mat) -> tuple:
@@ -440,9 +433,7 @@ def _constrained_nullity(amb: AmbientSpace, pairs: list, commute_with: list) -> 
 def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
     """dim over the base field of the centralizer of x in the isometry algebra."""
     assert_in_algebra(x, amb)
-    n = amb.n_real
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    return _constrained_nullity(amb, pairs, commute_with=[x])
+    return _constrained_nullity(amb, _all_pairs(amb.n_real), commute_with=[x])
 
 
 def _graded_pairs(real: MatrixRealization, j: int) -> list:
@@ -563,8 +554,8 @@ def _embed_positions(u1: FormedSpace, u: FormedSpace) -> list:
     return list(range(u1.dim))
 
 
-def construct_descent_element(src_real: MatrixRealization, v: FormedSpace,
-                              bound: int = DEFAULT_DIM_BOUND) -> RationalMap:
+def construct_descent_element(src_real: MatrixRealization,
+                              v: FormedSpace) -> RationalMap:
     """T: V -> V' realizing the generalized descent of src_real's orbit.
 
     Asserts identify(T*T) = descent target, identify(TT*) = source orbit,
@@ -572,7 +563,7 @@ def construct_descent_element(src_real: MatrixRealization, v: FormedSpace,
     """
     op = src_real.tableau
     dres = generalized_descent(op, v)
-    tgt_real = realize_triple(dres.target, bound=bound)
+    tgt_real = realize_triple(dres.target)
     dr = src_real.ambient.dr
     n_src_d = op.space.dim
     n_tgt_d = v.dim
@@ -642,16 +633,15 @@ def truncate_map(s_map: RationalMap, src_real: MatrixRealization) -> RationalMap
 def random_isometry(amb: AmbientSpace, rng) -> Mat:
     """Exact rational isometry: the Cayley transform (I + a)^-1 (I - a) of a
     random algebra element a, solved from [I + a | I - a] at once.  a is
-    drawn as ai / den, den the common denominator of the basis, and the
-    solve runs on the integer matrices den I +- ai."""
+    drawn as ai / den, den the common denominator of the basis vectors, and
+    the solve runs on the integer matrices den I +- ai."""
     basis = algebra_basis(amb)
     n = amb.n_real
     if not basis:
         return eye(n)
-    ints, den = cleared_mat([row for e in basis for row in e])
-    nonzeros = [[(i, j, x) for i, row in enumerate(ints[k:k + n])
-                 for j, x in enumerate(row) if x]
-                for k in range(0, len(ints), n)]
+    ints, den = cleared_mat(basis)
+    nonzeros = [[(*divmod(k, n), x) for k, x in enumerate(vec) if x]
+                for vec in ints]
     for _ in range(50):
         ai = [[0] * n for _ in range(n)]
         for entries in nonzeros:
@@ -676,7 +666,7 @@ def sample_raising_map(v_real: MatrixRealization, vp_real: MatrixRealization,
     space = v_real.ambient.space
     div = coordinates(space.base, space.division)
     dr = div.dim
-    t = zeros(vp_real.ambient.n_real, v_real.ambient.n_real)
+    t = [[0] * v_real.ambient.n_real for _ in range(vp_real.ambient.n_real)]
     for p, wp in enumerate(vp_real.weights):
         for q, wq in enumerate(v_real.weights):
             if wp >= wq + 1:
@@ -707,12 +697,12 @@ class DimIdentityReport:
                 "lhs": self.lhs, "rhs": self.rhs}
 
 
-def verify_dimension_identity(dres, bound: int = DEFAULT_DIM_BOUND) -> DimIdentityReport:
+def verify_dimension_identity(dres) -> DimIdentityReport:
     """dim g_{-1} + dim g'_{-1} = dim W_0 - d * dim Ker T * dim (V')^{gamma',1}_0,
     with the graded dimensions on the left computed from matrices and both
     terms on the right from theta.reduced_pair_dims."""
-    tgt = realize_triple(dres.target, bound=bound)
-    src = realize_triple(dres.source, bound=bound)
+    tgt = realize_triple(dres.target)
+    src = realize_triple(dres.source)
     g1 = graded_dim_at(tgt, -1)
     gp1 = graded_dim_at(src, -1)
     dim_w, w0 = reduced_pair_dims(dres)

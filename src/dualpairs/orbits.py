@@ -151,11 +151,11 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def enumerate_orbits(v: FormedSpace, bound: int = DEFAULT_DIM_BOUND) -> list:
+def enumerate_orbits(v: FormedSpace) -> list:
     """All admissible tableaux over V, canonically ordered."""
-    if v.dim_f > bound:
+    if v.dim_f > DEFAULT_DIM_BOUND:
         raise BoundExceeded("space exceeds enumeration bound",
-                            dim_f=v.dim_f, bound=bound)
+                            dim_f=v.dim_f, bound=DEFAULT_DIM_BOUND)
     found = []
     for diagram in _partitions(v.dim):
         parts = {}
@@ -187,10 +187,9 @@ def complexify_tableau(tab: AdmissibleTableau) -> AdmissibleTableau:
     return out
 
 
-def real_forms(diagram: tuple, v_real: FormedSpace,
-               bound: int = DEFAULT_DIM_BOUND) -> list:
+def real_forms(diagram: tuple, v_real: FormedSpace) -> list:
     """Real orbits over v_real whose complexified diagram equals diagram."""
-    return [tab for tab in enumerate_orbits(v_real, bound)
+    return [tab for tab in enumerate_orbits(v_real)
             if complexify_tableau(tab).diagram() == tuple(diagram)]
 
 
@@ -255,11 +254,11 @@ def graded_dims(tab: AdmissibleTableau) -> dict:
     return out
 
 
-def orbit_dimension(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> int:
+def orbit_dimension(tab: AdmissibleTableau) -> int:
     """dim of the orbit through tab over the base field: dim g - dim g^X,
     with dim g^X = dim g_0 + dim g_1 because every irreducible summand of g
     under the sl2 triple has one X-fixed vector and one weight in {0, 1}."""
-    grading = whittaker_datum(tab, bound).grading
+    grading = whittaker_datum(tab).grading
     return (isometry_group(tab.space).lie_dim - grading.get(0, 0)
             - grading.get(1, 0))
 
@@ -281,12 +280,12 @@ class WhittakerDatum:
                 "stabilizer": self.stabilizer.to_json()}
 
 
-def whittaker_datum(tab: AdmissibleTableau, bound: int = DEFAULT_DIM_BOUND) -> WhittakerDatum:
+def whittaker_datum(tab: AdmissibleTableau) -> WhittakerDatum:
     """Grading dims of g under ad(H) plus the character/Heisenberg dichotomy."""
     validate(tab)
-    if tab.space.dim_f > bound:
+    if tab.space.dim_f > DEFAULT_DIM_BOUND:
         raise BoundExceeded("space exceeds dimension bound",
-                            dim_f=tab.space.dim_f, bound=bound)
+                            dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
     grading = graded_dims(tab)
     dim_u = sum(v for k, v in grading.items() if k <= -2)
     g1 = grading.get(-1, 0)

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction, vectors are flat lists of Fraction:
-Fraction is the scalar type at the API.  Inside, the products work on
+Matrices are lists of lists of Fraction, vectors are flat lists of Fraction,
+and an integral matrix may hold int entries.  Inside, the products work on
 Python integers: `mul` clears the denominators of each row of its left
 operand and each column of its right operand once, takes integer dot
 products and builds one Fraction per output entry.  Monomial matrices (one
@@ -47,10 +47,6 @@ def eye(n: int) -> Mat:
 
 def shape(a: Mat) -> tuple:
     return (len(a), len(a[0]) if a else 0)
-
-
-def copy_mat(a: Mat) -> Mat:
-    return [row[:] for row in a]
 
 
 def transpose(a: Mat) -> Mat:
@@ -313,9 +309,10 @@ def inv(a: Mat) -> Mat:
 def sylvester_signature(b: Mat) -> tuple:
     """Inertia (pos, neg, zero) of a symmetric rational matrix.
 
-    Symmetric congruence reduction; exact, no eigenvalues needed.
+    Symmetric congruence reduction on a Fraction copy of b (int entries
+    would turn to floats under /); exact, no eigenvalues needed.
     """
-    a = copy_mat(b)
+    a = mat(b)
     n = len(a)
     pos = negv = zero = 0
     idx = list(range(n))

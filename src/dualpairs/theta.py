@@ -100,8 +100,7 @@ def add_column(o: AdmissibleTableau, vp: FormedSpace,
     return AdmissibleTableau(vp, tuple(r for r in rows if not r.mult.is_zero))
 
 
-def theta_lift(o: AdmissibleTableau, vp: FormedSpace,
-               bound: int = DEFAULT_DIM_BOUND) -> AdmissibleTableau:
+def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
     """The closure-maximal orbit over vp whose descent to o.space equals o:
     add_column(o, vp, U1) with the largest U1 that fits, since over base C
     each dim U1 gives one candidate and a larger U1 dominates a smaller one
@@ -109,9 +108,9 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace,
     if o.space.base != "C" or vp.base != "C":
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
-    if vp.dim_f > bound:
+    if vp.dim_f > DEFAULT_DIM_BOUND:
         raise BoundExceeded("space exceeds dimension bound",
-                            dim_f=vp.dim_f, bound=bound)
+                            dim_f=vp.dim_f, bound=DEFAULT_DIM_BOUND)
     validate(o)
     step = 2 if o.space.epsilon == -1 else 1  # a symplectic U1 is even
     for dim_u1 in range(o.diagram().count(1), -1, -step):

@@ -70,15 +70,9 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _complex_spaces(maxdim: int) -> list:
-    out = [complex_orthogonal_space(n) for n in range(1, maxdim + 1)]
-    out += [complex_symplectic_space(n) for n in range(2, maxdim + 1, 2)]
-    return out
-
-
 def _complex_pairs(max_dims: tuple):
-    for v in _complex_spaces(max_dims[0]):
-        for vp in _complex_spaces(max_dims[1]):
+    for v in iter_spaces(max_dims[0], bases=("C",)):
+        for vp in iter_spaces(max_dims[1], bases=("C",)):
             if v.epsilon * vp.epsilon == -1:
                 yield v, vp
 
@@ -95,7 +89,7 @@ def _image_descents(max_dims: tuple):
 
 def suite_forms(report: SuiteReport, rng):
     bound = max(report.max_dims)
-    spaces = [s for s in iter_spaces(min(bound, 6)) if not s.is_zero]
+    spaces = list(iter_spaces(min(bound, 6)))
     ok = 0
     for s in spaces:
         got = oracle.classify_space(oracle.standard_gram(s), s.base,
@@ -142,7 +136,7 @@ def suite_orbit_enum(report: SuiteReport, rng):
         got = len(enumerate_orbits(sp))
         report.add(f"orbit count {name} = {want}", got == want, f"got {got}")
     bound = report.max_dims[1]
-    spaces = [s for s in iter_spaces(bound) if not s.is_zero]
+    spaces = list(iter_spaces(bound))
     rt_ok = rt_tot = dup_ok = 0
     for sp in spaces:
         orbs = enumerate_orbits(sp)
@@ -237,8 +231,6 @@ def suite_lift(report: SuiteReport, rng):
 def suite_stabilizer(report: SuiteReport, rng):
     tot = ok = grade_ok = dim_ok = 0
     for sp in iter_spaces(report.max_dims[1]):
-        if sp.is_zero:
-            continue
         g = isometry_group(sp).lie_dim
         for tab in enumerate_orbits(sp):
             tot += 1
@@ -267,7 +259,7 @@ def suite_stabilizer(report: SuiteReport, rng):
     report.add("stabilizer factorization dim M + dim L'", fok == ftot,
                f"{fok}/{ftot}")
     wtot = wok = 0
-    for sp in _complex_spaces(report.max_dims[0]):
+    for sp in iter_spaces(report.max_dims[0], bases=("C",)):
         for tab in enumerate_orbits(sp):
             wtot += 1
             w = whittaker_datum(tab)

@@ -6,14 +6,18 @@ Lambda^2(V) for orthogonal-type ones, and gl(V) = V (x) V* for unitary
 groups.  None of this touches the matrix code under test.
 
 Small dense matrix helpers that only tests need (sums, differences,
-commutators, powers, the zero test) sit at the end; `mul` comes from the
-kernel, which test_rational checks against the textbook product.
+commutators, powers, the zero test) sit at the end, after them the
+realization's sl2 triple assembled from Kronecker products, a reference for
+the entry-by-entry one; `mul` and `kron` come from the kernel, which
+test_rational checks against the textbook product.
 """
 
 from collections import Counter
 
 from dualpairs import complexify_tableau
-from dualpairs.rational import eye, mul
+from fractions import Fraction
+
+from dualpairs.rational import block_diag, eye, kron, mul, zeros
 
 
 def sl2_weights(t: int) -> list:
@@ -80,3 +84,26 @@ def matpow(a, k: int):
 
 def is_zero_mat(a) -> bool:
     return all(not x for row in a for x in row)
+
+
+def sl2_triple(t: int) -> tuple:
+    """x, h, y on one string: X e_r = r e_(r-1), H e_r = (t-1-2r) e_r,
+    Y e_r = (t-1-r) e_(r+1)."""
+    x, h, y = zeros(t, t), zeros(t, t), zeros(t, t)
+    for r in range(t):
+        h[r][r] = Fraction(t - 1 - 2 * r)
+        if r >= 1:
+            x[r - 1][r] = Fraction(r)
+        if r + 1 < t:
+            y[r + 1][r] = Fraction(t - 1 - r)
+    return x, h, y
+
+
+def kron_triple(tab) -> tuple:
+    """(x, h, y) of realize_triple(tab): per row, kron(eye(m), z) with the
+    D-coordinate kron(., eye(dr)) innermost, the rows down the diagonal."""
+    blocks = ([], [], [])
+    for row in tab.rows:
+        for out, z in zip(blocks, sl2_triple(row.t)):
+            out.append(kron(kron(eye(row.mult.dim), z), eye(tab.space.d)))
+    return tuple(block_diag(zs) for zs in blocks)

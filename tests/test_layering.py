@@ -59,6 +59,12 @@ def test_only_the_oracle_imports_division():
     assert importers == ["oracle"]
 
 
+def test_division_imports_nothing_from_the_package():
+    # the division algebras are leaf data: plain int and Fraction tuples
+    tree = ast.parse((PACKAGE / "division.py").read_text())
+    assert _imported_modules(tree) == set()
+
+
 def test_every_domain_error_is_raised():
     # an error class must not outlive its last raise
     defined = {cls.__name__ for cls in errors.DomainError.__subclasses__()}

@@ -20,7 +20,7 @@ from dualpairs.oracle import (_check_triple, _constrained_kernel,
                               standard_gram, truncate_map)
 from dualpairs.rational import (eye, inv, kron, mat, mul, rank, scal,
                                 transpose, zeros)
-from helpers import add, commutator, is_zero_mat, matpow
+from helpers import add, commutator, is_zero_mat, kron_triple, matpow
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -46,6 +46,15 @@ def test_realize_standard_sl2():
     assert r.ambient.gram == mat([[0, 1], [-1, 0]])
 
 
+def test_realize_triple_matches_kron_reference():
+    # every orbit with dim_F <= 8, over R and C
+    tabs = [tab for v in iter_spaces(8) for tab in enumerate_orbits(v)]
+    assert len(tabs) == 373
+    for tab in tabs:
+        r = realize_triple(tab)
+        assert (r.x, r.h, r.y) == kron_triple(tab), tab.to_json()
+
+
 def test_realize_zero_orbit():
     r = realize_triple(zero_orbit(SP4))
     assert is_zero_mat(r.x) and is_zero_mat(r.h) and is_zero_mat(r.y)
@@ -65,6 +74,9 @@ def test_classify_space_reads_rational_gram_matrices():
         assert classify_space(gram, s.base, s.division, s.epsilon) == s
         with pytest.raises(IdentityViolated, match="not epsilon-Hermitian"):
             classify_space(gram, s.base, s.division, -s.epsilon)
+    # an int Gram matrix of determinant -1 with entries near 1e20
+    big = [[10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]]
+    assert classify_space(big, "R", "R", 1) == orthogonal_space(1, 1)
 
 
 def test_classify_space_refuses_degenerate_forms():
@@ -508,7 +520,11 @@ def test_dimension_identity_reports():
 
 
 def test_algebra_basis_spans_lie_dim():
-    for v in [SP4, O3, orthogonal_space(2, 1),
-              formed_space("R", "C", 1, signature=(2, 0))]:
+    # each vector holds the n^2 entries of one algebra element, row-major
+    for v in iter_spaces(6):
         amb = realize_triple(zero_orbit(v)).ambient
-        assert len(algebra_basis(amb)) == isometry_group(v).lie_dim
+        n = amb.n_real
+        basis = algebra_basis(amb)
+        assert rank(basis) == len(basis) == isometry_group(v).lie_dim
+        for vec in basis:
+            assert in_algebra([vec[i:i + n] for i in range(0, n * n, n)], amb)

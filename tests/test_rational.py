@@ -200,6 +200,10 @@ def test_sylvester_signature():
     assert sylvester_signature(mat([[0, 1], [1, 0]])) == (1, 1, 0)
     assert sylvester_signature(mat([[1, 1], [1, 1]])) == (1, 0, 1)
     assert sylvester_signature(zeros(2, 2)) == (0, 0, 2)
+    # int entries near 1e20 with det = -1: floats would round to (1, 0, 1)
+    big = [[10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]]
+    assert sylvester_signature(big) == (1, 1, 0)
+    assert big == [[10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]]
 
 
 @settings(max_examples=30, deadline=None)
