@@ -37,11 +37,12 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, block_diag, cleared, cleared_mat, echelon, eye,
-                       int_mul, kernel, kron, mat, mat_vec, monomial,
-                       monomial_inv, mul, nullspace, rank, sandwich, scal,
-                       shape, solve, sparse_rows, sylvester_signature,
-                       transpose, zeros)
+from .rational import (Mat, Scaled, block_diag, cleared, echelon, eye,
+                       fraction_mat, int_mul, int_rows, kernel, kron, mat,
+                       mat_vec, monomial, monomial_inv, mul, nullspace, rank,
+                       rescale, sandwich, scal, scaled, scaled_mul, shape,
+                       solve, sparse_rows, sylvester_signature, transpose,
+                       zeros)
 from .theta import generalized_descent, reduced_pair_dims
 
 
@@ -202,8 +203,8 @@ def _check_triple(real: MatrixRealization):
     (z = zi / d): [hi, xi] = 2d xi, [hi, yi] = -2d yi, [xi, yi] = d hi;
     then each matrix's membership in the algebra."""
     n = len(real.x)
-    zi, d = cleared_mat(real.x + real.h + real.y)
-    x, h, y = (sparse_rows(zi[k:k + n]) for k in (0, n, 2 * n))
+    zi, d = scaled(real.x + real.h + real.y)
+    x, h, y = (int_rows(zi[k:k + n]) for k in (0, n, 2 * n))
     for a, b, k, c, msg in ((h, x, 2 * d, x, "[H,X] != 2X"),
                             (h, y, -2 * d, y, "[H,Y] != -2Y"),
                             (x, y, d, h, "[X,Y] != H")):
@@ -255,15 +256,20 @@ def _intertwines(z: list, j_in, j_out) -> bool:
 def in_algebra(z: Mat, amb: AmbientSpace) -> bool:
     """z^T B + B z = 0 and z J = J z for each D-structure J, checked entry
     by entry on the monomial forms, with z's denominators cleared once."""
-    if shape(z) != (amb.n_real, amb.n_real):
+    return _in_algebra(scaled(z), amb)
+
+
+def _in_algebra(z: Scaled, amb: AmbientSpace) -> bool:
+    """in_algebra on z's integer matrix: the shape, then the checks."""
+    zi = z.ints
+    if shape(zi) != (amb.n_real, amb.n_real):
         return False
-    zi = cleared_mat(z)[0]
     return _is_skew(zi, amb.gram_mono) and all(
         _intertwines(zi, j, j) for j in amb.structure_monos)
 
 
-def assert_in_algebra(z: Mat, amb: AmbientSpace):
-    if not in_algebra(z, amb):
+def _assert_in_algebra(z: Scaled, amb: AmbientSpace):
+    if not _in_algebra(z, amb):
         raise NotInAlgebra("matrix violates the form or D-linearity",
                            space=amb.space.render())
 
@@ -271,32 +277,52 @@ def assert_in_algebra(z: Mat, amb: AmbientSpace):
 # -- maps between formed spaces ------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RationalMap:
-    source: AmbientSpace   # V
-    target: AmbientSpace   # V'
-    t: Mat                 # T: V -> V'
-    t_star: Mat            # T*: V' -> V
+    """A D-linear T: V -> V' and its adjoint T* = B^-1 T^T B', each kept as
+    one scaled integer matrix; t and t_star are their Fraction matrices."""
+    source: AmbientSpace    # V
+    target: AmbientSpace    # V'
+    scaled_t: Scaled        # T: V -> V'
+    scaled_t_star: Scaled   # T*: V' -> V
+
+    @functools.cached_property
+    def t(self) -> Mat:
+        return fraction_mat(self.scaled_t)
+
+    @functools.cached_property
+    def t_star(self) -> Mat:
+        return fraction_mat(self.scaled_t_star)
 
 
 def make_map(source: AmbientSpace, target: AmbientSpace, t: Mat) -> RationalMap:
+    """T checked for its shape and D-linearity, cleared once, with T*
+    written on integers from the monomial Gram forms B^-1 and B'."""
     if shape(t) != (target.n_real, source.n_real):
         raise NotInAlgebra("map has wrong shape", shape=shape(t))
-    ti = cleared_mat(t)[0]
+    ts = scaled(t)
     for js, jt in zip(source.structure_monos, target.structure_monos):
-        if not _intertwines(ti, js, jt):
+        if not _intertwines(ts.ints, js, jt):
             raise NotInAlgebra("map is not D-linear")
-    t_star = sandwich(source.gram_inv_mono, transpose(t), target.gram_mono)
-    return RationalMap(source=source, target=target, t=t, t_star=t_star)
+    t_star = sandwich(source.gram_inv_mono,
+                      Scaled(tuple(zip(*ts.ints)), ts.den), target.gram_mono)
+    return RationalMap(source, target, ts, t_star)
+
+
+def _moment_values(rm: RationalMap) -> tuple:
+    """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'."""
+    x = scaled_mul(rm.scaled_t_star, rm.scaled_t)
+    xp = scaled_mul(rm.scaled_t, rm.scaled_t_star)
+    _assert_in_algebra(x, rm.source)
+    _assert_in_algebra(xp, rm.target)
+    return x, xp
 
 
 def moment_maps(rm: RationalMap) -> tuple:
-    """(T*T, TT*): the two moment-map values, asserted to land in g, g'."""
-    x = mul(rm.t_star, rm.t)
-    xp = mul(rm.t, rm.t_star)
-    assert_in_algebra(x, rm.source)
-    assert_in_algebra(xp, rm.target)
-    return x, xp
+    """(T*T, TT*): the two moment-map values as Fraction matrices, asserted
+    to land in g, g'."""
+    x, xp = _moment_values(rm)
+    return fraction_mat(x), fraction_mat(xp)
 
 
 def _d_rank(r: int, dr: int) -> int:
@@ -305,12 +331,8 @@ def _d_rank(r: int, dr: int) -> int:
     return r // dr
 
 
-def kernel_basis(rm: RationalMap) -> list:
-    return nullspace(rm.t)
-
-
 def kernel_form_nondegenerate(rm: RationalMap) -> bool:
-    basis = kernel_basis(rm)
+    basis = nullspace(rm.t)
     if not basis:
         return True
     k = transpose(basis)
@@ -328,14 +350,14 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
     the D-lines of the chosen vectors v: the rows v*e_al, al < dr, so that
     a D-valued form on the basis has the rational Gram matrix with blocks
     L_z on them."""
-    span = echelon(sparse_rows(lower))
+    span = echelon(int_rows(lower))
     base_rank = len(span)
     lines = []
     for v in vectors:
         if len(lines) == expect * amb.dr:
             break
         before = len(span)
-        echelon(sparse_rows([v]), span)
+        echelon(int_rows([v]), span)
         if len(span) == before:
             continue
         line = [v] + [mat_vec(j, v) for j in amb.structures]
@@ -385,7 +407,7 @@ def _nonzeros(m: Mat) -> tuple:
     """Nonzero entries of m's integer form (its denominators cleared):
     the (column, value) pairs of each row and the (row, value) pairs of
     each column."""
-    mi = cleared_mat(m)[0]
+    mi = scaled(m).ints
     by_row = [[(q, c) for q, c in enumerate(row) if c] for row in mi]
     by_col = [[(p, c) for p, c in enumerate(col) if c] for col in zip(*mi)]
     return by_row, by_col
@@ -432,7 +454,7 @@ def _constrained_nullity(amb: AmbientSpace, pairs: list, commute_with: list) -> 
 
 def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
     """dim over the base field of the centralizer of x in the isometry algebra."""
-    assert_in_algebra(x, amb)
+    _assert_in_algebra(scaled(x), amb)
     return _constrained_nullity(amb, _all_pairs(amb.n_real), commute_with=[x])
 
 
@@ -464,14 +486,16 @@ def graded_dims(real: MatrixRealization) -> dict:
 
 
 def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
-    """Orbit of a nilpotent x, checked to lie in the isometry algebra."""
-    assert_in_algebra(x, amb)
-    return _identify(x, amb)
+    """Orbit of a nilpotent x, checked to lie in the isometry algebra: x is
+    cleared once, and the check and _identify read that integer form."""
+    xs = scaled(x)
+    _assert_in_algebra(xs, amb)
+    return _identify(xs, amb)
 
 
-def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
-    """Orbit of a nilpotent x of the isometry algebra (unchecked): diagram
-    from the D-ranks of its powers.
+def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
+    """Orbit of a nilpotent x of the isometry algebra (unchecked), given as
+    a scaled integer matrix: diagram from the D-ranks of its powers.
 
     Over base R the multiplicity space of row length t is
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
@@ -487,7 +511,7 @@ def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
     # x = xi / den: x^s = xi^s / den^s has the rank and kernel of the
     # integer power xi^s.  Base C needs only the ranks, base R a basis of
     # each ker x^s too.
-    xi, den = cleared_mat(x)
+    xi, den = x
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     kers = [[]]  # integer kernel vectors, each with its denominators cleared
     while ranks[-1] > 0:
@@ -495,10 +519,10 @@ def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
             raise NotNilpotent("power sequence does not reach zero")
         powers.append(int_mul(powers[-1], xi))
         if base == "C":
-            r = len(echelon(sparse_rows(powers[-1])))
+            r = len(echelon(int_rows(powers[-1])))
         else:
             kers.append([cleared(v)[0]
-                         for v in kernel(sparse_rows(powers[-1]), n)])
+                         for v in kernel(int_rows(powers[-1]), n)])
             r = n - len(kers[-1])
         ranks.append(_d_rank(r, dr))
     ranks.extend([0, 0])
@@ -524,16 +548,17 @@ def _identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
         # on integers: the rows xi v = den x v for v in ker x^(t+1), the
         # basis lines times ld, their images under xi^(t-1) = den^(t-1)
         # x^(t-1) and the Gram matrix times gram.den; scale divides them out
-        lower = kers[t - 1] + int_mul(kers[min(t + 1, top)], transpose(xi))
-        lines, ld = cleared_mat(_d_basis_of(kers[t], lower, amb, mults[t]))
+        lower = kers[t - 1] + list(int_mul(kers[min(t + 1, top)],
+                                           transpose(xi)))
+        lines, ld = scaled(_d_basis_of(kers[t], lower, amb, mults[t]))
         images = int_mul(lines, transpose(powers[t - 1]))
         gram_images = [[c * v[q] for q, c in zip(gram.perm, gram.num)]
                        for v in images]
         scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
                          sigma_t(t, base) * math.factorial(t - 1)
                          * den ** (t - 1) * gram.den * ld ** 2)
-        beta = [[scale * b for b in row]
-                for row in int_mul(lines, transpose(gram_images))]
+        beta = fraction_mat(rescale(
+            Scaled(int_mul(lines, transpose(gram_images)), 1), scale))
         mult = classify_space(beta, base, amb.space.division,
                               eps * (-1) ** (t - 1))
         rows.append(TableauRow(t, mult))
@@ -585,7 +610,7 @@ def construct_descent_element(src_real: MatrixRealization,
     t_real = kron(t_d, eye(dr))
     rm = make_map(tgt_real.ambient, src_real.ambient, t_real)
     _check_degree(rm, tgt_real, src_real)
-    x, xp = moment_maps(rm)
+    x, xp = _moment_values(rm)
     got_target = _identify(x, tgt_real.ambient)
     if got_target != dres.target:
         raise IdentityViolated("moment map misses the descent target",
@@ -605,7 +630,7 @@ def construct_descent_element(src_real: MatrixRealization,
 def _check_degree(rm: RationalMap, tgt_real: MatrixRealization,
                   src_real: MatrixRealization):
     dr = src_real.ambient.dr
-    for i, row in enumerate(rm.t):
+    for i, row in enumerate(rm.scaled_t.ints):
         for j, val in enumerate(row):
             if val and src_real.weights[i // dr] != tgt_real.weights[j // dr] + 1:
                 raise IdentityViolated("witness does not raise weights by one",
@@ -621,10 +646,9 @@ def truncate_map(s_map: RationalMap, src_real: MatrixRealization) -> RationalMap
     for i in range(n):
         if src_real.string_pos[i // dr] != 0:
             proj[i][i] = Fraction(1)
-    t_star = mul(s_map.t_star, proj)
-    t = transpose(sandwich(s_map.source.gram_mono, t_star,
-                           s_map.target.gram_inv_mono))
-    return make_map(s_map.source, s_map.target, t)
+    t_star = scaled(mul(s_map.t_star, proj))
+    t = sandwich(s_map.source.gram_mono, t_star, s_map.target.gram_inv_mono)
+    return make_map(s_map.source, s_map.target, transpose(fraction_mat(t)))
 
 
 # -- random elements -----------------------------------------------------
@@ -639,7 +663,7 @@ def random_isometry(amb: AmbientSpace, rng) -> Mat:
     n = amb.n_real
     if not basis:
         return eye(n)
-    ints, den = cleared_mat(basis)
+    ints, den = scaled(basis)
     nonzeros = [[(*divmod(k, n), x) for k, x in enumerate(vec) if x]
                 for vec in ints]
     for _ in range(50):

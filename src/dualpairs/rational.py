@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction, vectors are flat lists of Fraction,
-and an integral matrix may hold int entries.  Inside, the products work on
-Python integers: `mul` clears the denominators of each row of its left
-operand and each column of its right operand once, takes integer dot
-products and builds one Fraction per output entry.  Monomial matrices (one
-nonzero entry in each row and each column, like every reference Gram and
-D-structure matrix) are also kept as a permutation with integer scales.
+A matrix is a list of rows of Fraction (an integral matrix may hold int
+entries), a vector a flat list of Fraction.  `Scaled` carries a rational
+matrix as one integer matrix over one positive common denominator, so that
+a chain of products and checks runs on Python integers and builds
+Fractions only at its end.  `mul` works on integers inside too: it clears
+the denominators of each row of its left operand and each column of its
+right operand once, takes integer dot products and builds one Fraction per
+output entry.  Monomial matrices (one nonzero entry in each row and each
+column, like every reference Gram and D-structure matrix) are also kept as
+a permutation with integer scales.
 Elimination is fraction-free on sparse integer rows {column: nonzero int}:
 `echelon` reduces each row against the pivot of its smallest column and
 keeps every pivot row primitive; its size is the rank.  One
@@ -70,14 +73,6 @@ def cleared(vec) -> tuple:
     return [x.numerator * (d // x.denominator) for x in vec], d
 
 
-def cleared_mat(a: Mat) -> tuple:
-    """(integer matrix, common denominator) with a = integer matrix / den."""
-    d = math.lcm(*[x.denominator for row in a for x in row])
-    if d == 1:
-        return [[x.numerator for x in row] for row in a], 1
-    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
-
-
 def _ratio(s: int, d: int) -> Fraction:
     if not s:
         return _ZERO
@@ -98,10 +93,48 @@ def mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def int_mul(a: list, b: list) -> list:
-    """Product of two integer matrices (lists of lists of int)."""
+def int_mul(a, b) -> tuple:
+    """Product of two integer matrices (sequences of int rows), as a tuple
+    of int tuples."""
     cols = list(zip(*b))
-    return [[sum(map(_imul, row, col)) for col in cols] for row in a]
+    return tuple([tuple([sum(map(_imul, row, col)) for col in cols])
+                  for row in a])
+
+
+class Scaled(NamedTuple):
+    """The rational matrix ints / den: an integer matrix, a tuple of int
+    tuples, over one positive common denominator."""
+    ints: tuple
+    den: int
+
+
+def scaled(a: Mat) -> Scaled:
+    """a as an integer matrix over the least common denominator of its
+    entries."""
+    d = math.lcm(*[x.denominator for row in a for x in row])
+    if d == 1:
+        return Scaled(tuple([tuple([x.numerator for x in row])
+                             for row in a]), 1)
+    return Scaled(tuple([tuple([x.numerator * (d // x.denominator)
+                                for x in row]) for row in a]), d)
+
+
+def fraction_mat(a: Scaled) -> Mat:
+    """The Fraction matrix a.ints / a.den."""
+    d = a.den
+    return [[_ratio(x, d) for x in row] for row in a.ints]
+
+
+def scaled_mul(a: Scaled, b: Scaled) -> Scaled:
+    """The product, over the product of the denominators."""
+    return Scaled(int_mul(a.ints, b.ints), a.den * b.den)
+
+
+def rescale(a: Scaled, c) -> Scaled:
+    """c * a for a rational c; the denominator stays positive."""
+    c = frac(c)
+    return Scaled(tuple([tuple([c.numerator * x for x in row])
+                         for row in a.ints]), a.den * c.denominator)
 
 
 class Monomial(NamedTuple):
@@ -137,19 +170,17 @@ def monomial_inv(m: Monomial) -> Monomial:
     return Monomial(tuple(perm), tuple(num), den)
 
 
-def sandwich(left: Monomial, a: Mat, right: Monomial) -> Mat:
+def sandwich(left: Monomial, a: Scaled, right: Monomial) -> Scaled:
     """left * a * right for monomial left and right, in O(n^2):
     entry [p][right.perm[k]] is left_p * a[left.perm[p]][k] * right_k."""
-    ai, da = cleared_mat(a)
-    den = left.den * da * right.den
+    n = len(right.perm)
     out = []
     for lp, lc in zip(left.perm, left.num):
-        row = [_ZERO] * len(right.perm)
-        for q, x, rc in zip(right.perm, ai[lp], right.num):
-            if x:
-                row[q] = Fraction(lc * x * rc, den)
-        out.append(row)
-    return out
+        row = [0] * n
+        for q, x, rc in zip(right.perm, a.ints[lp], right.num):
+            row[q] = lc * x * rc
+        out.append(tuple(row))
+    return Scaled(tuple(out), left.den * a.den * right.den)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -183,9 +214,14 @@ def block_diag(blocks: list) -> Mat:
     return out
 
 
+def int_rows(a) -> list:
+    """Rows of an integer matrix as {column: nonzero int}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
 def sparse_rows(a: Mat) -> list:
     """Rows of a as {column: nonzero int}, each row's denominators cleared."""
-    return [{j: x for j, x in enumerate(cleared(row)[0]) if x} for row in a]
+    return int_rows(cleared(row)[0] for row in a)
 
 
 def _cancel(r: dict, p: dict, col: int):

@@ -209,7 +209,7 @@ def suite_lift(report: SuiteReport, rng):
         lift_cache: dict = {}
         for _ in range(200):
             rm = oracle.sample_raising_map(vr, vpr, rng)
-            x, xp = oracle.moment_maps(rm)
+            x, xp = oracle._moment_values(rm)
             o = oracle._identify(x, vr.ambient)
             op_id = oracle._identify(xp, vpr.ambient)
             if o not in lift_cache:

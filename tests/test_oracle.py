@@ -14,12 +14,12 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
                        zero_orbit)
 from dualpairs.oracle import (_check_triple, _constrained_kernel,
                               _constrained_nullity, algebra_basis,
-                              classify_space, in_algebra, kernel_basis,
+                              classify_space, in_algebra,
                               kernel_form_nondegenerate, make_map,
                               random_isometry, sample_raising_map, sl2_gram,
                               standard_gram, truncate_map)
-from dualpairs.rational import (eye, inv, kron, mat, mul, rank, scal,
-                                transpose, zeros)
+from dualpairs.rational import (eye, inv, kron, mat, mul, nullspace, rank,
+                                scal, scaled, transpose, zeros)
 from helpers import add, commutator, is_zero_mat, kron_triple, matpow
 
 SP2 = complex_symplectic_space(2)
@@ -252,6 +252,78 @@ def test_make_map_adjoint_and_d_linearity():
             make_map(src, tgt, bad)
 
 
+def test_identify_rejects_matrices_outside_the_algebra():
+    """A wrong shape, a non-skew matrix and a skew but not D-linear one all
+    raise NotInAlgebra with the same message and context."""
+    non_d_linear = 0
+    for v in [SP4, O3, orthogonal_space(2, 1),
+              formed_space("R", "C", 1, signature=(1, 1)),
+              formed_space("R", "H", -1, dim=1)]:
+        amb = realize_triple(zero_orbit(v)).ambient
+        n = amb.n_real
+        bad = [zeros(n + 1, n), zeros(n, n + 1), eye(n)]
+        z = _fails_only_d_linearity(amb)
+        if z is not None:
+            bad.append(z)
+            non_d_linear += 1
+        for x in bad:
+            with pytest.raises(NotInAlgebra) as exc:
+                identify(x, amb)
+            assert exc.value.message == \
+                "matrix violates the form or D-linearity"
+            assert exc.value.context == {"space": v.render()}
+    assert non_d_linear == 2
+
+
+def _dual_pairs(max_dims):
+    for v in iter_spaces(max_dims[0]):
+        for vp in iter_spaces(max_dims[1]):
+            if (v.base, v.division) == (vp.base, vp.division) and \
+                    v.epsilon * vp.epsilon == -1:
+                yield v, vp
+
+
+def _same_value(a, b):
+    """Whether two scaled integer matrices hold the same rational matrix."""
+    return a.den > 0 and b.den > 0 and len(a.ints) == len(b.ints) and all(
+        len(ra) == len(rb) and all(x * b.den == y * a.den
+                                   for x, y in zip(ra, rb))
+        for ra, rb in zip(a.ints, b.ints))
+
+
+def test_moment_values_match_fraction_products():
+    """On every dual pair with dims <= (4, 6), over C and over R with
+    D = R, C, H: seeded raising maps and every descent witness.  The public
+    moment_maps are the Fraction products of T and T*, and _moment_values
+    the same values on integers over one denominator."""
+    from dualpairs import in_moment_image
+    from dualpairs.oracle import _moment_values
+    rng = random.Random(7)
+    maps, kinds, witnesses = [], set(), {"C": 0, "R": 0}
+    for v, vp in _dual_pairs((4, 6)):
+        kinds.add((v.base, v.division))
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        maps += [sample_raising_map(v_real, vp_real, rng) for _ in range(3)]
+        for op in enumerate_orbits(vp):
+            if not in_moment_image(op, v):
+                continue
+            try:
+                maps.append(construct_descent_element(realize_triple(op), v))
+            except IdentityViolated:  # no witness: the real-pair sign defect
+                continue
+            witnesses[v.base] += 1
+    assert kinds == {("C", "C"), ("R", "R"), ("R", "C"), ("R", "H")}
+    assert witnesses["C"] == 67 and witnesses["R"] >= 268
+    for rm in maps:
+        want = (mul(rm.t_star, rm.t), mul(rm.t, rm.t_star))
+        got = moment_maps(rm)
+        assert got == want
+        assert all(type(x) is Fraction for z in got for row in z for x in row)
+        assert all(_same_value(g, scaled(w))
+                   for g, w in zip(_moment_values(rm), want))
+
+
 def test_realize_cache_is_bounded_lru():
     from dualpairs import oracle
     tabs = [tab for v in iter_spaces(8) for tab in enumerate_orbits(v)]
@@ -356,7 +428,7 @@ def test_descent_witness_kernel():
     src = realize_triple(T31_O4)
     rm = construct_descent_element(src, SP4)
     dr = src.ambient.dr
-    assert len(kernel_basis(rm)) == 2 * dr
+    assert len(nullspace(rm.t)) == 2 * dr
     assert kernel_form_nondegenerate(rm)
     x, xp = moment_maps(rm)
     assert identify(x, rm.source) == T211

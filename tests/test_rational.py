@@ -1,15 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (block_diag, echelon, eye, inv, kron, mat,
-                                mat_vec, monomial, monomial_inv, mul,
-                                nullspace, rank, rref, sandwich, scal, shape,
-                                solve, sparse_rows, sylvester_signature,
-                                transpose, zeros)
+from dualpairs.rational import (Scaled, block_diag, echelon, eye, inv, kron,
+                                fraction_mat, mat, mat_vec, monomial,
+                                monomial_inv, mul, nullspace, rank, rescale,
+                                rref, sandwich, scal, scaled, scaled_mul,
+                                shape, solve, sparse_rows,
+                                sylvester_signature, transpose, zeros)
 from helpers import add
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -51,8 +53,70 @@ def test_monomial_round_trip_and_sandwich():
                                                    Fraction(2, 3)]
     m_inv = monomial_inv(m)
     c = mat([[1, Fraction(1, 5), 2], [0, -3, Fraction(7, 2)], [4, 1, 0]])
-    assert sandwich(m, c, m_inv) == mul(a, mul(c, inv(a)))
-    assert sandwich(m_inv, eye(3), m) == eye(3)
+    assert fraction_mat(sandwich(m, scaled(c), m_inv)) == mul(a, mul(c, inv(a)))
+    assert fraction_mat(sandwich(m_inv, scaled(eye(3)), m)) == eye(3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda m: st.integers(0, 4).flatmap(
+    lambda n: small_mat(m, n, st.one_of(SMALL, st.integers(-6, 6))))))
+def test_scaled_round_trip(a):
+    s = scaled(a)
+    assert s.den == math.lcm(*[Fraction(x).denominator for row in a for x in row])
+    assert all(type(x) is int for row in s.ints for x in row)
+    assert fraction_mat(s) == a
+    assert all(type(x) is Fraction for row in fraction_mat(s) for x in row)
+
+
+def test_scaled_zero_sized_operands():
+    assert scaled([]) == Scaled((), 1) and fraction_mat(Scaled((), 1)) == []
+    assert scaled([[], []]) == Scaled(((), ()), 1)
+    assert fraction_mat(Scaled(((), ()), 5)) == [[], []]
+    a = scaled(mat([[1, 2, 3], [4, 5, 6]]))
+    assert scaled_mul(scaled([]), a) == Scaled((), 1)
+    assert scaled_mul(a, Scaled(((), (), ()), 2)) == Scaled(((), ()), 2)
+    assert rescale(Scaled((), 3), Fraction(-1, 2)) == Scaled((), 6)
+
+
+def test_rescale_keeps_the_denominator_positive():
+    a = mat([[Fraction(1, 2), -3], [0, Fraction(-5, 6)]])
+    for c in (Fraction(-3, 4), -2, Fraction(7, 5), 0):
+        s = rescale(scaled(a), c)
+        assert s.den > 0 and s.den == scaled(a).den * Fraction(c).denominator
+        assert fraction_mat(s) == scal(c, a)
+
+
+def test_scaled_mul_denominator_is_the_product():
+    a = mat([[Fraction(1, 2), Fraction(1, 3)], [1, 0]])
+    b = mat([[Fraction(2, 5), 0, 1], [Fraction(1, 7), 3, 0]])
+    assert (scaled(a).den, scaled(b).den) == (6, 35)
+    p = scaled_mul(scaled(a), scaled(b))
+    assert p.den == 6 * 35
+    assert fraction_mat(p) == mul(a, b)
+
+
+def test_integer_sandwich_matches_dense_product():
+    """B^-1 A B' on integers for monomial B (n x n) and B' (m x m) and an
+    n x m A, as make_map writes an adjoint: against the dense product, and
+    over the product of the three denominators."""
+    rng = random.Random(4)
+
+    def random_monomial(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out = zeros(n, n)
+        for i, j in enumerate(perm):
+            out[i][j] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        return out
+
+    for n, m in ((1, 1), (2, 3), (4, 2), (3, 3)):
+        b, bp = random_monomial(n), random_monomial(m)
+        a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
+             for _ in range(n)]
+        left, right = monomial_inv(monomial(b)), monomial(bp)
+        got = sandwich(left, scaled(a), right)
+        assert got.den == left.den * scaled(a).den * right.den
+        assert fraction_mat(got) == mul(inv(b), mul(a, bp))
 
 
 def test_monomial_rejects_non_monomial_rows():
