@@ -9,7 +9,9 @@ entry z becomes the dr x dr block L_z of left multiplication by z, so a
 D-valued form becomes its real part, and the space stores the
 right-multiplication structure matrices alongside.  Division indices are
 innermost: D-basis index a occupies coordinates a*dr .. a*dr+dr-1
-(dr = dim_F D).
+(dr = dim_F D).  Each matrix is built once, in its final form: Gram and
+D-structure matrices as monomials (rational.Monomial), x, h, y as frozen
+int tuples, witnesses as int matrices, maps as rational.Scaled.
 
 Conventions for the sl2 blocks (fixed once, used by realize and identify):
   X e_r = r e_{r-1},  H e_r = (t-1-2r) e_r,  Y e_r = (t-1-r) e_{r+1};
@@ -37,12 +39,11 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, Scaled, block_diag, cleared, echelon, eye,
-                       fraction_mat, int_mul, int_rows, kernel, kron, mat,
-                       mat_vec, monomial, monomial_inv, mul, nullspace, rank,
-                       rescale, sandwich, scal, scaled, scaled_mul, shape,
-                       solve, sparse_rows, sylvester_signature, transpose,
-                       zeros)
+from .rational import (Mat, Monomial, Scaled, cleared, dense, echelon, eye,
+                       fraction_mat, int_mul, int_rows, kernel, monomial,
+                       monomial_inv, monomial_rows, mul, rank, rescale,
+                       sandwich, scal, scaled, scaled_mul, shape, solve,
+                       sylvester_signature, transpose)
 from .theta import generalized_descent, reduced_pair_dims
 
 
@@ -58,23 +59,7 @@ def s_twist(t: int, base: str) -> int:
     return (-1) ** (t // 2)
 
 
-def sl2_form_coeffs(t: int, base: str) -> list:
-    """c_r with S_t[r][t-1-r] = c_r."""
-    sig = sigma_t(t, base)
-    fact = math.factorial
-    return [Fraction((-1) ** r * fact(r) * fact(t - 1 - r) * sig, fact(t - 1))
-            for r in range(t)]
-
-
-def sl2_gram(t: int, base: str) -> Mat:
-    c = sl2_form_coeffs(t, base)
-    out = zeros(t, t)
-    for r in range(t):
-        out[r][t - 1 - r] = c[r]
-    return out
-
-
-# -- realification -------------------------------------------------------
+# -- reference forms ------------------------------------------------------
 
 
 def coordinates(base: str, division: str) -> DivisionAlgebra:
@@ -83,48 +68,84 @@ def coordinates(base: str, division: str) -> DivisionAlgebra:
     return DIVISIONS["R" if base == "C" else division]
 
 
-def _reference_form(space: FormedSpace) -> tuple:
-    """(g, L_u) with standard_gram(space) = kron(g, L_u)."""
-    div = coordinates(space.base, space.division)
+def _monomial(blocks) -> Monomial:
+    """The monomial matrix with diagonal blocks kron(p, e), written entry
+    by entry: p a monomial pattern, given as the (column, value) of each of
+    its rows, and e a signed permutation block such as L_u or R_u."""
+    perm, vals = [], []
+    for pattern, e in blocks:
+        off, k = len(perm), len(e.perm)
+        for col, c in pattern:
+            for j, x in zip(e.perm, e.num):
+                perm.append(off + col * k + j)
+                vals.append(c * x)
+    num, den = cleared(vals)
+    return Monomial(tuple(perm), tuple(num), den)
+
+
+def _pattern(space: FormedSpace) -> list:
+    """(column, value) of each row of the reference form's pattern g of
+    D-entries: +-1 on the diagonal by the signature, hyperbolic pairs for a
+    symplectic form, the identity otherwise."""
     n = space.dim
-    g = eye(n)
     if space.kind == "sig":
-        for i in range(space.signature[0], n):
-            g[i][i] = Fraction(-1)
-    elif space.epsilon == -1 and space.division != "H":  # symplectic
-        g = kron(eye(n // 2), mat([[0, 1], [-1, 0]]))
-    u = 1 if space.tag() in (("R", "C", -1), ("R", "H", -1)) else 0
-    return g, div.lmat(div.unit(u))
+        return [(a, 1 if a < space.signature[0] else -1) for a in range(n)]
+    if space.epsilon == -1 and space.division != "H":  # symplectic
+        return [(a + 1, 1) if a % 2 == 0 else (a - 1, -1) for a in range(n)]
+    return [(a, 1) for a in range(n)]
+
+
+def _gram(strings) -> Monomial:
+    """Gram matrix of the blocks kron(g, s_t S_t, L_u) down the diagonal,
+    one per (t, U) in strings: g the pattern of U's reference form, S_t the
+    sl2 form of the module docstring and L_u left multiplication by u, the
+    unit i for the (R, C, -1) and (R, H, -1) types and 1 otherwise."""
+    blocks, fact = [], math.factorial
+    for t, u_space in strings:
+        base = u_space.base
+        div = coordinates(base, u_space.division)
+        u = 1 if u_space.tag() in (("R", "C", -1), ("R", "H", -1)) else 0
+        sign = s_twist(t, base) * sigma_t(t, base)
+        coeffs = [Fraction((-1) ** r * fact(r) * fact(t - 1 - r) * sign,
+                           fact(t - 1)) for r in range(t)]
+        blocks.append(([(ga * t + t - 1 - r, sa * c)
+                        for ga, sa in _pattern(u_space)
+                        for r, c in enumerate(coeffs)],
+                       monomial(div.lmat(div.unit(u)))))
+    return _monomial(blocks)
 
 
 def standard_gram(space: FormedSpace) -> Mat:
-    """Rational Gram matrix of the reference form: kron(g, L_u), g the +-1
-    or hyperbolic pattern of D-entries and L_u left multiplication by u,
-    the unit i for the (R, C, -1) and (R, H, -1) types and 1 otherwise."""
-    return kron(*_reference_form(space))
+    """Rational Gram matrix of the reference form: kron(g, L_u), the one
+    string of length 1 of _gram."""
+    return dense(_gram([(1, space)]))
 
 
-def structure_matrices(n_d: int, div: DivisionAlgebra) -> list:
-    return [kron(eye(n_d), div.rmat(div.unit(k))) for k in range(1, div.dim)]
+def _structures(n_d: int, div: DivisionAlgebra) -> tuple:
+    """The D-structures kron(I_{n_d}, R_e), right multiplication by each
+    non-real unit e: signed permutations, so their denominator is 1."""
+    ident = [(i, 1) for i in range(n_d)]
+    return tuple(_monomial([(ident, monomial(div.rmat(div.unit(k))))])
+                 for k in range(1, div.dim))
 
 
+@dataclass(frozen=True)
 class AmbientSpace:
-    """Rational carrier of a formed space: gram and the D-structures (none
-    over base C, where D acts as Q), dense and in monomial form, and the
-    monomial inverse of gram."""
+    """Rational carrier of a formed space, kept in monomial form only: the
+    Gram matrix B, its inverse and the D-structures (none over base C,
+    where D acts as Q).  gram and structures are fresh dense copies."""
+    space: FormedSpace
+    gram_mono: Monomial
+    gram_inv_mono: Monomial
+    structure_monos: tuple
 
-    def __init__(self, space: FormedSpace, gram: Mat):
-        self.space = space
-        self.gram = gram
-        self.structures = structure_matrices(
-            space.dim, coordinates(space.base, space.division))
-        try:
-            self.gram_mono = monomial(gram)
-            self.structure_monos = [monomial(j) for j in self.structures]
-        except ValueError as exc:
-            raise IdentityViolated("reference matrix is not monomial",
-                                   space=space.render(), reason=str(exc))
-        self.gram_inv_mono = monomial_inv(self.gram_mono)
+    @property
+    def gram(self) -> Mat:
+        return dense(self.gram_mono)
+
+    @property
+    def structures(self) -> list:
+        return [dense(j) for j in self.structure_monos]
 
     @property
     def dr(self) -> int:
@@ -132,18 +153,17 @@ class AmbientSpace:
 
     @property
     def n_real(self) -> int:
-        return len(self.gram)
+        return len(self.gram_mono.perm)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixRealization:
     ambient: AmbientSpace
     tableau: AdmissibleTableau
-    x: Mat
-    h: Mat
-    y: Mat
+    x: tuple            # x, h, y: tuples of int tuples
+    h: tuple
+    y: tuple
     weights: tuple      # H-weight of each D-basis index
-    string_pos: tuple   # r within its sl2 string, per D-basis index
     row_offsets: tuple  # first D-index of each tableau row block
 
     def d_index(self, row_i: int, a: int, r: int) -> int:
@@ -165,23 +185,22 @@ def realize_triple(tab: AdmissibleTableau) -> MatrixRealization:
 
 @functools.lru_cache(maxsize=REALIZE_CACHE_SIZE)
 def _realize(tab: AdmissibleTableau) -> MatrixRealization:
-    """x, h, y written entry by entry from the weight strings as integer
-    matrices, D-coordinate innermost: H = w = t-1-2r on the diagonal, X = r
-    above it and Y = t-1-r = w + r below it, a string step being dr."""
+    """The Gram matrix written as a monomial, one string block per row, and
+    x, h, y entry by entry from the weight strings as integer matrices,
+    D-coordinate innermost: H = w = t-1-2r on the diagonal, X = r above it
+    and Y = t-1-r = w + r below it, a string step being dr."""
     validate(tab)
     space = tab.space
-    base = space.base
     dr = space.d
-    grams, weights, string_pos, offsets = [], [], [], []
+    weights, string_pos, offsets = [], [], []
     for row in tab.rows:
         offsets.append(len(weights))
         t, m = row.t, row.mult.dim
         weights += [t - 1 - 2 * r for r in range(t)] * m
         string_pos += list(range(t)) * m
-        g, l_u = _reference_form(row.mult)
-        st = scal(s_twist(t, base), sl2_gram(t, base))
-        grams.append(kron(kron(g, st), l_u))
-    amb = AmbientSpace(space, block_diag(grams))
+    gram = _gram([(row.t, row.mult) for row in tab.rows])
+    amb = AmbientSpace(space, gram, monomial_inv(gram), _structures(
+        space.dim, coordinates(space.base, space.division)))
     n = amb.n_real
     x, h, y = ([[0] * n for _ in range(n)] for _ in range(3))
     for i, (w, r) in enumerate(zip(weights, string_pos)):
@@ -191,8 +210,9 @@ def _realize(tab: AdmissibleTableau) -> MatrixRealization:
                 x[c - dr][c] = r
             if w + r:
                 y[c + dr][c] = w + r
+    x, h, y = (tuple(map(tuple, z)) for z in (x, h, y))
     real = MatrixRealization(ambient=amb, tableau=tab, x=x, h=h, y=y,
-                             weights=tuple(weights), string_pos=tuple(string_pos),
+                             weights=tuple(weights),
                              row_offsets=tuple(offsets))
     _check_triple(real)
     return real
@@ -203,7 +223,7 @@ def _check_triple(real: MatrixRealization):
     (z = zi / d): [hi, xi] = 2d xi, [hi, yi] = -2d yi, [xi, yi] = d hi;
     then each matrix's membership in the algebra."""
     n = len(real.x)
-    zi, d = scaled(real.x + real.h + real.y)
+    zi, d = scaled([*real.x, *real.h, *real.y])
     x, h, y = (int_rows(zi[k:k + n]) for k in (0, n, 2 * n))
     for a, b, k, c, msg in ((h, x, 2 * d, x, "[H,X] != 2X"),
                             (h, y, -2 * d, y, "[H,Y] != -2Y"),
@@ -310,9 +330,12 @@ def make_map(source: AmbientSpace, target: AmbientSpace, t: Mat) -> RationalMap:
 
 
 def _moment_values(rm: RationalMap) -> tuple:
-    """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'."""
+    """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'.
+    TT* out of the zero space is zero: T* has no rows to carry its size."""
     x = scaled_mul(rm.scaled_t_star, rm.scaled_t)
-    xp = scaled_mul(rm.scaled_t, rm.scaled_t_star)
+    n = rm.target.n_real
+    xp = (scaled_mul(rm.scaled_t, rm.scaled_t_star) if rm.source.n_real
+          else Scaled(((0,) * n,) * n, 1))
     _assert_in_algebra(x, rm.source)
     _assert_in_algebra(xp, rm.target)
     return x, xp
@@ -332,12 +355,12 @@ def _d_rank(r: int, dr: int) -> int:
 
 
 def kernel_form_nondegenerate(rm: RationalMap) -> bool:
-    basis = nullspace(rm.t)
-    if not basis:
-        return True
-    k = transpose(basis)
-    bk = mul(transpose(k), mul(rm.source.gram, k))
-    return rank(bk) == len(basis)
+    """B restricted to Ker T is non-degenerate, on integers: the Gram matrix
+    bk of the cleared kernel basis k under den * B has full rank."""
+    n = rm.source.n_real
+    k = [cleared(v)[0] for v in kernel(int_rows(rm.scaled_t.ints), n)]
+    bk = int_mul(k, transpose(monomial_rows(rm.source.gram_mono, k)))
+    return len(echelon(int_rows(bk))) == len(k)
 
 
 # -- identification ------------------------------------------------------
@@ -346,7 +369,7 @@ def kernel_form_nondegenerate(rm: RationalMap) -> bool:
 def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
                 expect: int) -> list:
     """Greedy D-basis, modulo the D-submodule spanned by lower, of the
-    D-submodule spanned by lower and a list of real-space vectors.  Returns
+    D-submodule spanned by lower and a list of integer vectors.  Returns
     the D-lines of the chosen vectors v: the rows v*e_al, al < dr, so that
     a D-valued form on the basis has the rational Gram matrix with blocks
     L_z on them."""
@@ -360,9 +383,10 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
         echelon(int_rows([v]), span)
         if len(span) == before:
             continue
-        line = [v] + [mat_vec(j, v) for j in amb.structures]
+        # the D-structures have denominator 1: these rows are J v exactly
+        line = [v] + [monomial_rows(j, [v])[0] for j in amb.structure_monos]
         lines += line
-        echelon(sparse_rows(line[1:]), span)
+        echelon(int_rows(line[1:]), span)
     if len(lines) != expect * amb.dr or len(span) != base_rank + len(lines):
         raise IdentityViolated("could not extract a D-basis",
                                expected=expect, got=len(lines) // amb.dr)
@@ -383,8 +407,7 @@ def classify_space(br: Mat, base: str, division: str, epsilon: int) -> FormedSpa
     if tag not in SIG_KINDS:
         return formed_space(base, division, epsilon, dim=m)
     if tag == ("R", "C", -1):
-        j = kron(eye(m), div.rmat(div.unit(1)))
-        br = mul(transpose(j), br)
+        br = mul(transpose(dense(_structures(m, div)[0])), br)
     pos, negc, zero = sylvester_signature(br)
     if zero:
         raise IdentityViolated("degenerate after diagonalization")
@@ -413,6 +436,14 @@ def _nonzeros(m: Mat) -> tuple:
     return by_row, by_col
 
 
+def _monomial_nonzeros(m: Monomial) -> tuple:
+    """_nonzeros of a monomial matrix: one entry in each row and column."""
+    by_col = [None] * len(m.perm)
+    for p, (q, c) in enumerate(zip(m.perm, m.num)):
+        by_col[q] = [(p, c)]
+    return [[entry] for entry in zip(m.perm, m.num)], by_col
+
+
 def _constraint_rows(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
     """Sparse integer rows of the skewness + D-linearity + [Z, M] = 0
     constraints over the matrix entries Z[i][j], (i, j) in pairs.  Each
@@ -423,15 +454,16 @@ def _constraint_rows(amb: AmbientSpace, pairs: list, commute_with: list) -> list
         row = rows.setdefault(cell, {})
         row[var] = row.get(var, 0) + coeff
 
-    b_rows, b_cols = _nonzeros(amb.gram)
+    b_rows, b_cols = _monomial_nonzeros(amb.gram_mono)
     for vi, (i, j) in enumerate(pairs):
         # (Z^T B + B Z)[p][q] = sum_k Z[k][p] B[k][q] + sum_k B[p][k] Z[k][q]
         for q, c in b_rows[i]:
             bump(("s", j, q), vi, c)
         for p, c in b_cols[i]:
             bump(("s", p, j), vi, c)
-    for mi, m in enumerate(list(amb.structures) + list(commute_with)):
-        m_rows, m_cols = _nonzeros(m)
+    blocks = ([_monomial_nonzeros(j) for j in amb.structure_monos]
+              + [_nonzeros(m) for m in commute_with])
+    for mi, (m_rows, m_cols) in enumerate(blocks):
         for vi, (i, j) in enumerate(pairs):
             # (Z M - M Z)[p][q]
             for q, c in m_rows[j]:
@@ -546,17 +578,16 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     rows = []
     for t in sorted(mults, reverse=True):
         # on integers: the rows xi v = den x v for v in ker x^(t+1), the
-        # basis lines times ld, their images under xi^(t-1) = den^(t-1)
-        # x^(t-1) and the Gram matrix times gram.den; scale divides them out
+        # basis lines, their images under xi^(t-1) = den^(t-1) x^(t-1) and
+        # the Gram matrix times gram.den; scale divides them out
         lower = kers[t - 1] + list(int_mul(kers[min(t + 1, top)],
                                            transpose(xi)))
-        lines, ld = scaled(_d_basis_of(kers[t], lower, amb, mults[t]))
+        lines = _d_basis_of(kers[t], lower, amb, mults[t])
         images = int_mul(lines, transpose(powers[t - 1]))
-        gram_images = [[c * v[q] for q, c in zip(gram.perm, gram.num)]
-                       for v in images]
+        gram_images = monomial_rows(gram, images)
         scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
                          sigma_t(t, base) * math.factorial(t - 1)
-                         * den ** (t - 1) * gram.den * ld ** 2)
+                         * den ** (t - 1) * gram.den)
         beta = fraction_mat(rescale(
             Scaled(int_mul(lines, transpose(gram_images)), 1), scale))
         mult = classify_space(beta, base, amb.space.division,
@@ -589,25 +620,25 @@ def construct_descent_element(src_real: MatrixRealization,
     op = src_real.tableau
     dres = generalized_descent(op, v)
     tgt_real = realize_triple(dres.target)
-    dr = src_real.ambient.dr
-    n_src_d = op.space.dim
-    n_tgt_d = v.dim
-    t_d = zeros(n_src_d, n_tgt_d)
+    links = []  # (source, target) D-indices of T's unit D-entries
     src_rows = {row.t: i for i, row in enumerate(op.rows)}
     for ti, trow in enumerate(dres.target.rows):
         t, m = trow.t, trow.mult.dim
         if t >= 2:
             si = src_rows[t + 1]
-            for a in range(m):
-                for r in range(t):
-                    t_d[src_real.d_index(si, a, r)][tgt_real.d_index(ti, a, r)] = Fraction(1)
-        else:
-            if dres.U1.is_zero:
-                continue
+            links += [(src_real.d_index(si, a, r), tgt_real.d_index(ti, a, r))
+                      for a in range(m) for r in range(t)]
+        elif not dres.U1.is_zero:
             si = src_rows[2]
-            for a, pos in enumerate(_embed_positions(dres.U1, dres.U)):
-                t_d[src_real.d_index(si, a, 0)][tgt_real.d_index(ti, pos, 0)] = Fraction(1)
-    t_real = kron(t_d, eye(dr))
+            positions = _embed_positions(dres.U1, dres.U)
+            links += [(src_real.d_index(si, a, 0), tgt_real.d_index(ti, p, 0))
+                      for a, p in enumerate(positions)]
+    dr = src_real.ambient.dr
+    t_real = [[0] * tgt_real.ambient.n_real
+              for _ in range(src_real.ambient.n_real)]
+    for i, j in links:
+        for al in range(dr):
+            t_real[i * dr + al][j * dr + al] = 1
     rm = make_map(tgt_real.ambient, src_real.ambient, t_real)
     _check_degree(rm, tgt_real, src_real)
     x, xp = _moment_values(rm)
@@ -635,20 +666,6 @@ def _check_degree(rm: RationalMap, tgt_real: MatrixRealization,
             if val and src_real.weights[i // dr] != tgt_real.weights[j // dr] + 1:
                 raise IdentityViolated("witness does not raise weights by one",
                                        entry=(i, j))
-
-
-def truncate_map(s_map: RationalMap, src_real: MatrixRealization) -> RationalMap:
-    """The first-column-erasure operator: compose S* with the projection
-    killing top-weight coordinates of each string, take adjoints back."""
-    dr = src_real.ambient.dr
-    n = src_real.ambient.n_real
-    proj = zeros(n, n)
-    for i in range(n):
-        if src_real.string_pos[i // dr] != 0:
-            proj[i][i] = Fraction(1)
-    t_star = scaled(mul(s_map.t_star, proj))
-    t = sandwich(s_map.source.gram_mono, t_star, s_map.target.gram_inv_mono)
-    return make_map(s_map.source, s_map.target, transpose(fraction_mat(t)))
 
 
 # -- random elements -----------------------------------------------------

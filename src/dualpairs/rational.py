@@ -8,12 +8,14 @@ Fractions only at its end.  `mul` works on integers inside too: it clears
 the denominators of each row of its left operand and each column of its
 right operand once, takes integer dot products and builds one Fraction per
 output entry.  Monomial matrices (one nonzero entry in each row and each
-column, like every reference Gram and D-structure matrix) are also kept as
-a permutation with integer scales.
+column, like every reference Gram and D-structure matrix) are kept as a
+permutation with integer scales over one denominator; `dense` writes one
+out as a Fraction matrix, `monomial_rows` applies one to integer vectors
+and `sandwich` multiplies a scaled matrix by one on each side.
 Elimination is fraction-free on sparse integer rows {column: nonzero int}:
 `echelon` reduces each row against the pivot of its smallest column and
 keeps every pivot row primitive; its size is the rank.  One
-back-substitution turns it into the RREF that `rref` and `nullspace` read.
+back-substitution turns it into the RREF that `rref` and `kernel` read.
 All routines tolerate zero-sized operands so that empty blocks (trivial
 kernels, zero multiplicity spaces) flow through block constructions.
 """
@@ -26,7 +28,6 @@ from operator import mul as _imul
 from typing import NamedTuple
 
 Mat = list
-Vec = list
 
 
 def frac(x) -> Fraction:
@@ -170,6 +171,20 @@ def monomial_inv(m: Monomial) -> Monomial:
     return Monomial(tuple(perm), tuple(num), den)
 
 
+def dense(m: Monomial) -> Mat:
+    """The Fraction matrix of m."""
+    out = zeros(len(m.perm), len(m.perm))
+    for row, j, c in zip(out, m.perm, m.num):
+        row[j] = _ratio(c, m.den)
+    return out
+
+
+def monomial_rows(m: Monomial, vectors) -> list:
+    """m.den * m v for each integer vector v, as int lists: entry p is
+    m.num[p] * v[m.perm[p]]."""
+    return [[c * v[q] for q, c in zip(m.perm, m.num)] for v in vectors]
+
+
 def sandwich(left: Monomial, a: Scaled, right: Monomial) -> Scaled:
     """left * a * right for monomial left and right, in O(n^2):
     entry [p][right.perm[k]] is left_p * a[left.perm[p]][k] * right_k."""
@@ -181,37 +196,6 @@ def sandwich(left: Monomial, a: Scaled, right: Monomial) -> Scaled:
             row[q] = lc * x * rc
         out.append(tuple(row))
     return Scaled(tuple(out), left.den * a.den * right.den)
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    ma, na = shape(a)
-    mb, nb = shape(b)
-    out = zeros(ma * mb, na * nb)
-    for i in range(ma):
-        for j in range(na):
-            x = a[i][j]
-            if not x:
-                continue
-            for k in range(mb):
-                for l in range(nb):
-                    out[i * mb + k][j * nb + l] = x * b[k][l]
-    return out
-
-
-def block_diag(blocks: list) -> Mat:
-    """Square blocks down the diagonal, zeros elsewhere."""
-    n = sum(len(b) for b in blocks)
-    out = zeros(n, n)
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[off + i][off:off + len(b)] = row
-        off += len(b)
-    return out
 
 
 def int_rows(a) -> list:
@@ -289,7 +273,8 @@ def _reduced(rows) -> dict:
 
 def kernel(rows, n: int) -> list:
     """Basis of the right kernel of integer rows over n columns, one vector
-    per free column, as in nullspace."""
+    per free column: 1 there, minus the RREF's entries in that column at
+    the pivots, 0 elsewhere."""
     pivots = _reduced(rows)
     free = {j: i for i, j in enumerate(j for j in range(n) if j not in pivots)}
     basis = [[_ZERO] * n for _ in free]
@@ -321,11 +306,6 @@ def rref(a: Mat) -> tuple:
 
 def rank(a: Mat) -> int:
     return len(echelon(sparse_rows(a)))
-
-
-def nullspace(a: Mat) -> list:
-    """Basis of the right kernel, one vector per free column."""
-    return kernel(sparse_rows(a), shape(a)[1])
 
 
 def solve(a: Mat, b: Mat) -> Mat:

@@ -6,18 +6,22 @@ Lambda^2(V) for orthogonal-type ones, and gl(V) = V (x) V* for unitary
 groups.  None of this touches the matrix code under test.
 
 Small dense matrix helpers that only tests need (sums, differences,
-commutators, powers, the zero test) sit at the end, after them the
-realization's sl2 triple assembled from Kronecker products, a reference for
-the entry-by-entry one; `mul` and `kron` come from the kernel, which
-test_rational checks against the textbook product.
+commutators, powers, the zero test, the nullspace, Kronecker products and
+block diagonals) sit at the end.  After them come the realization's sl2
+triple, Gram matrix and D-structures assembled from Kronecker products, a
+reference for the entry-by-entry ones; `mul` and `kernel` come from the
+package, which test_rational checks against the textbook product and
+Gauss-Jordan elimination.
 """
 
+import math
 from collections import Counter
 
 from dualpairs import complexify_tableau
 from fractions import Fraction
 
-from dualpairs.rational import block_diag, eye, kron, mul, zeros
+from dualpairs.division import DIVISIONS
+from dualpairs.rational import eye, kernel, mat, mul, sparse_rows, zeros
 
 
 def sl2_weights(t: int) -> list:
@@ -86,6 +90,35 @@ def is_zero_mat(a) -> bool:
     return all(not x for row in a for x in row)
 
 
+def nullspace(a):
+    """Basis of the right kernel of a rational matrix, one vector per free
+    column, as the kernel reads it from the RREF."""
+    return kernel(sparse_rows(a), len(a[0]) if a else 0)
+
+
+def kron(a, b):
+    na, nb = (len(z[0]) if z else 0 for z in (a, b))
+    out = zeros(len(a) * len(b), na * nb)
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for k, brow in enumerate(b):
+                for l, y in enumerate(brow):
+                    out[i * len(b) + k][j * len(brow) + l] = x * y
+    return out
+
+
+def block_diag(blocks):
+    """Square blocks down the diagonal, zeros elsewhere."""
+    n = sum(len(b) for b in blocks)
+    out = zeros(n, n)
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
 def sl2_triple(t: int) -> tuple:
     """x, h, y on one string: X e_r = r e_(r-1), H e_r = (t-1-2r) e_r,
     Y e_r = (t-1-r) e_(r+1)."""
@@ -107,3 +140,59 @@ def kron_triple(tab) -> tuple:
         for out, z in zip(blocks, sl2_triple(row.t)):
             out.append(kron(kron(eye(row.mult.dim), z), eye(tab.space.d)))
     return tuple(block_diag(zs) for zs in blocks)
+
+
+def _coordinates(space):
+    # a base-C space is its Q-form, a base-R one is realified over D
+    return DIVISIONS["R" if space.base == "C" else space.division]
+
+
+def _reference_form(space) -> tuple:
+    """(g, L_u): the +-1 or hyperbolic pattern of D-entries and the block of
+    left multiplication by u, the unit i for the (R, C, -1) and (R, H, -1)
+    types and 1 otherwise."""
+    div = _coordinates(space)
+    n = space.dim
+    g = eye(n)
+    if space.kind == "sig":
+        for i in range(space.signature[0], n):
+            g[i][i] = Fraction(-1)
+    elif space.epsilon == -1 and space.division != "H":  # symplectic
+        g = kron(eye(n // 2), mat([[0, 1], [-1, 0]]))
+    u = 1 if space.tag() in (("R", "C", -1), ("R", "H", -1)) else 0
+    return g, div.lmat(div.unit(u))
+
+
+def kron_standard_gram(space):
+    return kron(*_reference_form(space))
+
+
+def sl2_gram(t: int, base: str):
+    """s_t S_t: S_t[r][t-1-r] = (-1)^r r!(t-1-r)!/(t-1)! sigma_t, with the
+    sign sigma_t and the twist s_t of the real forms."""
+    sigma = (-1) ** ((t - 1) // 2) if base == "R" and t % 2 else 1
+    twist = (-1) ** (t // 2) if base == "R" and t % 2 == 0 else 1
+    out = zeros(t, t)
+    for r in range(t):
+        out[r][t - 1 - r] = Fraction(
+            (-1) ** r * math.factorial(r) * math.factorial(t - 1 - r)
+            * sigma * twist, math.factorial(t - 1))
+    return out
+
+
+def kron_gram(tab):
+    """Gram matrix of realize_triple(tab): per row kron(kron(g, s_t S_t),
+    L_u) from the multiplicity space's reference form, the rows down the
+    diagonal."""
+    blocks = []
+    for row in tab.rows:
+        g, l_u = _reference_form(row.mult)
+        blocks.append(kron(kron(g, sl2_gram(row.t, tab.space.base)), l_u))
+    return block_diag(blocks)
+
+
+def kron_structures(space) -> list:
+    """The D-structures kron(I, R_e), e each non-real unit of D."""
+    div = _coordinates(space)
+    return [kron(eye(space.dim), div.rmat(div.unit(k)))
+            for k in range(1, div.dim)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpairs.division import DIVISIONS
-from dualpairs.rational import mat_vec, mul
+from dualpairs.rational import mul, transpose
 
 H = DIVISIONS["H"]
 C = DIVISIONS["C"]
@@ -53,8 +53,9 @@ def test_norm_multiplicative(x, y):
 @settings(max_examples=30, deadline=None)
 @given(elem, elem)
 def test_lmat_rmat_represent_multiplication(x, y):
-    assert tuple(mat_vec(H.lmat(x), list(y))) == H.mul(x, y)
-    assert tuple(mat_vec(H.rmat(x), list(y))) == H.mul(y, x)
+    column = transpose([list(y)])
+    assert tuple(transpose(mul(H.lmat(x), column))[0]) == H.mul(x, y)
+    assert tuple(transpose(mul(H.rmat(x), column))[0]) == H.mul(y, x)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,8 @@
 The combinatorial modules compute their claims without the matrix oracle,
 which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
-is still raised somewhere in the package.
+is still raised somewhere in the package, and every module-level function
+and class is used in it or exported.
 """
 
 import ast
@@ -76,3 +77,20 @@ def test_every_domain_error_is_raised():
                 raised.add(func.attr if isinstance(func, ast.Attribute)
                            else getattr(func, "id", None))
     assert defined and sorted(defined - raised) == []
+
+
+def test_every_module_level_name_is_used():
+    # a function or class outlives its last use only in the public API
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update((node.name, path.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items()
+                    if name not in used and name not in dualpairs.__all__)
+    assert unused == []

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (Scaled, block_diag, echelon, eye, inv, kron,
-                                fraction_mat, mat, mat_vec, monomial,
-                                monomial_inv, mul, nullspace, rank, rescale,
-                                rref, sandwich, scal, scaled, scaled_mul,
-                                shape, solve, sparse_rows,
+from dualpairs.rational import (Scaled, dense, echelon, eye, fraction_mat, inv,
+                                mat, monomial, monomial_inv, monomial_rows,
+                                mul, rank, rescale, rref, sandwich, scal,
+                                scaled, scaled_mul, shape, solve, sparse_rows,
                                 sylvester_signature, transpose, zeros)
-from helpers import add
+from helpers import add, block_diag, kron, nullspace
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -51,6 +50,10 @@ def test_monomial_round_trip_and_sandwich():
     assert m.perm == (1, 2, 0)
     assert [Fraction(c, m.den) for c in m.num] == [Fraction(-1, 2), 3,
                                                    Fraction(2, 3)]
+    assert dense(m) == a and dense(monomial(eye(0))) == []
+    v = [[4, -2, 6], [1, 0, -1]]
+    assert monomial_rows(m, v) == [[m.den * x for x in row]
+                                   for row in mul(v, transpose(a))]
     m_inv = monomial_inv(m)
     c = mat([[1, Fraction(1, 5), 2], [0, -3, Fraction(7, 2)], [4, 1, 0]])
     assert fraction_mat(sandwich(m, scaled(c), m_inv)) == mul(a, mul(c, inv(a)))
@@ -235,7 +238,7 @@ def test_nullspace_dimension_and_membership(a):
     ns = nullspace(a)
     assert len(ns) == 4 - rank(a)
     for v in ns:
-        assert all(x == 0 for x in mat_vec(a, v))
+        assert mul(a, transpose([v])) == zeros(3, 1)
 
 
 @settings(max_examples=30, deadline=None)
