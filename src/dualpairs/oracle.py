@@ -318,24 +318,30 @@ class RationalMap:
 def make_map(source: AmbientSpace, target: AmbientSpace, t: Mat) -> RationalMap:
     """T checked for its shape and D-linearity, cleared once, with T*
     written on integers from the monomial Gram forms B^-1 and B'."""
-    if shape(t) != (target.n_real, source.n_real):
+    n = source.n_real
+    if len(t) != target.n_real or any(len(row) != n for row in t):
         raise NotInAlgebra("map has wrong shape", shape=shape(t))
     ts = scaled(t)
     for js, jt in zip(source.structure_monos, target.structure_monos):
         if not _intertwines(ts.ints, js, jt):
             raise NotInAlgebra("map is not D-linear")
-    t_star = sandwich(source.gram_inv_mono,
-                      Scaled(tuple(zip(*ts.ints)), ts.den), target.gram_mono)
+    # T^T has n rows, empty ones when T has none
+    t_t = tuple(zip(*ts.ints)) or ((),) * n
+    t_star = sandwich(source.gram_inv_mono, Scaled(t_t, ts.den),
+                      target.gram_mono)
     return RationalMap(source, target, ts, t_star)
 
 
+def _square_mul(a: Scaled, b: Scaled, n: int) -> Scaled:
+    """The n x n product ab; over an inner dimension 0 it is zero, as b has
+    no rows to carry its width."""
+    return scaled_mul(a, b) if b.ints else Scaled(((0,) * n,) * n, 1)
+
+
 def _moment_values(rm: RationalMap) -> tuple:
-    """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'.
-    TT* out of the zero space is zero: T* has no rows to carry its size."""
-    x = scaled_mul(rm.scaled_t_star, rm.scaled_t)
-    n = rm.target.n_real
-    xp = (scaled_mul(rm.scaled_t, rm.scaled_t_star) if rm.source.n_real
-          else Scaled(((0,) * n,) * n, 1))
+    """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'."""
+    x = _square_mul(rm.scaled_t_star, rm.scaled_t, rm.source.n_real)
+    xp = _square_mul(rm.scaled_t, rm.scaled_t_star, rm.target.n_real)
     _assert_in_algebra(x, rm.source)
     _assert_in_algebra(xp, rm.target)
     return x, xp

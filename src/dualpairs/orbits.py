@@ -7,19 +7,25 @@ constraint that the tensor blocks sum to V.  Over the complex base field
 the multiplicity form is determined by its dimension and the tableau is
 just a constrained partition; over R the signatures distinguish the real
 forms of an orbit.
+
+Admissibility is counted, not built.  The block of a row of length t with
+multiplicity dimension c has dimension ct, so the blocks fill V whenever
+the rows partition dim V.  Only a signature-classified V constrains more:
+the positive indices of the blocks must add up to p(V), and the block of
+an even row has positive index ct/2 whatever its multiplicity form, while
+that of an odd row with multiplicity signature (p, c - p) has c(t-1)/2 + p.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (BadShape, BadSign, BoundExceeded, NotAdmissible,
                      UnsupportedRealClosure)
 from .forms import (EVEN_DIM_KINDS, SIG_KINDS, FormedSpace, GroupDescriptor,
-                    complexify, direct_sum, formed_space, group_factor,
-                    isometry_group, json_int, tensor_with_sl2, zero_space)
+                    complexify, formed_space, group_factor, isometry_group,
+                    json_int)
 
 DEFAULT_DIM_BOUND = 12
 
@@ -105,8 +111,18 @@ def zero_orbit(space: FormedSpace) -> AdmissibleTableau:
     return AdmissibleTableau(space, (TableauRow(1, space),))
 
 
+def _positive_index(t: int, c: int, p: int = 0) -> int:
+    """Positive index of the block of a row of length t and multiplicity
+    dimension c over a signature-classified V: ct/2 for even t, whatever
+    the multiplicity form, and c(t-1)/2 + p for odd t with multiplicity
+    signature (p, c - p)."""
+    return c * (t // 2) + (p if t % 2 else 0)
+
+
 def validate(tab: AdmissibleTableau) -> None:
-    """Raise unless tab is an admissible tableau for its ambient space."""
+    """Raise unless tab is an admissible tableau for its ambient space:
+    the shape first, then the sign of each row, then the sum of the blocks,
+    counted as a dimension and a positive index."""
     ts = [row.t for row in tab.rows]
     if any(t < 1 for t in ts):
         raise BadShape("row lengths must be positive", rows=ts)
@@ -114,30 +130,26 @@ def validate(tab: AdmissibleTableau) -> None:
         raise BadShape("row lengths must be strictly decreasing", rows=ts)
     if any(row.mult.dim == 0 for row in tab.rows):
         raise BadShape("rows must have nonzero multiplicity")
-    total = zero_space(tab.space.tag())
+    space = tab.space
+    sig = space.kind == "sig"
+    dim = pos = 0
     for row in tab.rows:
-        expected_eps = tab.space.epsilon * (-1) ** (row.t - 1)
-        if (row.mult.base, row.mult.division) != (tab.space.base, tab.space.division):
+        expected_eps = space.epsilon * (-1) ** (row.t - 1)
+        if (row.mult.base, row.mult.division) != (space.base, space.division):
             raise BadSign("multiplicity space over wrong base/division",
                           t=row.t, mult=row.mult.render())
         if row.mult.epsilon != expected_eps:
             raise BadSign("multiplicity sign must be (-1)^(t-1)*epsilon",
                           t=row.t, expected=expected_eps, got=row.mult.epsilon)
-        total = direct_sum(total, tensor_with_sl2(row.mult, row.t))
-    if total != tab.space:
+        dim += row.t * row.mult.dim
+        if sig:  # an odd row's multiplicity form has V's type, a signature
+            pos += _positive_index(row.t, row.mult.dim,
+                                   row.mult.signature[0] if row.t % 2 else 0)
+    if dim != space.dim or (sig and pos != space.signature[0]):
+        total = (formed_space(*space.tag(), signature=(pos, dim - pos)) if sig
+                 else formed_space(*space.tag(), dim=dim))
         raise NotAdmissible("tensor blocks do not sum to the ambient space",
-                            got=total.render(), expected=tab.space.render())
-
-
-def _mult_choices(space: FormedSpace, t: int, count: int):
-    """All multiplicity spaces of D-dimension count for a row of length t."""
-    eps = space.epsilon * (-1) ** (t - 1)
-    tag = (space.base, space.division, eps)
-    if tag in SIG_KINDS:
-        return [formed_space(*tag, signature=(p, count - p)) for p in range(count + 1)]
-    if tag in EVEN_DIM_KINDS and count % 2 != 0:
-        return []
-    return [formed_space(*tag, dim=count)]
+                            got=total.render(), expected=space.render())
 
 
 def _partitions(n: int, max_part: int | None = None):
@@ -151,28 +163,51 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def _admissible_mults(v: FormedSpace, rows: tuple, left: int):
+    """The multiplicity spaces of rows ((t, c), ...), one tuple per
+    admissible choice: over a signature-classified V the odd rows' p, each
+    at most its row's c, add up to left, and every other row takes each of
+    its forms."""
+    if not rows:
+        if left == 0:
+            yield ()
+        return
+    (t, c), rest = rows[0], rows[1:]
+    tag = (v.base, v.division, v.epsilon * (-1) ** (t - 1))
+    if tag not in SIG_KINDS:
+        if tag in EVEN_DIM_KINDS and c % 2:
+            return
+        choices = [(formed_space(*tag, dim=c), 0)]
+    elif v.kind == "sig" and t % 2:
+        room = sum(n for s, n in rest if s % 2)  # the later odd rows' share
+        choices = [(formed_space(*tag, signature=(p, c - p)), p)
+                   for p in range(max(0, left - room), min(c, left) + 1)]
+    else:
+        choices = [(formed_space(*tag, signature=(p, c - p)), 0)
+                   for p in range(c + 1)]
+    for mult, p in choices:
+        for tail in _admissible_mults(v, rest, left - p):
+            yield (mult,) + tail
+
+
 def enumerate_orbits(v: FormedSpace) -> list:
-    """All admissible tableaux over V, canonically ordered."""
+    """All admissible tableaux over V, canonically ordered.
+
+    Only admissible tableaux are generated: every partition of dim V, with
+    each row taking each of its multiplicity forms, except that over a
+    signature-classified V the odd rows' p add up to what p(V) leaves over
+    after the rows' ct/2 and c(t-1)/2 (see `_positive_index`)."""
     if v.dim_f > DEFAULT_DIM_BOUND:
         raise BoundExceeded("space exceeds enumeration bound",
                             dim_f=v.dim_f, bound=DEFAULT_DIM_BOUND)
     found = []
     for diagram in _partitions(v.dim):
-        parts = {}
-        for t in diagram:
-            parts[t] = parts.get(t, 0) + 1
-        lengths = sorted(parts, reverse=True)
-        pools = [_mult_choices(v, t, parts[t]) for t in lengths]
-        if any(not pool for pool in pools):
-            continue
-        for combo in product(*pools):
-            tab = AdmissibleTableau(v, tuple(TableauRow(t, m)
-                                             for t, m in zip(lengths, combo)))
-            try:
-                validate(tab)
-            except NotAdmissible:
-                continue
-            found.append(tab)
+        rows = tuple(Counter(diagram).items())  # lengths decreasing
+        left = (v.signature[0] - sum(_positive_index(t, c) for t, c in rows)
+                if v.kind == "sig" else 0)
+        for mults in _admissible_mults(v, rows, left):
+            found.append(AdmissibleTableau(v, tuple(
+                TableauRow(t, m) for (t, _), m in zip(rows, mults))))
     found.sort(key=lambda tb: tb.sort_key(), reverse=True)
     return found
 

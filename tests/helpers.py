@@ -12,15 +12,23 @@ triple, Gram matrix and D-structures assembled from Kronecker products, a
 reference for the entry-by-entry ones; `mul` and `kernel` come from the
 package, which test_rational checks against the textbook product and
 Gauss-Jordan elimination.
+
+Last comes the brute-force orbit enumeration: every product of
+multiplicity forms over every partition, kept when `validate` accepts it,
+and the block sum it checks built as a formed space with `direct_sum` and
+`tensor_with_sl2`.
 """
 
 import math
 from collections import Counter
-
-from dualpairs import complexify_tableau
 from fractions import Fraction
+from itertools import product
 
+from dualpairs import (AdmissibleTableau, NotAdmissible, TableauRow,
+                       complexify_tableau, direct_sum, formed_space,
+                       tensor_with_sl2, validate)
 from dualpairs.division import DIVISIONS
+from dualpairs.forms import EVEN_DIM_KINDS, SIG_KINDS, zero_space
 from dualpairs.rational import eye, kernel, mat, mul, sparse_rows, zeros
 
 
@@ -196,3 +204,53 @@ def kron_structures(space) -> list:
     div = _coordinates(space)
     return [kron(eye(space.dim), div.rmat(div.unit(k)))
             for k in range(1, div.dim)]
+
+
+def _partitions(n: int, max_part: int):
+    if n == 0:
+        yield ()
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _mult_choices(v, t: int, count: int) -> list:
+    """Every multiplicity space of D-dimension count for a row of length t."""
+    tag = (v.base, v.division, v.epsilon * (-1) ** (t - 1))
+    if tag in SIG_KINDS:
+        return [formed_space(*tag, signature=(p, count - p))
+                for p in range(count + 1)]
+    if tag in EVEN_DIM_KINDS and count % 2:
+        return []
+    return [formed_space(*tag, dim=count)]
+
+
+def candidate_tableaux(v):
+    """Every tableau over v with rows of the right signs: all partitions of
+    dim v, each row length taking every multiplicity form of its count."""
+    for diagram in _partitions(v.dim, v.dim):
+        lengths = sorted(set(diagram), reverse=True)
+        pools = [_mult_choices(v, t, diagram.count(t)) for t in lengths]
+        for combo in product(*pools):
+            yield AdmissibleTableau(v, tuple(map(TableauRow, lengths, combo)))
+
+
+def block_sum(tab):
+    """The direct sum of the rows' blocks mult (x) F^t, a formed space."""
+    total = zero_space(tab.space.tag())
+    for row in tab.rows:
+        total = direct_sum(total, tensor_with_sl2(row.mult, row.t))
+    return total
+
+
+def brute_enumerate(v) -> list:
+    """The candidate tableaux that validate accepts, canonically ordered."""
+    found = []
+    for tab in candidate_tableaux(v):
+        try:
+            validate(tab)
+        except NotAdmissible:
+            continue
+        found.append(tab)
+    found.sort(key=lambda tb: tb.sort_key(), reverse=True)
+    return found

@@ -3,8 +3,9 @@
 The combinatorial modules compute their claims without the matrix oracle,
 which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
-is still raised somewhere in the package, and every module-level function
-and class is used in it or exported.
+is still raised somewhere in the package, every module-level function
+and class is used in it or exported, and every module-level import is used
+in its module or exported.
 """
 
 import ast
@@ -93,4 +94,22 @@ def test_every_module_level_name_is_used():
                 used.add(node.attr)
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used and name not in dualpairs.__all__)
+    assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    # an import outlives its last use only as a re-export in __all__
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}"
+                   for name in sorted(imported - used)
+                   if name not in dualpairs.__all__]
     assert unused == []

@@ -94,6 +94,18 @@ def test_moment_maps_out_of_the_zero_space():
     assert identify(xp, tgt) == zero_orbit(SP2)
 
 
+def test_moment_maps_into_the_zero_space():
+    src = realize_triple(zero_orbit(SP2)).ambient
+    tgt = realize_triple(zero_orbit(formed_space("C", "C", 1, dim=0))).ambient
+    rm = make_map(src, tgt, [])
+    assert rm.t_star == [[], []]
+    x, xp = moment_maps(rm)
+    assert x == zeros(2, 2) and xp == []
+    assert identify(x, src) == zero_orbit(SP2)
+    with pytest.raises(NotInAlgebra, match="wrong shape"):
+        make_map(src, tgt, [[]])
+
+
 def test_realize_zero_orbit():
     r = realize_triple(zero_orbit(SP4))
     assert is_zero_mat(r.x) and is_zero_mat(r.h) and is_zero_mat(r.y)

@@ -1,7 +1,8 @@
 import pytest
 
 from dualpairs import (AdmissibleTableau, BadShape, BadSign, BoundExceeded,
-                       NotAdmissible, UnsupportedRealClosure, closure_leq,
+                       DomainError, NotAdmissible, TableauRow,
+                       UnsupportedRealClosure, closure_leq,
                        column_partition, complex_orthogonal_space,
                        complex_symplectic_space, complexify,
                        complexify_tableau, enumerate_orbits, formed_space,
@@ -10,7 +11,8 @@ from dualpairs import (AdmissibleTableau, BadShape, BadSign, BoundExceeded,
                        stabilizer, symplectic_space, tableau, validate,
                        whittaker_datum, zero_orbit)
 from dualpairs.oracle import graded_dims, realize_triple
-from helpers import expected_grading
+from helpers import (block_sum, brute_enumerate, candidate_tableaux,
+                     expected_grading)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -51,6 +53,30 @@ def test_enumeration_is_valid_and_duplicate_free():
         assert len(set(orbs)) == len(orbs)
 
 
+def test_enumeration_matches_brute_force():
+    # the same tableaux, in the same order, as every product of
+    # multiplicity forms filtered through validate
+    spaces = list(iter_spaces(12))
+    assert len(spaces) == 180
+    for v in spaces:
+        assert enumerate_orbits(v) == brute_enumerate(v), v.render()
+
+
+def test_validate_matches_the_block_sum_on_every_candidate():
+    # the formed-space sum of the blocks decides admissibility and is the
+    # rejection's payload
+    for v in iter_spaces(12):
+        for tab in candidate_tableaux(v):
+            total = block_sum(tab)
+            if total == v:
+                validate(tab)
+                continue
+            with pytest.raises(NotAdmissible) as exc:
+                validate(tab)
+            assert exc.value.context == {"got": total.render(),
+                                         "expected": v.render()}
+
+
 def test_enumeration_starts_at_closure_maximum():
     for v in iter_spaces(6, bases=("C",)):
         orbs = enumerate_orbits(v)
@@ -76,6 +102,39 @@ def test_validate_rejections():
     with pytest.raises(BadSign):
         validate(tableau(O3, [(3, formed_space("R", "R", 1, signature=(1, 0)))]))
     assert bad_sign is None
+
+
+def _error_json(space, rows) -> dict:
+    with pytest.raises(DomainError) as exc:
+        validate(AdmissibleTableau(space, tuple(
+            TableauRow(t, m) for t, m in rows)))
+    return exc.value.to_json()["error"]
+
+
+def test_validate_error_payloads():
+    r01 = formed_space("R", "R", 1, signature=(0, 1))
+    assert _error_json(orthogonal_space(2, 1), [(3, r01)]) == {
+        "code": "not_admissible",
+        "message": "tensor blocks do not sum to the ambient space",
+        "context": {"got": "R,R,+1 sig=(1,2)", "expected": "R,R,+1 sig=(2,1)"}}
+    assert _error_json(SP4, [(2, CPLUS1)]) == {
+        "code": "not_admissible",
+        "message": "tensor blocks do not sum to the ambient space",
+        "context": {"got": "C,C,-1 dim=2", "expected": "C,C,-1 dim=4"}}
+    # the sign of the second row is checked before the sum, which is off too
+    assert _error_json(SP4, [(2, CPLUS1), (1, CPLUS1)]) == {
+        "code": "bad_sign",
+        "message": "multiplicity sign must be (-1)^(t-1)*epsilon",
+        "context": {"t": 1, "expected": -1, "got": 1}}
+    assert _error_json(O3, [(3, r01)]) == {
+        "code": "bad_sign",
+        "message": "multiplicity space over wrong base/division",
+        "context": {"t": 3, "mult": "R,R,+1 sig=(0,1)"}}
+    # the shape is checked before any sign
+    assert _error_json(SP4, [(1, CPLUS1), (2, CPLUS1)]) == {
+        "code": "bad_shape",
+        "message": "row lengths must be strictly decreasing",
+        "context": {"rows": "[1, 2]"}}
 
 
 def test_real_admissibility_uses_signed_multiplicities():
