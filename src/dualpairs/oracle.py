@@ -41,9 +41,9 @@ from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
 from .rational import (Mat, Monomial, Scaled, cleared, dense, echelon, eye,
                        fraction_mat, int_mul, int_rows, kernel, monomial,
-                       monomial_inv, monomial_rows, mul, rank, rescale,
-                       sandwich, scal, scaled, scaled_mul, shape, solve,
-                       sylvester_signature, transpose)
+                       monomial_inv, monomial_rows, sandwich, scaled,
+                       scaled_mul, shape, solve, sylvester_signature,
+                       transpose)
 from .theta import generalized_descent, reduced_pair_dims
 
 
@@ -362,9 +362,9 @@ def _d_rank(r: int, dr: int) -> int:
 
 def kernel_form_nondegenerate(rm: RationalMap) -> bool:
     """B restricted to Ker T is non-degenerate, on integers: the Gram matrix
-    bk of the cleared kernel basis k under den * B has full rank."""
+    bk of the integer kernel basis k under den * B has full rank."""
     n = rm.source.n_real
-    k = [cleared(v)[0] for v in kernel(int_rows(rm.scaled_t.ints), n)]
+    k = kernel(int_rows(rm.scaled_t.ints), n).ints
     bk = int_mul(k, transpose(monomial_rows(rm.source.gram_mono, k)))
     return len(echelon(int_rows(bk))) == len(k)
 
@@ -399,21 +399,29 @@ def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
     return lines
 
 
-def classify_space(br: Mat, base: str, division: str, epsilon: int) -> FormedSpace:
+def classify_space(br, base: str, division: str, epsilon: int) -> FormedSpace:
     """Isometry class of a non-degenerate D-valued epsilon-Hermitian form,
-    given as its rational Gram matrix: blocks L_z for the D-entries z.  As
-    L_conj(z) = L_z^T, the form is epsilon-Hermitian iff br^T = epsilon br."""
+    given as a positive multiple of its Gram matrix with integer entries:
+    blocks L_z for the D-entries z.  As L_conj(z) = L_z^T, the form is
+    epsilon-Hermitian iff br^T = epsilon br.  The checks, the rank and the
+    signature all run on these integers.  A skew-Hermitian form over C
+    (type (R, C, -1)) takes its signature from the symmetric J^T br, J the
+    structure of right multiplication by i."""
     div = coordinates(base, division)
-    if transpose(br) != scal(epsilon, br):
+    if list(zip(*br)) != [tuple(epsilon * x for x in row) for row in br]:
         raise IdentityViolated("form is not epsilon-Hermitian", epsilon=epsilon)
     m = len(br) // div.dim
-    if rank(br) != len(br):
+    if len(echelon(int_rows(br))) != len(br):
         raise IdentityViolated("form is degenerate", dim=m)
     tag = (base, division, epsilon)
     if tag not in SIG_KINDS:
         return formed_space(base, division, epsilon, dim=m)
     if tag == ("R", "C", -1):
-        br = mul(transpose(dense(_structures(m, div)[0])), br)
+        # J is a signed permutation over den 1: row J.perm[p] of J^T br is
+        # J.num[p] br[p]
+        j = _structures(m, div)[0]
+        br = [[j.num[p] * x for x in br[p]]
+              for p in sorted(range(len(br)), key=j.perm.__getitem__)]
     pos, negc, zero = sylvester_signature(br)
     if zero:
         raise IdentityViolated("degenerate after diagonalization")
@@ -425,10 +433,11 @@ def _all_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(n)]
 
 
-def algebra_basis(amb: AmbientSpace) -> list:
-    """Rational basis of the isometry Lie algebra in the space's
-    coordinates, its size the dimension over F: the kernel vectors of its
-    constraints, each holding the n^2 matrix entries in row-major order."""
+def algebra_basis(amb: AmbientSpace) -> Scaled:
+    """Basis of the isometry Lie algebra in the space's coordinates, its
+    size the dimension over F: the kernel vectors of its constraints over
+    one denominator, each holding the n^2 matrix entries in row-major
+    order."""
     return _constrained_kernel(amb, _all_pairs(amb.n_real), commute_with=[])
 
 
@@ -479,7 +488,8 @@ def _constraint_rows(amb: AmbientSpace, pairs: list, commute_with: list) -> list
     return [{v: c for v, c in row.items() if c} for row in rows.values()]
 
 
-def _constrained_kernel(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
+def _constrained_kernel(amb: AmbientSpace, pairs: list,
+                        commute_with: list) -> Scaled:
     """Kernel vectors of the constraints of _constraint_rows."""
     return kernel(_constraint_rows(amb, pairs, commute_with), len(pairs))
 
@@ -539,8 +549,9 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
     (-1)^(t-1) epsilon-Hermitian form (a, b) -> B(a, x^(t-1) b) of
     Burgoyne-Cushman.  On a realized block x^(t-1) e_(t-1) = (t-1)! e_0 and
-    S_t[t-1][0] = (-1)^(t-1) sigma_t, so the scale below gives back the
-    multiplicity Gram matrix of realize_triple."""
+    S_t[t-1][0] = (-1)^(t-1) sigma_t, so the sign below makes the integer
+    Gram matrix a positive multiple of the multiplicity Gram matrix of
+    realize_triple."""
     dr = amb.dr
     n_d = amb.space.dim
     ranks = [n_d]
@@ -549,9 +560,9 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     # x = xi / den: x^s = xi^s / den^s has the rank and kernel of the
     # integer power xi^s.  Base C needs only the ranks, base R a basis of
     # each ker x^s too.
-    xi, den = x
+    xi = x.ints
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    kers = [[]]  # integer kernel vectors, each with its denominators cleared
+    kers = [()]  # integer kernel bases
     while ranks[-1] > 0:
         if len(ranks) > n_d + 1:
             raise NotNilpotent("power sequence does not reach zero")
@@ -559,8 +570,7 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
         if base == "C":
             r = len(echelon(int_rows(powers[-1])))
         else:
-            kers.append([cleared(v)[0]
-                         for v in kernel(int_rows(powers[-1]), n)])
+            kers.append(kernel(int_rows(powers[-1]), n).ints)
             r = n - len(kers[-1])
         ranks.append(_d_rank(r, dr))
     ranks.extend([0, 0])
@@ -585,17 +595,15 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     for t in sorted(mults, reverse=True):
         # on integers: the rows xi v = den x v for v in ker x^(t+1), the
         # basis lines, their images under xi^(t-1) = den^(t-1) x^(t-1) and
-        # the Gram matrix times gram.den; scale divides them out
-        lower = kers[t - 1] + list(int_mul(kers[min(t + 1, top)],
-                                           transpose(xi)))
+        # the Gram matrix times gram.den: with (t-1)! positive factors,
+        # which classify_space takes as they are
+        lower = kers[t - 1] + int_mul(kers[min(t + 1, top)], transpose(xi))
         lines = _d_basis_of(kers[t], lower, amb, mults[t])
         images = int_mul(lines, transpose(powers[t - 1]))
         gram_images = monomial_rows(gram, images)
-        scale = Fraction(s_twist(t, base) * (-1) ** (t - 1),
-                         sigma_t(t, base) * math.factorial(t - 1)
-                         * den ** (t - 1) * gram.den)
-        beta = fraction_mat(rescale(
-            Scaled(int_mul(lines, transpose(gram_images)), 1), scale))
+        sign = s_twist(t, base) * (-1) ** (t - 1) * sigma_t(t, base)
+        beta = [[sign * x for x in row]
+                for row in int_mul(lines, transpose(gram_images))]
         mult = classify_space(beta, base, amb.space.division,
                               eps * (-1) ** (t - 1))
         rows.append(TableauRow(t, mult))
@@ -682,11 +690,10 @@ def random_isometry(amb: AmbientSpace, rng) -> Mat:
     random algebra element a, solved from [I + a | I - a] at once.  a is
     drawn as ai / den, den the common denominator of the basis vectors, and
     the solve runs on the integer matrices den I +- ai."""
-    basis = algebra_basis(amb)
+    ints, den = algebra_basis(amb)
     n = amb.n_real
-    if not basis:
+    if not ints:
         return eye(n)
-    ints, den = scaled(basis)
     nonzeros = [[(*divmod(k, n), x) for k, x in enumerate(vec) if x]
                 for vec in ints]
     for _ in range(50):

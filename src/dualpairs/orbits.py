@@ -212,11 +212,16 @@ def enumerate_orbits(v: FormedSpace) -> list:
     return found
 
 
+def _complexified(tab: AdmissibleTableau) -> AdmissibleTableau:
+    """Extension of scalars applied row by row, unchecked."""
+    return AdmissibleTableau(complexify(tab.space), tuple(
+        TableauRow(r.t, complexify(r.mult)) for r in tab.rows))
+
+
 def complexify_tableau(tab: AdmissibleTableau) -> AdmissibleTableau:
-    """Extension of scalars applied row by row (divisions R and H only)."""
-    space = complexify(tab.space)
-    rows = tuple(TableauRow(r.t, complexify(r.mult)) for r in tab.rows)
-    out = AdmissibleTableau(space, rows)
+    """Extension of scalars applied row by row (divisions R and H only),
+    the result validated over base R."""
+    out = _complexified(tab)
     if tab.space.base == "R":
         validate(out)
     return out
@@ -228,10 +233,14 @@ def real_forms(diagram: tuple, v_real: FormedSpace) -> list:
             if complexify_tableau(tab).diagram() == tuple(diagram)]
 
 
+def _stabilizer(tab: AdmissibleTableau) -> GroupDescriptor:
+    return GroupDescriptor(tuple(group_factor(row.mult) for row in tab.rows))
+
+
 def stabilizer(tab: AdmissibleTableau) -> GroupDescriptor:
     """The reductive stabilizer M_X, one isometry factor per row."""
     validate(tab)
-    return GroupDescriptor(tuple(group_factor(row.mult) for row in tab.rows))
+    return _stabilizer(tab)
 
 
 def column_partition(tab: AdmissibleTableau) -> list:
@@ -272,10 +281,11 @@ def graded_dims(tab: AdmissibleTableau) -> dict:
     """dim g_j over the base field for every j in the weight span of ad H,
     by weight counting: g is Lambda^2 V (epsilon = +1) or Sym^2 V
     (epsilon = -1) over base C, gl(V) for u(V) over base R, and the
-    complexified algebra for base R with D = R or H."""
+    complexified algebra for base R with D = R or H.  tab is not
+    validated."""
     space = tab.space
     if space.base == "R" and space.division != "C":
-        return graded_dims(complexify_tableau(tab))
+        return graded_dims(_complexified(tab))
     c = weight_dims(tab.diagram())
     span = 2 * max(c, default=-1)  # no j at all for the zero space
     out = {}
@@ -289,11 +299,20 @@ def graded_dims(tab: AdmissibleTableau) -> dict:
     return out
 
 
+def _checked_grading(tab: AdmissibleTableau) -> dict:
+    """graded_dims of tab after its one validation and the bound check."""
+    validate(tab)
+    if tab.space.dim_f > DEFAULT_DIM_BOUND:
+        raise BoundExceeded("space exceeds dimension bound",
+                            dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
+    return graded_dims(tab)
+
+
 def orbit_dimension(tab: AdmissibleTableau) -> int:
     """dim of the orbit through tab over the base field: dim g - dim g^X,
     with dim g^X = dim g_0 + dim g_1 because every irreducible summand of g
     under the sl2 triple has one X-fixed vector and one weight in {0, 1}."""
-    grading = whittaker_datum(tab).grading
+    grading = _checked_grading(tab)
     return (isometry_group(tab.space).lie_dim - grading.get(0, 0)
             - grading.get(1, 0))
 
@@ -317,13 +336,9 @@ class WhittakerDatum:
 
 def whittaker_datum(tab: AdmissibleTableau) -> WhittakerDatum:
     """Grading dims of g under ad(H) plus the character/Heisenberg dichotomy."""
-    validate(tab)
-    if tab.space.dim_f > DEFAULT_DIM_BOUND:
-        raise BoundExceeded("space exceeds dimension bound",
-                            dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
-    grading = graded_dims(tab)
+    grading = _checked_grading(tab)
     dim_u = sum(v for k, v in grading.items() if k <= -2)
     g1 = grading.get(-1, 0)
     return WhittakerDatum(grading=grading, dim_u=dim_u, dim_n=dim_u + g1,
                           dim_g_minus1=g1, heisenberg_case=g1 != 0,
-                          stabilizer=stabilizer(tab))
+                          stabilizer=_stabilizer(tab))

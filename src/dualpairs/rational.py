@@ -15,9 +15,12 @@ and `sandwich` multiplies a scaled matrix by one on each side.
 Elimination is fraction-free on sparse integer rows {column: nonzero int}:
 `echelon` reduces each row against the pivot of its smallest column and
 keeps every pivot row primitive; its size is the rank.  One
-back-substitution turns it into the RREF that `rref` and `kernel` read.
-All routines tolerate zero-sized operands so that empty blocks (trivial
-kernels, zero multiplicity spaces) flow through block constructions.
+back-substitution gives the reduced pivots: `kernel` reads them as a
+Scaled basis, and `solve` builds Fractions only for the entries of a^-1 b.
+`sylvester_signature` counts the inertia of a symmetric integer matrix by
+fraction-free congruence.  All routines tolerate zero-sized operands so
+that empty blocks (trivial kernels, zero multiplicity spaces) flow through
+block constructions.
 """
 
 from __future__ import annotations
@@ -28,14 +31,6 @@ from operator import mul as _imul
 from typing import NamedTuple
 
 Mat = list
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def mat(rows) -> Mat:
-    return [[frac(x) for x in row] for row in rows]
 
 
 def zeros(m: int, n: int) -> Mat:
@@ -56,11 +51,6 @@ def shape(a: Mat) -> tuple:
 def transpose(a: Mat) -> Mat:
     m, n = shape(a)
     return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
-def scal(c, a: Mat) -> Mat:
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
 
 
 _ZERO = Fraction(0)
@@ -129,13 +119,6 @@ def fraction_mat(a: Scaled) -> Mat:
 def scaled_mul(a: Scaled, b: Scaled) -> Scaled:
     """The product, over the product of the denominators."""
     return Scaled(int_mul(a.ints, b.ints), a.den * b.den)
-
-
-def rescale(a: Scaled, c) -> Scaled:
-    """c * a for a rational c; the denominator stays positive."""
-    c = frac(c)
-    return Scaled(tuple([tuple([c.numerator * x for x in row])
-                         for row in a.ints]), a.den * c.denominator)
 
 
 class Monomial(NamedTuple):
@@ -271,108 +254,75 @@ def _reduced(rows) -> dict:
     return pivots
 
 
-def kernel(rows, n: int) -> list:
+def kernel(rows, n: int) -> Scaled:
     """Basis of the right kernel of integer rows over n columns, one vector
-    per free column: 1 there, minus the RREF's entries in that column at
-    the pivots, 0 elsewhere."""
+    per free column, over den, the lcm of the reduced pivots' leads: den
+    at its free column, -den / lead times each pivot's entry in that column
+    at the pivot's column, 0 elsewhere."""
     pivots = _reduced(rows)
+    den = math.lcm(*[r[c] for c, r in pivots.items()])
     free = {j: i for i, j in enumerate(j for j in range(n) if j not in pivots)}
-    basis = [[_ZERO] * n for _ in free]
+    basis = [[0] * n for _ in free]
     for i, j in enumerate(free):
-        basis[i][j] = Fraction(1)
+        basis[i][j] = den
     for c, r in pivots.items():
-        lead = r[c]
+        f = den // r[c]
         for j, x in r.items():
             if j != c:
-                basis[free[j]][c] = Fraction(-x, lead)
-    return basis
-
-
-def rref(a: Mat) -> tuple:
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    m, n = shape(a)
-    pivots = _reduced(sparse_rows(a))
-    cols = sorted(pivots)
-    r = []
-    for c in cols:
-        row = [_ZERO] * n
-        p = pivots[c]
-        for j, x in p.items():
-            row[j] = Fraction(x, p[c])
-        r.append(row)
-    r.extend([_ZERO] * n for _ in range(m - len(cols)))
-    return r, cols
-
-
-def rank(a: Mat) -> int:
-    return len(echelon(sparse_rows(a)))
+                basis[free[j]][c] = -f * x
+    return Scaled(tuple(map(tuple, basis)), den)
 
 
 def solve(a: Mat, b: Mat) -> Mat:
-    """a^-1 b for a square a, read from the RREF of [a | b]; the entries
-    may be int.  ValueError if a is singular."""
-    n = len(a)
-    r, pivots = rref([ra + rb for ra, rb in zip(a, b)])
-    if pivots[:n] != list(range(n)):
+    """a^-1 b for a square a, read from the reduced pivots of [a | b]: row i
+    is pivot i's entries in b's columns over its lead.  The entries may be
+    int.  ValueError if a is singular."""
+    n, m = len(a), shape(b)[1]
+    pivots = _reduced(sparse_rows([[*ra, *rb] for ra, rb in zip(a, b)]))
+    if any(i not in pivots for i in range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return [[_ratio(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(m)]
+            for i in range(n)]
 
 
 def inv(a: Mat) -> Mat:
     return solve(a, eye(len(a)))
 
 
-def sylvester_signature(b: Mat) -> tuple:
-    """Inertia (pos, neg, zero) of a symmetric rational matrix.
+def sylvester_signature(b) -> tuple:
+    """Inertia (pos, neg, zero) of a symmetric integer matrix, by
+    fraction-free congruence: exact, no eigenvalues and no Fractions.
 
-    Symmetric congruence reduction on a Fraction copy of b (int entries
-    would turn to floats under /); exact, no eigenvalues needed.
+    A nonzero diagonal entry d = a[p][p] is a pivot.  For each other q, with
+    f_q = a[q][p], the row step a[q] <- d a[q] - f_q a[p] and the same step
+    on the columns clear row and column p and leave d (d a[q][t] - f_q f_t),
+    d^2 times the Schur complement of d, on the other indices.  That block
+    goes on divided by the gcd of its entries, a positive integer, which
+    keeps them as small as in Bareiss's elimination.  With a zero diagonal,
+    adding row and column j to i for a nonzero a[i][j] makes a[i][i] =
+    2 a[i][j] a pivot.
     """
-    a = mat(b)
+    a = [list(row) for row in b]
     n = len(a)
-    pos = negv = zero = 0
-    idx = list(range(n))
-    start = 0
-    while start < n:
-        # find a nonzero diagonal pivot
-        dpiv = -1
-        for i in range(start, n):
-            if a[idx[i]][idx[i]]:
-                dpiv = i
+    pos = neg = 0
+    while a:
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            hit = next(((i, j) for i, row in enumerate(a)
+                        for j, x in enumerate(row) if x), None)
+            if hit is None:
                 break
-        if dpiv < 0:
-            # hyperbolic trick: a[j][k] != 0 off-diagonal makes a[j][j] nonzero
-            found = False
-            for i in range(start, n):
-                for j in range(i + 1, n):
-                    if a[idx[i]][idx[j]]:
-                        ii, jj = idx[i], idx[j]
-                        for t in range(n):
-                            a[ii][t] += a[jj][t]
-                        for t in range(n):
-                            a[t][ii] += a[t][jj]
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                zero += n - start
-                break
-            continue
-        idx[start], idx[dpiv] = idx[dpiv], idx[start]
-        p = idx[start]
+            p, j = hit
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
         d = a[p][p]
-        if d > 0:
-            pos += 1
-        else:
-            negv += 1
-        for i in range(start + 1, n):
-            q = idx[i]
-            if a[q][p]:
-                f = a[q][p] / d
-                for t in range(n):
-                    a[q][t] -= f * a[p][t]
-                for t in range(n):
-                    a[t][q] -= f * a[t][p]
-        start += 1
-    return pos, negv, zero
+        pos += d > 0
+        neg += d < 0
+        f = [row[p] for row in a]
+        rest = [q for q in range(len(a)) if q != p]
+        a = [[d * (d * a[q][t] - f[q] * f[t]) for t in rest] for q in rest]
+        g = math.gcd(*[x for row in a for x in row])
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return pos, neg, n - pos - neg

@@ -127,10 +127,10 @@ def k_descent(op_real: AdmissibleTableau, v_real: FormedSpace):
     if op_real.space.base != "R" or v_real.base != "R":
         raise IncompatiblePair("real descent needs base R on both sides",
                                left=v_real.render(), right=op_real.space.render())
-    _check_pair(op_real.space, v_real)
-    if not in_moment_image(op_real, v_real):
+    try:
+        return generalized_descent(op_real, v_real).target
+    except NotInImage:
         return None
-    return generalized_descent(op_real, v_real).target
 
 
 @dataclass(frozen=True)

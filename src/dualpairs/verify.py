@@ -18,7 +18,7 @@ from .forms import (complexify, complex_orthogonal_space,
 from .orbits import (AdmissibleTableau, TableauRow, closure_leq,
                      enumerate_orbits, graded_dims, orbit_dimension,
                      real_forms, stabilizer, whittaker_datum)
-from .rational import inv, mul
+from .rational import inv, mul, scaled
 
 
 @dataclass
@@ -92,8 +92,8 @@ def suite_forms(report: SuiteReport, rng):
     spaces = list(iter_spaces(min(bound, 6)))
     ok = 0
     for s in spaces:
-        got = oracle.classify_space(oracle.standard_gram(s), s.base,
-                                    s.division, s.epsilon)
+        got = oracle.classify_space(scaled(oracle.standard_gram(s)).ints,
+                                    s.base, s.division, s.epsilon)
         ok += got == s
     report.add("standard gram classifies back to its space", ok == len(spaces),
                f"{ok}/{len(spaces)}")
@@ -107,7 +107,8 @@ def suite_forms(report: SuiteReport, rng):
             want = tensor_with_sl2(m, t)
             real = oracle.realize_triple(
                 AdmissibleTableau(want, (TableauRow(t, m),)))
-            got = oracle.classify_space(real.ambient.gram, m.base, m.division,
+            got = oracle.classify_space(scaled(real.ambient.gram).ints,
+                                        m.base, m.division,
                                         m.epsilon * (-1) ** (t - 1))
             tensor_tot += 1
             tensor_ok += got == want

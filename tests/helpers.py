@@ -5,13 +5,14 @@ weight counting on the diagram: g = Sym^2(V) for symplectic-type forms,
 Lambda^2(V) for orthogonal-type ones, and gl(V) = V (x) V* for unitary
 groups.  None of this touches the matrix code under test.
 
-Small dense matrix helpers that only tests need (sums, differences,
-commutators, powers, the zero test, the nullspace, Kronecker products and
-block diagonals) sit at the end.  After them come the realization's sl2
+Small dense matrix helpers that only tests need (Fraction matrices,
+scalar multiples, sums, differences, commutators, powers, the zero test,
+the rank, the nullspace, Kronecker products and block diagonals) sit at
+the end.  After them come the realization's sl2
 triple, Gram matrix and D-structures assembled from Kronecker products, a
-reference for the entry-by-entry ones; `mul` and `kernel` come from the
-package, which test_rational checks against the textbook product and
-Gauss-Jordan elimination.
+reference for the entry-by-entry ones; `mul`, `echelon` and `kernel` come
+from the package, which test_rational checks against the textbook product
+and Gauss-Jordan elimination.
 
 Last comes the brute-force orbit enumeration: every product of
 multiplicity forms over every partition, kept when `validate` accepts it,
@@ -29,7 +30,8 @@ from dualpairs import (AdmissibleTableau, NotAdmissible, TableauRow,
                        tensor_with_sl2, validate)
 from dualpairs.division import DIVISIONS
 from dualpairs.forms import EVEN_DIM_KINDS, SIG_KINDS, zero_space
-from dualpairs.rational import eye, kernel, mat, mul, sparse_rows, zeros
+from dualpairs.rational import (echelon, eye, fraction_mat, kernel, mul,
+                                sparse_rows, zeros)
 
 
 def sl2_weights(t: int) -> list:
@@ -75,6 +77,15 @@ def expected_grading(tab) -> dict:
     return graded_dims_by_counting(ct.diagram(), ct.space.epsilon)
 
 
+def mat(rows):
+    """The Fraction matrix of rows of int or Fraction entries."""
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def scal(c, a):
+    return [[c * x for x in row] for row in a]
+
+
 def add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -98,10 +109,15 @@ def is_zero_mat(a) -> bool:
     return all(not x for row in a for x in row)
 
 
+def rank(a) -> int:
+    return len(echelon(sparse_rows(a)))
+
+
 def nullspace(a):
     """Basis of the right kernel of a rational matrix, one vector per free
-    column, as the kernel reads it from the RREF."""
-    return kernel(sparse_rows(a), len(a[0]) if a else 0)
+    column, as Fractions: the kernel's integer vectors over their
+    denominator."""
+    return fraction_mat(kernel(sparse_rows(a), len(a[0]) if a else 0))
 
 
 def kron(a, b):

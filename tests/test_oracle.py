@@ -18,11 +18,10 @@ from dualpairs.oracle import (_check_triple, _constrained_kernel,
                               kernel_form_nondegenerate, make_map,
                               random_isometry, sample_raising_map,
                               standard_gram)
-from dualpairs.rational import (eye, inv, mat, mul, rank, scal, scaled,
-                                transpose, zeros)
+from dualpairs.rational import eye, inv, mul, scaled, transpose, zeros
 from helpers import (add, commutator, is_zero_mat, kron, kron_gram,
-                     kron_standard_gram, kron_structures, kron_triple, matpow,
-                     nullspace)
+                     kron_standard_gram, kron_structures, kron_triple, mat,
+                     matpow, nullspace, rank, scal)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -120,7 +119,7 @@ def test_classify_space_reads_rational_gram_matrices():
     spaces = list(iter_spaces(6))
     assert {("R", "C", -1), ("R", "H", -1)} <= {s.tag() for s in spaces}
     for s in spaces:
-        gram = standard_gram(s)
+        gram = scaled(standard_gram(s)).ints  # a positive multiple
         assert len(gram) == s.dim_f
         assert classify_space(gram, s.base, s.division, s.epsilon) == s
         with pytest.raises(IdentityViolated, match="not epsilon-Hermitian"):
@@ -130,10 +129,29 @@ def test_classify_space_reads_rational_gram_matrices():
     assert classify_space(big, "R", "R", 1) == orthogonal_space(1, 1)
 
 
+def test_classify_space_reads_positive_multiples():
+    """A positive multiple of a Gram matrix is the same form; its negative
+    swaps the signature, over every signature-classified type, (R, C, -1)
+    included."""
+    for s in iter_spaces(6):
+        gram = scaled(standard_gram(s)).ints
+        for c in (1, 6, 10**20):
+            scaled_gram = [[c * x for x in row] for row in gram]
+            assert classify_space(scaled_gram, *s.tag()) == s
+        negated = classify_space([[-x for x in row] for row in gram],
+                                 *s.tag())
+        if s.kind == "sig":
+            assert negated == formed_space(*s.tag(),
+                                           signature=s.signature[::-1])
+        else:
+            assert negated == s
+
+
 def test_classify_space_refuses_degenerate_forms():
-    singular = [("R", "R", 1, mat([[1, 0], [0, 0]])),
-                ("R", "R", -1, mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])),
-                ("R", "H", 1, kron(mat([[1, 0], [0, 0]]), eye(4)))]
+    singular = [("R", "R", 1, [[1, 0], [0, 0]]),
+                ("R", "R", -1, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+                ("R", "H", 1,
+                 scaled(kron(mat([[1, 0], [0, 0]]), eye(4))).ints)]
     for base, division, eps, gram in singular:
         with pytest.raises(IdentityViolated, match="form is degenerate"):
             classify_space(gram, base, division, eps)
@@ -420,7 +438,7 @@ def test_random_isometry_is_pinned():
         g = random_isometry(amb, rng)
         assert [" ".join(map(str, row)) for row in g] == want
         ref = random.Random(0)
-        for _ in range(draws * len(algebra_basis(amb))):
+        for _ in range(draws * len(algebra_basis(amb).ints)):
             ref.randint(-2, 2)
         assert rng.random() == ref.random()
 
@@ -615,9 +633,9 @@ def test_constrained_nullity_matches_kernel():
                 pairs = [(p, q) for p, q in full if wts[p] == wts[q] + d]
                 systems += [(pairs, []), (pairs, [r.x])]
             for pairs, commute in systems:
-                kern = _constrained_kernel(amb, pairs, commute)
+                kern = _constrained_kernel(amb, pairs, commute).ints
                 assert _constrained_nullity(amb, pairs, commute) == len(kern)
-            for vec in _constrained_kernel(amb, full, [r.x]):
+            for vec in _constrained_kernel(amb, full, [r.x]).ints:
                 z = zeros(n, n)
                 for (i, j), c in zip(full, vec):
                     z[i][j] = c
@@ -646,7 +664,7 @@ def test_algebra_basis_spans_lie_dim():
     for v in iter_spaces(6):
         amb = realize_triple(zero_orbit(v)).ambient
         n = amb.n_real
-        basis = algebra_basis(amb)
+        basis = algebra_basis(amb).ints
         assert rank(basis) == len(basis) == isometry_group(v).lie_dim
         for vec in basis:
             assert in_algebra([vec[i:i + n] for i in range(0, n * n, n)], amb)

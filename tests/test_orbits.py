@@ -1,5 +1,6 @@
 import pytest
 
+from dualpairs import orbits
 from dualpairs import (AdmissibleTableau, BadShape, BadSign, BoundExceeded,
                        DomainError, NotAdmissible, TableauRow,
                        UnsupportedRealClosure, closure_leq,
@@ -89,25 +90,27 @@ def test_bound_exceeded():
         enumerate_orbits(complex_orthogonal_space(13))
 
 
+def unchecked(space, rows) -> AdmissibleTableau:
+    """The tableau of (t, mult) rows, built without validation."""
+    return AdmissibleTableau(space, tuple(TableauRow(t, m) for t, m in rows))
+
+
 def test_validate_rejections():
     # even row in a symplectic space must carry an orthogonal-type mult
-    bad_sign = AdmissibleTableau(SP2, tableau(SP2, [(2, CMINUS2)]).rows) \
-        if False else None
     with pytest.raises(BadSign):
-        validate(tableau(SP2, [(2, CMINUS2)]))
+        validate(unchecked(SP2, [(2, CMINUS2)]))
     with pytest.raises(NotAdmissible):
-        validate(tableau(SP4, [(2, CPLUS1)]))  # blocks sum to dim 2, not 4
+        validate(unchecked(SP4, [(2, CPLUS1)]))  # blocks sum to dim 2, not 4
     with pytest.raises(BadShape):
-        validate(tableau(SP4, [(1, CMINUS2), (2, CPLUS1)]))  # not decreasing
+        validate(unchecked(SP4, [(1, CMINUS2), (2, CPLUS1)]))  # not decreasing
     with pytest.raises(BadSign):
-        validate(tableau(O3, [(3, formed_space("R", "R", 1, signature=(1, 0)))]))
-    assert bad_sign is None
+        validate(unchecked(
+            O3, [(3, formed_space("R", "R", 1, signature=(1, 0)))]))
 
 
 def _error_json(space, rows) -> dict:
     with pytest.raises(DomainError) as exc:
-        validate(AdmissibleTableau(space, tuple(
-            TableauRow(t, m) for t, m in rows)))
+        validate(unchecked(space, rows))
     return exc.value.to_json()["error"]
 
 
@@ -229,6 +232,33 @@ def test_stabilizer_descriptors():
     real = tableau(orthogonal_space(2, 1),
                    [(3, formed_space("R", "R", 1, signature=(1, 0)))])
     assert stabilizer(real).name == "O(1)"
+
+
+def test_one_validate_per_public_call(monkeypatch):
+    """whittaker_datum, orbit_dimension and stabilizer each validate their
+    tableau once, and before the dimension bound: a bad tableau past the
+    bound fails validation, a good one the bound."""
+    calls = []
+
+    def counting(tab):
+        calls.append(tab)
+        validate(tab)
+
+    monkeypatch.setattr(orbits, "validate", counting)
+    tab = enumerate_orbits(symplectic_space(6))[0]
+    for call in (whittaker_datum, orbit_dimension, stabilizer):
+        calls.clear()
+        call(tab)
+        assert calls == [tab], call.__name__
+    big = complex_symplectic_space(14)
+    bad = unchecked(big, [(2, CMINUS2)])
+    for call in (whittaker_datum, orbit_dimension):
+        calls.clear()
+        with pytest.raises(BadSign):
+            call(bad)
+        with pytest.raises(BoundExceeded, match="exceeds dimension bound"):
+            call(zero_orbit(big))
+        assert calls == [bad, zero_orbit(big)]
 
 
 def nonzero(grading):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (Scaled, dense, echelon, eye, fraction_mat, inv,
-                                mat, monomial, monomial_inv, monomial_rows,
-                                mul, rank, rescale, rref, sandwich, scal,
+from dualpairs.rational import (Scaled, _reduced, dense, echelon, eye,
+                                fraction_mat, inv, kernel, monomial,
+                                monomial_inv, monomial_rows, mul, sandwich,
                                 scaled, scaled_mul, shape, solve, sparse_rows,
                                 sylvester_signature, transpose, zeros)
-from helpers import add, block_diag, kron, nullspace
+from helpers import add, block_diag, kron, mat, nullspace, rank, scal
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -78,15 +78,6 @@ def test_scaled_zero_sized_operands():
     a = scaled(mat([[1, 2, 3], [4, 5, 6]]))
     assert scaled_mul(scaled([]), a) == Scaled((), 1)
     assert scaled_mul(a, Scaled(((), (), ()), 2)) == Scaled(((), ()), 2)
-    assert rescale(Scaled((), 3), Fraction(-1, 2)) == Scaled((), 6)
-
-
-def test_rescale_keeps_the_denominator_positive():
-    a = mat([[Fraction(1, 2), -3], [0, Fraction(-5, 6)]])
-    for c in (Fraction(-3, 4), -2, Fraction(7, 5), 0):
-        s = rescale(scaled(a), c)
-        assert s.den > 0 and s.den == scaled(a).den * Fraction(c).denominator
-        assert fraction_mat(s) == scal(c, a)
 
 
 def test_scaled_mul_denominator_is_the_product():
@@ -170,22 +161,35 @@ def elimination_input(draw):
     return rows
 
 
+def textbook_nullspace(a):
+    """One vector per free column of the textbook RREF: 1 there, minus the
+    RREF's entries in that column at the pivots."""
+    r, pivots = textbook_rref(a)
+    n = shape(a)[1]
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        out.append(v)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(elimination_input())
 def test_elimination_matches_textbook_gauss_jordan(a):
     m, n = shape(a)
     r, pivots = textbook_rref(a)
-    assert rref(a) == (r, pivots)
-    assert rank(a) == len(pivots)
-    free = [j for j in range(n) if j not in pivots]
-    expected = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        expected.append(v)
-    assert nullspace(a) == expected
+    # the reduced pivots are the RREF's nonzero rows up to a positive scale
+    reduced = _reduced(sparse_rows(a))
+    assert sorted(reduced) == pivots
+    for row, c in zip(r, pivots):
+        p = reduced[c]
+        assert p[c] > 0 and all(type(x) is int for x in p.values())
+        assert [Fraction(p.get(j, 0), p[c]) for j in range(n)] == row
+    assert len(echelon(sparse_rows(a))) == len(pivots)
+    assert nullspace(a) == textbook_nullspace(a)
     if m == n:
         if len(pivots) < n:
             with pytest.raises(ValueError):
@@ -218,12 +222,37 @@ def test_shapes_and_identity():
     assert mul(a, eye(2)) == a
 
 
-def test_rref_known():
-    a = mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    r, pivots = rref(a)
+@settings(max_examples=300, deadline=None)
+@given(elimination_input())
+def test_kernel_is_the_textbook_nullspace_over_one_denominator(a):
+    """kernel's integer vectors are den times the textbook nullspace's, den
+    one positive int shared by all of them."""
+    k = kernel(sparse_rows(a), shape(a)[1])
+    assert type(k.den) is int and k.den > 0
+    assert all(type(x) is int for row in k.ints for x in row)
+    assert [[k.den * x for x in v] for v in textbook_nullspace(a)] == \
+        [list(row) for row in k.ints]
+
+
+def test_solve_and_kernel_known():
+    a = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     assert rank(a) == 2
-    assert pivots == [0, 1]
-    assert r[0][:2] == [Fraction(1), Fraction(0)]
+    # RREF rows (1, 0, -1) and (0, 1, 2): one kernel vector, leads 1
+    assert kernel(sparse_rows(a), 3) == Scaled(((1, -2, 1),), 1)
+    # leads 2 and 3 put both vectors over their lcm 6
+    assert kernel(sparse_rows([[2, 0, 1, 0], [0, 3, 0, 1]]), 4) == \
+        Scaled(((-3, 0, 6, 0), (0, -2, 0, 6)), 6)
+    assert kernel([], 2) == Scaled(((1, 0), (0, 1)), 1)
+    assert kernel(sparse_rows([[1, 0], [0, 5]]), 2) == Scaled((), 1)
+    with pytest.raises(ValueError, match="singular"):
+        solve(a, [[1], [0], [0]])
+    b = [[1, 0], [0, 1], [Fraction(1, 2), 4]]
+    c = [[2, 1, 0], [1, 1, 0], [0, 0, 3]]
+    got = solve(c, b)
+    assert got == [[1, -1], [-1, 2], [Fraction(1, 6), Fraction(4, 3)]]
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert mul(c, got) == b
+    assert solve([], []) == [] and inv([]) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,6 +268,25 @@ def test_nullspace_dimension_and_membership(a):
     assert len(ns) == 4 - rank(a)
     for v in ns:
         assert mul(a, transpose([v])) == zeros(3, 1)
+
+
+SQUARE = st.integers(0, 4).flatmap(lambda n: small_mat(
+    n, n, st.one_of(st.just(Fraction(0)), SMALL, st.integers(-3, 3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUARE, st.integers(0, 3))
+def test_solve_matches_textbook_gauss_jordan(a, width):
+    """solve on square inputs, singular (a third of the entries are 0) and
+    not, against the RREF of [a | b] for an int b of any width."""
+    n = len(a)
+    b = [[i - 2 * j + 1 for j in range(width)] for i in range(n)]
+    r, pivots = textbook_rref([row + brow for row, brow in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            solve(a, b)
+    else:
+        assert solve(a, b) == [row[n:] for row in r[:n]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,21 +310,45 @@ def test_kron_mixed_product(a, b, c, d):
 
 
 def test_sylvester_signature():
-    assert sylvester_signature(mat([[2, 0], [0, -3]])) == (1, 1, 0)
+    assert sylvester_signature([[2, 0], [0, -3]]) == (1, 1, 0)
     # hyperbolic plane: no nonzero diagonal entry to pivot on
-    assert sylvester_signature(mat([[0, 1], [1, 0]])) == (1, 1, 0)
-    assert sylvester_signature(mat([[1, 1], [1, 1]])) == (1, 0, 1)
-    assert sylvester_signature(zeros(2, 2)) == (0, 0, 2)
+    assert sylvester_signature([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert sylvester_signature([[1, 1], [1, 1]]) == (1, 0, 1)
+    assert sylvester_signature([[0, 0], [0, 0]]) == (0, 0, 2)
+    assert sylvester_signature([]) == (0, 0, 0)
     # int entries near 1e20 with det = -1: floats would round to (1, 0, 1)
     big = [[10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]]
     assert sylvester_signature(big) == (1, 1, 0)
     assert big == [[10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]]
+    # a zero diagonal after the first pivot, entries near 1e20
+    e = 10**20
+    assert sylvester_signature([[e, e, e], [e, e, e + 1],
+                                [e, e + 1, e]]) == (2, 1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-1, 0, 1]), max_size=6),
+       st.lists(st.integers(-3, 3), min_size=36, max_size=36),
+       st.sampled_from([1, 7, 10**20]))
+def test_sylvester_signature_of_congruent_integer_matrices(signs, draws, c):
+    """c P^T D P for a diagonal D of signs and P = LU, L and U unit
+    triangular with the random draws off the diagonal, has D's inertia;
+    for c = 1e20 the entries lie far beyond the precision of a float."""
+    n = len(signs)
+    lower, upper = ([[int(i == j) or (draws[i * 6 + j] if side(i, j) else 0)
+                      for j in range(n)] for i in range(n)]
+                    for side in (int.__gt__, int.__lt__))
+    p = mul(lower, upper)  # det 1
+    d = [[c * signs[i] * (i == j) for j in range(n)] for i in range(n)]
+    b = scaled(mul(transpose(p), mul(d, p))).ints
+    want = (signs.count(1), signs.count(-1), signs.count(0))
+    assert sylvester_signature(b) == want
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_mat(3, 3))
 def test_sylvester_counts_congruence_invariant(a):
-    b = add(a, transpose(a))  # symmetrize
+    b = scaled(add(a, transpose(a))).ints  # symmetrize, clear denominators
     p, n, z = sylvester_signature(b)
     assert p + n + z == 3
     assert p + n == rank(b)

@@ -206,6 +206,22 @@ def test_k_descent_zero_orbit():
         k_descent(zero_orbit(SP2), v)
 
 
+def test_k_descent_is_the_image_test_then_the_descent():
+    """On every real pair with dims <= (4, 6), k_descent is the descent
+    target when the orbit lies in the moment image and None otherwise."""
+    count = 0
+    for v in iter_spaces(4, bases=("R",)):
+        for vp in iter_spaces(6, bases=("R",)):
+            if v.division != vp.division or v.epsilon * vp.epsilon != -1:
+                continue
+            for op in enumerate_orbits(vp):
+                want = generalized_descent(op, v).target \
+                    if in_moment_image(op, v) else None
+                assert k_descent(op, v) == want
+                count += want is not None
+    assert count == 416
+
+
 def test_k_descent_agrees_with_complex_diagrams():
     from dualpairs import complexify, complexify_tableau
     for v in [orthogonal_space(2, 1), orthogonal_space(1, 2),
