@@ -11,8 +11,7 @@ from .errors import (BadShape, IncomparableSupports, NonpositiveDimCirc,
                      NotDescentPair, NotEmbeddable, NotInImage)
 from .forms import (FormedSpace, GroupDescriptor, complexify, json_int,
                     zero_space)
-from .orbits import (AdmissibleTableau, column_partition, complexify_tableau,
-                     validate)
+from .orbits import AdmissibleTableau, column_partition, complexify_tableau
 from .theta import _check_pair, add_column, generalized_descent
 
 
@@ -42,7 +41,7 @@ class Cycle:
                                mult=mult)
             if tab.space != self.real_space:
                 raise BadShape("term lives over the wrong real space")
-            validate(tab)
+            # complexify_tableau validates tab first
             if complexify_tableau(tab).diagram() != self.complex_orbit.diagram():
                 raise BadShape("term diagram does not complexify to the "
                                "complex orbit",

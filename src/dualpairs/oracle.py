@@ -9,9 +9,13 @@ entry z becomes the dr x dr block L_z of left multiplication by z, so a
 D-valued form becomes its real part, and the space stores the
 right-multiplication structure matrices alongside.  Division indices are
 innermost: D-basis index a occupies coordinates a*dr .. a*dr+dr-1
-(dr = dim_F D).  Each matrix is built once, in its final form: Gram and
-D-structure matrices as monomials (rational.Monomial), x, h, y as frozen
-int tuples, witnesses as int matrices, maps as rational.Scaled.
+(dr = dim_F D).  Each matrix is built once, in its final integer form,
+and checked in it: Gram and D-structure matrices as monomials
+(rational.Monomial) written entry by entry, never parsed from dense form
+(rational.dense writes one out as its integer matrix), x, h, y as frozen
+int tuples, maps and moment-map values as rational.Scaled.  Fractions are
+written only for callers outside the oracle (moment_maps, random_isometry,
+the dense AmbientSpace.gram and .structures).
 
 Conventions for the sl2 blocks (fixed once, used by realize and identify):
   X e_r = r e_{r-1},  H e_r = (t-1-2r) e_r,  Y e_r = (t-1-r) e_{r+1};
@@ -40,10 +44,9 @@ from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
 from .rational import (Mat, Monomial, Scaled, cleared, dense, echelon, eye,
-                       fraction_mat, int_mul, int_rows, kernel, monomial,
-                       monomial_inv, monomial_rows, sandwich, scaled,
-                       scaled_mul, shape, solve, sylvester_signature,
-                       transpose)
+                       fraction_mat, int_mul, int_rows, kernel, monomial_inv,
+                       monomial_rows, sandwich, scaled, scaled_mul, shape,
+                       solve, sylvester_signature, transpose)
 from .theta import generalized_descent, reduced_pair_dims
 
 
@@ -71,12 +74,14 @@ def coordinates(base: str, division: str) -> DivisionAlgebra:
 def _monomial(blocks) -> Monomial:
     """The monomial matrix with diagonal blocks kron(p, e), written entry
     by entry: p a monomial pattern, given as the (column, value) of each of
-    its rows, and e a signed permutation block such as L_u or R_u."""
+    its rows, and e a signed permutation block such as L_u or R_u, an int
+    matrix whose rows are read for their one nonzero entry."""
     perm, vals = [], []
     for pattern, e in blocks:
-        off, k = len(perm), len(e.perm)
+        off, k = len(perm), len(e)
+        units = [next((j, x) for j, x in enumerate(row) if x) for row in e]
         for col, c in pattern:
-            for j, x in zip(e.perm, e.num):
+            for j, x in units:
                 perm.append(off + col * k + j)
                 vals.append(c * x)
     num, den = cleared(vals)
@@ -111,13 +116,13 @@ def _gram(strings) -> Monomial:
         blocks.append(([(ga * t + t - 1 - r, sa * c)
                         for ga, sa in _pattern(u_space)
                         for r, c in enumerate(coeffs)],
-                       monomial(div.lmat(div.unit(u)))))
+                       div.lmat(div.unit(u))))
     return _monomial(blocks)
 
 
-def standard_gram(space: FormedSpace) -> Mat:
-    """Rational Gram matrix of the reference form: kron(g, L_u), the one
-    string of length 1 of _gram."""
+def standard_gram(space: FormedSpace) -> Scaled:
+    """Gram matrix of the reference form, as an integer matrix over its
+    denominator: kron(g, L_u), the one string of length 1 of _gram."""
     return dense(_gram([(1, space)]))
 
 
@@ -125,15 +130,15 @@ def _structures(n_d: int, div: DivisionAlgebra) -> tuple:
     """The D-structures kron(I_{n_d}, R_e), right multiplication by each
     non-real unit e: signed permutations, so their denominator is 1."""
     ident = [(i, 1) for i in range(n_d)]
-    return tuple(_monomial([(ident, monomial(div.rmat(div.unit(k))))])
+    return tuple(_monomial([(ident, div.rmat(div.unit(k)))])
                  for k in range(1, div.dim))
 
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """Rational carrier of a formed space, kept in monomial form only: the
-    Gram matrix B, its inverse and the D-structures (none over base C,
-    where D acts as Q).  gram and structures are fresh dense copies."""
+    """Rational carrier of a formed space in monomial form: the Gram matrix
+    B, its inverse and the D-structures (none over base C, where D acts as
+    Q); gram and structures are fresh dense Fraction copies."""
     space: FormedSpace
     gram_mono: Monomial
     gram_inv_mono: Monomial
@@ -141,11 +146,11 @@ class AmbientSpace:
 
     @property
     def gram(self) -> Mat:
-        return dense(self.gram_mono)
+        return fraction_mat(dense(self.gram_mono))
 
     @property
     def structures(self) -> list:
-        return [dense(j) for j in self.structure_monos]
+        return [fraction_mat(dense(j)) for j in self.structure_monos]
 
     @property
     def dr(self) -> int:
@@ -219,19 +224,17 @@ def _realize(tab: AdmissibleTableau) -> MatrixRealization:
 
 
 def _check_triple(real: MatrixRealization):
-    """The sl2 relations on sparse integer forms over one denominator d
-    (z = zi / d): [hi, xi] = 2d xi, [hi, yi] = -2d yi, [xi, yi] = d hi;
-    then each matrix's membership in the algebra."""
-    n = len(real.x)
-    zi, d = scaled([*real.x, *real.h, *real.y])
-    x, h, y = (int_rows(zi[k:k + n]) for k in (0, n, 2 * n))
-    for a, b, k, c, msg in ((h, x, 2 * d, x, "[H,X] != 2X"),
-                            (h, y, -2 * d, y, "[H,Y] != -2Y"),
-                            (x, y, d, h, "[X,Y] != H")):
+    """The sl2 relations on the sparse rows of the integer x, h, y:
+    [h, x] = 2x, [h, y] = -2y, [x, y] = h; then each matrix's membership in
+    the algebra."""
+    x, h, y = (int_rows(z) for z in (real.x, real.h, real.y))
+    for a, b, k, c, msg in ((h, x, 2, x, "[H,X] != 2X"),
+                            (h, y, -2, y, "[H,Y] != -2Y"),
+                            (x, y, 1, h, "[X,Y] != H")):
         if not _bracket_is(a, b, k, c):
             raise IdentityViolated(msg)
     for z, nm in ((real.x, "X"), (real.h, "H"), (real.y, "Y")):
-        if not in_algebra(z, real.ambient):
+        if not in_algebra(Scaled(z, 1), real.ambient):
             raise IdentityViolated(f"{nm} is not in the isometry algebra")
 
 
@@ -273,14 +276,10 @@ def _intertwines(z: list, j_in, j_out) -> bool:
     return True
 
 
-def in_algebra(z: Mat, amb: AmbientSpace) -> bool:
+def in_algebra(z: Scaled, amb: AmbientSpace) -> bool:
     """z^T B + B z = 0 and z J = J z for each D-structure J, checked entry
-    by entry on the monomial forms, with z's denominators cleared once."""
-    return _in_algebra(scaled(z), amb)
-
-
-def _in_algebra(z: Scaled, amb: AmbientSpace) -> bool:
-    """in_algebra on z's integer matrix: the shape, then the checks."""
+    by entry on z's integer matrix and the monomial forms: the shape, then
+    the checks."""
     zi = z.ints
     if shape(zi) != (amb.n_real, amb.n_real):
         return False
@@ -289,7 +288,7 @@ def _in_algebra(z: Scaled, amb: AmbientSpace) -> bool:
 
 
 def _assert_in_algebra(z: Scaled, amb: AmbientSpace):
-    if not _in_algebra(z, amb):
+    if not in_algebra(z, amb):
         raise NotInAlgebra("matrix violates the form or D-linearity",
                            space=amb.space.render())
 
@@ -300,36 +299,28 @@ def _assert_in_algebra(z: Scaled, amb: AmbientSpace):
 @dataclass(frozen=True)
 class RationalMap:
     """A D-linear T: V -> V' and its adjoint T* = B^-1 T^T B', each kept as
-    one scaled integer matrix; t and t_star are their Fraction matrices."""
+    one scaled integer matrix."""
     source: AmbientSpace    # V
     target: AmbientSpace    # V'
-    scaled_t: Scaled        # T: V -> V'
-    scaled_t_star: Scaled   # T*: V' -> V
-
-    @functools.cached_property
-    def t(self) -> Mat:
-        return fraction_mat(self.scaled_t)
-
-    @functools.cached_property
-    def t_star(self) -> Mat:
-        return fraction_mat(self.scaled_t_star)
+    t: Scaled               # T: V -> V'
+    t_star: Scaled          # T*: V' -> V
 
 
-def make_map(source: AmbientSpace, target: AmbientSpace, t: Mat) -> RationalMap:
-    """T checked for its shape and D-linearity, cleared once, with T*
-    written on integers from the monomial Gram forms B^-1 and B'."""
+def make_map(source: AmbientSpace, target: AmbientSpace, t: Scaled) -> RationalMap:
+    """T, a scaled integer matrix, checked for its shape and D-linearity,
+    with T* written on integers from the monomial Gram forms B^-1 and B'."""
     n = source.n_real
-    if len(t) != target.n_real or any(len(row) != n for row in t):
-        raise NotInAlgebra("map has wrong shape", shape=shape(t))
-    ts = scaled(t)
+    ti = t.ints
+    if len(ti) != target.n_real or any(len(row) != n for row in ti):
+        raise NotInAlgebra("map has wrong shape", shape=shape(ti))
     for js, jt in zip(source.structure_monos, target.structure_monos):
-        if not _intertwines(ts.ints, js, jt):
+        if not _intertwines(ti, js, jt):
             raise NotInAlgebra("map is not D-linear")
     # T^T has n rows, empty ones when T has none
-    t_t = tuple(zip(*ts.ints)) or ((),) * n
-    t_star = sandwich(source.gram_inv_mono, Scaled(t_t, ts.den),
+    t_t = tuple(zip(*ti)) or ((),) * n
+    t_star = sandwich(source.gram_inv_mono, Scaled(t_t, t.den),
                       target.gram_mono)
-    return RationalMap(source, target, ts, t_star)
+    return RationalMap(source, target, t, t_star)
 
 
 def _square_mul(a: Scaled, b: Scaled, n: int) -> Scaled:
@@ -340,8 +331,8 @@ def _square_mul(a: Scaled, b: Scaled, n: int) -> Scaled:
 
 def _moment_values(rm: RationalMap) -> tuple:
     """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'."""
-    x = _square_mul(rm.scaled_t_star, rm.scaled_t, rm.source.n_real)
-    xp = _square_mul(rm.scaled_t, rm.scaled_t_star, rm.target.n_real)
+    x = _square_mul(rm.t_star, rm.t, rm.source.n_real)
+    xp = _square_mul(rm.t, rm.t_star, rm.target.n_real)
     _assert_in_algebra(x, rm.source)
     _assert_in_algebra(xp, rm.target)
     return x, xp
@@ -364,7 +355,7 @@ def kernel_form_nondegenerate(rm: RationalMap) -> bool:
     """B restricted to Ker T is non-degenerate, on integers: the Gram matrix
     bk of the integer kernel basis k under den * B has full rank."""
     n = rm.source.n_real
-    k = kernel(int_rows(rm.scaled_t.ints), n).ints
+    k = kernel(int_rows(rm.t.ints), n).ints
     bk = int_mul(k, transpose(monomial_rows(rm.source.gram_mono, k)))
     return len(echelon(int_rows(bk))) == len(k)
 
@@ -441,11 +432,9 @@ def algebra_basis(amb: AmbientSpace) -> Scaled:
     return _constrained_kernel(amb, _all_pairs(amb.n_real), commute_with=[])
 
 
-def _nonzeros(m: Mat) -> tuple:
-    """Nonzero entries of m's integer form (its denominators cleared):
-    the (column, value) pairs of each row and the (row, value) pairs of
-    each column."""
-    mi = scaled(m).ints
+def _nonzeros(mi) -> tuple:
+    """Nonzero entries of an integer matrix: the (column, value) pairs of
+    each row and the (row, value) pairs of each column."""
     by_row = [[(q, c) for q, c in enumerate(row) if c] for row in mi]
     by_col = [[(p, c) for p, c in enumerate(col) if c] for col in zip(*mi)]
     return by_row, by_col
@@ -461,8 +450,8 @@ def _monomial_nonzeros(m: Monomial) -> tuple:
 
 def _constraint_rows(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
     """Sparse integer rows of the skewness + D-linearity + [Z, M] = 0
-    constraints over the matrix entries Z[i][j], (i, j) in pairs.  Each
-    row involves one matrix, whose denominators are cleared once."""
+    constraints over the matrix entries Z[i][j], (i, j) in pairs, for
+    integer matrices M in commute_with.  Each row involves one matrix."""
     rows: dict = {}
 
     def bump(cell, var, coeff):
@@ -502,8 +491,9 @@ def _constrained_nullity(amb: AmbientSpace, pairs: list, commute_with: list) -> 
 
 def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
     """dim over the base field of the centralizer of x in the isometry algebra."""
-    _assert_in_algebra(scaled(x), amb)
-    return _constrained_nullity(amb, _all_pairs(amb.n_real), commute_with=[x])
+    xs = scaled(x)
+    _assert_in_algebra(xs, amb)
+    return _constrained_nullity(amb, _all_pairs(amb.n_real), [xs.ints])
 
 
 def _graded_pairs(real: MatrixRealization, j: int) -> list:
@@ -648,12 +638,11 @@ def construct_descent_element(src_real: MatrixRealization,
             links += [(src_real.d_index(si, a, 0), tgt_real.d_index(ti, p, 0))
                       for a, p in enumerate(positions)]
     dr = src_real.ambient.dr
-    t_real = [[0] * tgt_real.ambient.n_real
-              for _ in range(src_real.ambient.n_real)]
-    for i, j in links:
-        for al in range(dr):
-            t_real[i * dr + al][j * dr + al] = 1
-    rm = make_map(tgt_real.ambient, src_real.ambient, t_real)
+    ones = {(i * dr + al, j * dr + al) for i, j in links for al in range(dr)}
+    cols = range(tgt_real.ambient.n_real)
+    t_real = tuple(tuple(int((p, q) in ones) for q in cols)
+                   for p in range(src_real.ambient.n_real))
+    rm = make_map(tgt_real.ambient, src_real.ambient, Scaled(t_real, 1))
     _check_degree(rm, tgt_real, src_real)
     x, xp = _moment_values(rm)
     got_target = _identify(x, tgt_real.ambient)
@@ -675,7 +664,7 @@ def construct_descent_element(src_real: MatrixRealization,
 def _check_degree(rm: RationalMap, tgt_real: MatrixRealization,
                   src_real: MatrixRealization):
     dr = src_real.ambient.dr
-    for i, row in enumerate(rm.scaled_t.ints):
+    for i, row in enumerate(rm.t.ints):
         for j, val in enumerate(row):
             if val and src_real.weights[i // dr] != tgt_real.weights[j // dr] + 1:
                 raise IdentityViolated("witness does not raise weights by one",
@@ -720,14 +709,13 @@ def sample_raising_map(v_real: MatrixRealization, vp_real: MatrixRealization,
     space = v_real.ambient.space
     div = coordinates(space.base, space.division)
     dr = div.dim
-    t = [[0] * v_real.ambient.n_real for _ in range(vp_real.ambient.n_real)]
-    for p, wp in enumerate(vp_real.weights):
-        for q, wq in enumerate(v_real.weights):
-            if wp >= wq + 1:
-                z = tuple(rng.randint(-9, 9) for _ in range(dr))
-                for al, row in enumerate(div.lmat(z)):
-                    t[p * dr + al][q * dr:(q + 1) * dr] = row
-    return make_map(v_real.ambient, vp_real.ambient, t)
+    zero = [[0] * dr] * dr
+    rows = []
+    for wp in vp_real.weights:
+        blocks = [div.lmat(tuple(rng.randint(-9, 9) for _ in range(dr)))
+                  if wp >= wq + 1 else zero for wq in v_real.weights]
+        rows += [tuple(x for b in blocks for x in b[al]) for al in range(dr)]
+    return make_map(v_real.ambient, vp_real.ambient, Scaled(tuple(rows), 1))
 
 
 # -- reports -------------------------------------------------------------

@@ -219,8 +219,9 @@ def _complexified(tab: AdmissibleTableau) -> AdmissibleTableau:
 
 
 def complexify_tableau(tab: AdmissibleTableau) -> AdmissibleTableau:
-    """Extension of scalars applied row by row (divisions R and H only),
-    the result validated over base R."""
+    """Extension of scalars applied row by row (divisions R and H only):
+    tab validated, then the result too over base R."""
+    validate(tab)
     out = _complexified(tab)
     if tab.space.base == "R":
         validate(out)

@@ -9,9 +9,10 @@ the denominators of each row of its left operand and each column of its
 right operand once, takes integer dot products and builds one Fraction per
 output entry.  Monomial matrices (one nonzero entry in each row and each
 column, like every reference Gram and D-structure matrix) are kept as a
-permutation with integer scales over one denominator; `dense` writes one
-out as a Fraction matrix, `monomial_rows` applies one to integer vectors
-and `sandwich` multiplies a scaled matrix by one on each side.
+permutation with integer scales over one denominator, built entry by
+entry (there is no parser from dense form); `dense` writes one out as its
+Scaled integer matrix, `monomial_rows` applies one to integer vectors and
+`sandwich` multiplies a scaled matrix by one on each side.
 Elimination is fraction-free on sparse integer rows {column: nonzero int}:
 `echelon` reduces each row against the pivot of its smallest column and
 keeps every pivot row primitive; its size is the rank.  One
@@ -129,21 +130,6 @@ class Monomial(NamedTuple):
     den: int
 
 
-def monomial(a: Mat) -> Monomial:
-    """Monomial form of a square matrix; ValueError if it is not monomial."""
-    perm, vals = [], []
-    for i, row in enumerate(a):
-        nz = [j for j, x in enumerate(row) if x]
-        if len(nz) != 1:
-            raise ValueError(f"row {i} has {len(nz)} nonzero entries, not 1")
-        perm.append(nz[0])
-        vals.append(row[nz[0]])
-    if sorted(perm) != list(range(len(a))) or shape(a)[1] != len(a):
-        raise ValueError("nonzero entries do not form a permutation")
-    num, den = cleared(vals)
-    return Monomial(tuple(perm), tuple(num), den)
-
-
 def monomial_inv(m: Monomial) -> Monomial:
     n = len(m.perm)
     perm, vals = [0] * n, [_ZERO] * n
@@ -154,12 +140,11 @@ def monomial_inv(m: Monomial) -> Monomial:
     return Monomial(tuple(perm), tuple(num), den)
 
 
-def dense(m: Monomial) -> Mat:
-    """The Fraction matrix of m."""
-    out = zeros(len(m.perm), len(m.perm))
-    for row, j, c in zip(out, m.perm, m.num):
-        row[j] = _ratio(c, m.den)
-    return out
+def dense(m: Monomial) -> Scaled:
+    """The integer matrix of m over m.den."""
+    n = len(m.perm)
+    return Scaled(tuple([tuple([c if q == j else 0 for q in range(n)])
+                         for j, c in zip(m.perm, m.num)]), m.den)
 
 
 def monomial_rows(m: Monomial, vectors) -> list:

@@ -96,10 +96,11 @@ def test_criterion_2_descent_soundness():
         good = good and identify(xp, rm.target) == op
         # T maps the weight-k space of V into the weight-(k+1) space of V'
         tgt = realize_triple(d.target)
-        for q in range(len(rm.t[0])):
+        t = rm.t.ints
+        for q in range(len(t[0])):
             wq = tgt.weights[q // tgt.ambient.dr]
-            for p in range(len(rm.t)):
-                if rm.t[p][q] and src.weights[p // src.ambient.dr] != wq + 1:
+            for p in range(len(t)):
+                if t[p][q] and src.weights[p // src.ambient.dr] != wq + 1:
                     good = False
         failed += not good
     dt = time.monotonic() - t0

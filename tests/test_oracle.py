@@ -13,12 +13,13 @@ from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
                        tableau, theta_lift, verify_dimension_identity,
                        zero_orbit)
 from dualpairs.oracle import (_check_triple, _constrained_kernel,
-                              _constrained_nullity, algebra_basis,
-                              classify_space, in_algebra,
+                              _constrained_nullity, _moment_values,
+                              algebra_basis, classify_space, in_algebra,
                               kernel_form_nondegenerate, make_map,
                               random_isometry, sample_raising_map,
                               standard_gram)
-from dualpairs.rational import eye, inv, mul, scaled, transpose, zeros
+from dualpairs.rational import (Scaled, eye, fraction_mat, inv, mul, scaled,
+                                transpose, zeros)
 from helpers import (add, commutator, is_zero_mat, kron, kron_gram,
                      kron_standard_gram, kron_structures, kron_triple, mat,
                      matpow, nullspace, rank, scal)
@@ -68,7 +69,8 @@ def test_reference_forms_match_kron_reference():
         assert amb.gram == kron_gram(tab), tab.to_json()
         assert amb.structures == kron_structures(tab.space), tab.to_json()
     for s in iter_spaces(6):
-        assert standard_gram(s) == kron_standard_gram(s), s.render()
+        assert fraction_mat(standard_gram(s)) == kron_standard_gram(s), \
+            s.render()
 
 
 def test_cached_realization_cannot_be_changed_through_its_matrices():
@@ -88,7 +90,7 @@ def test_cached_realization_cannot_be_changed_through_its_matrices():
 def test_moment_maps_out_of_the_zero_space():
     src = realize_triple(zero_orbit(formed_space("C", "C", 1, dim=0))).ambient
     tgt = realize_triple(zero_orbit(SP2)).ambient
-    x, xp = moment_maps(make_map(src, tgt, [[], []]))
+    x, xp = moment_maps(make_map(src, tgt, scaled([[], []])))
     assert x == [] and xp == zeros(2, 2)
     assert identify(xp, tgt) == zero_orbit(SP2)
 
@@ -96,13 +98,13 @@ def test_moment_maps_out_of_the_zero_space():
 def test_moment_maps_into_the_zero_space():
     src = realize_triple(zero_orbit(SP2)).ambient
     tgt = realize_triple(zero_orbit(formed_space("C", "C", 1, dim=0))).ambient
-    rm = make_map(src, tgt, [])
-    assert rm.t_star == [[], []]
+    rm = make_map(src, tgt, scaled([]))
+    assert rm.t_star == Scaled(((), ()), 1)
     x, xp = moment_maps(rm)
     assert x == zeros(2, 2) and xp == []
     assert identify(x, src) == zero_orbit(SP2)
     with pytest.raises(NotInAlgebra, match="wrong shape"):
-        make_map(src, tgt, [[]])
+        make_map(src, tgt, scaled([[]]))
 
 
 def test_realize_zero_orbit():
@@ -119,7 +121,7 @@ def test_classify_space_reads_rational_gram_matrices():
     spaces = list(iter_spaces(6))
     assert {("R", "C", -1), ("R", "H", -1)} <= {s.tag() for s in spaces}
     for s in spaces:
-        gram = scaled(standard_gram(s)).ints  # a positive multiple
+        gram = standard_gram(s).ints  # a positive multiple
         assert len(gram) == s.dim_f
         assert classify_space(gram, s.base, s.division, s.epsilon) == s
         with pytest.raises(IdentityViolated, match="not epsilon-Hermitian"):
@@ -134,7 +136,7 @@ def test_classify_space_reads_positive_multiples():
     swaps the signature, over every signature-classified type, (R, C, -1)
     included."""
     for s in iter_spaces(6):
-        gram = scaled(standard_gram(s)).ints
+        gram = standard_gram(s).ints
         for c in (1, 6, 10**20):
             scaled_gram = [[c * x for x in row] for row in gram]
             assert classify_space(scaled_gram, *s.tag()) == s
@@ -165,23 +167,27 @@ def test_triple_relations_and_membership():
             assert commutator(r.h, r.y) == scal(-2, r.y)
             assert commutator(r.x, r.y) == mat(r.h)
             for z in (r.x, r.h, r.y):
-                assert in_algebra(z, r.ambient)
+                assert in_algebra(Scaled(z, 1), r.ambient)
             assert r.ambient.n_real == v.dim_f
 
 
 def test_check_triple_rejects_broken_triples():
     """Each sl2 relation and the membership test fails on its own planted
-    realization.  The last triple is the principal one of O(3,C) conjugated
-    by a diagonal non-isometry: its relations hold on matrices with
-    denominators, and X leaves the algebra."""
+    realization, given like every realization as int tuples.  The last
+    triple is the principal one of O(3,C) conjugated by a diagonal
+    non-isometry: its relations hold, and X leaves the algebra."""
     r = realize_triple(enumerate_orbits(O3)[0])
-    g = mat([[3, 0, 0], [0, 1, 0], [0, 0, 1]])
-    conj = {k: mul(g, mul(getattr(r, k), inv(g))) for k in "xhy"}
-    assert any(x.denominator > 1 for row in conj["y"] for x in row)
-    cases = [(replace(r, x=add(r.x, r.h)), r"\[H,X\] != 2X"),
-             (replace(r, h=scal(2, r.h)), r"\[H,X\] != 2X"),
-             (replace(r, y=add(r.y, r.h)), r"\[H,Y\] != -2Y"),
-             (replace(r, x=scal(2, r.x)), r"\[X,Y\] != H"),
+
+    def frozen(a):
+        return tuple(tuple(int(x) for x in row) for row in a)
+
+    g = mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    conj = {k: frozen(mul(g, mul(getattr(r, k), inv(g)))) for k in "xhy"}
+    assert conj["x"] != r.x
+    cases = [(replace(r, x=frozen(add(r.x, r.h))), r"\[H,X\] != 2X"),
+             (replace(r, h=frozen(scal(2, r.h))), r"\[H,X\] != 2X"),
+             (replace(r, y=frozen(add(r.y, r.h))), r"\[H,Y\] != -2Y"),
+             (replace(r, x=frozen(scal(2, r.x))), r"\[X,Y\] != H"),
              (replace(r, **conj), "X is not in the isometry algebra")]
     _check_triple(r)
     for bad, msg in cases:
@@ -232,7 +238,6 @@ def test_identify_is_conjugation_invariant():
     for tab in tabs:
         r = realize_triple(tab)
         g = random_isometry(r.ambient, rng)
-        from dualpairs.rational import inv
         conj = mul(g, mul(r.x, inv(g)))
         assert identify(conj, r.ambient) == tab
 
@@ -290,7 +295,7 @@ def test_in_algebra_matches_dense_definition():
             for z, skew, d_linear in cases:
                 assert (_dense_skew(z, amb), _dense_d_linear(z, amb)) == \
                     (skew, d_linear)
-                assert in_algebra(z, amb) == (skew and d_linear)
+                assert in_algebra(scaled(z), amb) == (skew and d_linear)
                 checked += 1
     assert {v.division for v in iter_spaces(4)} == {"R", "C", "H"}
     assert checked > 250 and non_d_linear == 15
@@ -309,8 +314,9 @@ def test_make_map_adjoint_and_d_linearity():
         src, tgt = v_real.ambient, vp_real.ambient
         for _ in range(5):
             rm = sample_raising_map(v_real, vp_real, rng)
-            dense = mul(inv(src.gram), mul(transpose(rm.t), tgt.gram))
-            assert rm.t_star == dense
+            dense = mul(inv(src.gram),
+                        mul(transpose(fraction_mat(rm.t)), tgt.gram))
+            assert fraction_mat(rm.t_star) == dense
         if v.base == "C":
             # no D-structures on a Q-form: only the shape can be wrong
             bad = zeros(tgt.n_real + 1, src.n_real)
@@ -318,7 +324,7 @@ def test_make_map_adjoint_and_d_linearity():
             bad = zeros(tgt.n_real, src.n_real)
             bad[0][0] = Fraction(1, 3)
         with pytest.raises(NotInAlgebra):
-            make_map(src, tgt, bad)
+            make_map(src, tgt, scaled(bad))
 
 
 def test_identify_rejects_matrices_outside_the_algebra():
@@ -366,7 +372,6 @@ def test_moment_values_match_fraction_products():
     moment_maps are the Fraction products of T and T*, and _moment_values
     the same values on integers over one denominator."""
     from dualpairs import in_moment_image
-    from dualpairs.oracle import _moment_values
     rng = random.Random(7)
     maps, kinds, witnesses = [], set(), {"C": 0, "R": 0}
     for v, vp in _dual_pairs((4, 6)):
@@ -385,7 +390,8 @@ def test_moment_values_match_fraction_products():
     assert kinds == {("C", "C"), ("R", "R"), ("R", "C"), ("R", "H")}
     assert witnesses["C"] == 67 and witnesses["R"] >= 268
     for rm in maps:
-        want = (mul(rm.t_star, rm.t), mul(rm.t, rm.t_star))
+        t, t_star = fraction_mat(rm.t), fraction_mat(rm.t_star)
+        want = (mul(t_star, t), mul(t, t_star))
         got = moment_maps(rm)
         assert got == want
         assert all(type(x) is Fraction for z in got for row in z for x in row)
@@ -447,14 +453,15 @@ def test_adjoint_identity():
     src = realize_triple(zero_orbit(O1)).ambient
     tgt = realize_triple(zero_orbit(SP2)).ambient
     t = mat([[3], [5]])
-    rm = make_map(src, tgt, t)
-    assert mul(transpose(rm.t), tgt.gram) == mul(src.gram, rm.t_star)
+    rm = make_map(src, tgt, scaled(t))
+    assert mul(transpose(fraction_mat(rm.t)), tgt.gram) == \
+        mul(src.gram, fraction_mat(rm.t_star))
 
 
 def test_moment_maps_zero():
     src = realize_triple(zero_orbit(O3)).ambient
     tgt = realize_triple(zero_orbit(SP4)).ambient
-    rm = make_map(src, tgt, zeros(4, 3))
+    rm = make_map(src, tgt, scaled(zeros(4, 3)))
     x, xp = moment_maps(rm)
     assert is_zero_mat(x) and is_zero_mat(xp)
 
@@ -462,7 +469,7 @@ def test_moment_maps_zero():
 def test_rank_one_real_map():
     src = realize_triple(zero_orbit(orthogonal_space(1, 0))).ambient
     tgt = realize_triple(zero_orbit(symplectic_space(2))).ambient
-    rm = make_map(src, tgt, mat([[1], [0]]))
+    rm = make_map(src, tgt, scaled(mat([[1], [0]])))
     x, xp = moment_maps(rm)
     assert is_zero_mat(x)  # o(1) = 0
     assert rank(xp) <= 1 and is_zero_mat(matpow(xp, 2))
@@ -497,7 +504,7 @@ def test_descent_witness_kernel():
     src = realize_triple(T31_O4)
     rm = construct_descent_element(src, SP4)
     dr = src.ambient.dr
-    assert len(nullspace(rm.t)) == 2 * dr
+    assert len(nullspace(rm.t.ints)) == 2 * dr
     assert kernel_form_nondegenerate(rm)
     x, xp = moment_maps(rm)
     assert identify(x, rm.source) == T211
@@ -507,7 +514,7 @@ def test_descent_witness_kernel():
 def test_descent_witness_zero_source():
     src = realize_triple(zero_orbit(SP4))
     rm = construct_descent_element(src, O3)
-    assert is_zero_mat(rm.t)
+    assert is_zero_mat(rm.t.ints)
 
 
 def test_real_descent_witness():
@@ -534,8 +541,9 @@ def test_degree_condition():
     rm = construct_descent_element(src, SP4)
     tgt = realize_triple(generalized_descent(T31_O4, SP4).target)
     # T maps weight-k vectors into weight-(k+1) vectors
-    for q in range(len(rm.t[0])):
-        col = [rm.t[p][q] for p in range(len(rm.t))]
+    t = rm.t.ints
+    for q in range(len(t[0])):
+        col = [t[p][q] for p in range(len(t))]
         wq = tgt.weights[q // tgt.ambient.dr]
         for p, val in enumerate(col):
             if val:
@@ -557,7 +565,8 @@ def test_truncation_kernel_nondegenerate():
             src = realize_triple(op)
             t0 = construct_descent_element(src, v)
             g = random_isometry(t0.source, rng)
-            s_map = make_map(t0.source, t0.target, mul(t0.t, g))
+            s_map = make_map(t0.source, t0.target,
+                             scaled(mul(fraction_mat(t0.t), g)))
             xp0 = moment_maps(t0)[1]
             assert moment_maps(s_map)[1] == xp0
             assert kernel_form_nondegenerate(s_map)
@@ -603,7 +612,7 @@ def test_raising_map_draws_over_base_r_are_pinned():
         v_real = realize_triple(enumerate_orbits(v)[0])
         vp_real = realize_triple(enumerate_orbits(vp)[0])
         rm = sample_raising_map(v_real, vp_real, random.Random(0))
-        assert rm.t == mat(want)
+        assert rm.t == Scaled(tuple(map(tuple, want)), 1)
 
 
 def test_centralizer_dims():
@@ -639,7 +648,8 @@ def test_constrained_nullity_matches_kernel():
                 z = zeros(n, n)
                 for (i, j), c in zip(full, vec):
                     z[i][j] = c
-                assert in_algebra(z, amb) and mul(z, r.x) == mul(r.x, z)
+                assert in_algebra(scaled(z), amb) and \
+                    mul(z, r.x) == mul(r.x, z)
             count += 1
     assert count == 62
 
@@ -667,4 +677,5 @@ def test_algebra_basis_spans_lie_dim():
         basis = algebra_basis(amb).ints
         assert rank(basis) == len(basis) == isometry_group(v).lie_dim
         for vec in basis:
-            assert in_algebra([vec[i:i + n] for i in range(0, n * n, n)], amb)
+            z = tuple(vec[i:i + n] for i in range(0, n * n, n))
+            assert in_algebra(Scaled(z, 1), amb)

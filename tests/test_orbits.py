@@ -316,3 +316,16 @@ def test_real_forms_of_regular_diagram():
     assert {f.rows[0].mult.signature for f in forms} == {(1, 0), (0, 1)}
     assert real_forms((1, 1), orthogonal_space(2, 1)) == []
     assert len(real_forms((1, 1, 1), orthogonal_space(2, 1))) == 1
+
+
+def test_complexify_tableau_validates_its_input():
+    """A real tableau whose blocks miss the signature of V is refused, as
+    validate refuses it, although its complexification is admissible."""
+    o21 = orthogonal_space(2, 1)
+    bad = unchecked(o21, [(1, orthogonal_space(0, 3))])
+    validate(orbits._complexified(bad))  # admissible over C
+    with pytest.raises(NotAdmissible) as exc:
+        validate(bad)
+    with pytest.raises(NotAdmissible) as again:
+        complexify_tableau(bad)
+    assert again.value.to_json() == exc.value.to_json()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (Scaled, _reduced, dense, echelon, eye,
-                                fraction_mat, inv, kernel, monomial,
+from dualpairs.rational import (Monomial, Scaled, _reduced, cleared, dense,
+                                echelon, eye, fraction_mat, inv, kernel,
                                 monomial_inv, monomial_rows, mul, sandwich,
                                 scaled, scaled_mul, shape, solve, sparse_rows,
                                 sylvester_signature, transpose, zeros)
@@ -46,11 +46,10 @@ def test_mul_matches_textbook_triple_loop(ab):
 
 def test_monomial_round_trip_and_sandwich():
     a = mat([[0, Fraction(-1, 2), 0], [0, 0, 3], [Fraction(2, 3), 0, 0]])
-    m = monomial(a)
-    assert m.perm == (1, 2, 0)
-    assert [Fraction(c, m.den) for c in m.num] == [Fraction(-1, 2), 3,
-                                                   Fraction(2, 3)]
-    assert dense(m) == a and dense(monomial(eye(0))) == []
+    m = Monomial((1, 2, 0), (-3, 18, 4), 6)
+    assert dense(m) == Scaled(((0, -3, 0), (0, 0, 18), (4, 0, 0)), 6)
+    assert fraction_mat(dense(m)) == a
+    assert dense(Monomial((), (), 1)) == Scaled((), 1)
     v = [[4, -2, 6], [1, 0, -1]]
     assert monomial_rows(m, v) == [[m.den * x for x in row]
                                    for row in mul(v, transpose(a))]
@@ -98,28 +97,19 @@ def test_integer_sandwich_matches_dense_product():
     def random_monomial(n):
         perm = list(range(n))
         rng.shuffle(perm)
-        out = zeros(n, n)
-        for i, j in enumerate(perm):
-            out[i][j] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
-        return out
+        num, den = cleared([Fraction(rng.choice([-3, -1, 1, 2]),
+                                     rng.randint(1, 4)) for _ in perm])
+        return Monomial(tuple(perm), tuple(num), den)
 
     for n, m in ((1, 1), (2, 3), (4, 2), (3, 3)):
         b, bp = random_monomial(n), random_monomial(m)
         a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m)]
              for _ in range(n)]
-        left, right = monomial_inv(monomial(b)), monomial(bp)
+        left, right = monomial_inv(b), bp
         got = sandwich(left, scaled(a), right)
         assert got.den == left.den * scaled(a).den * right.den
-        assert fraction_mat(got) == mul(inv(b), mul(a, bp))
-
-
-def test_monomial_rejects_non_monomial_rows():
-    with pytest.raises(ValueError):
-        monomial(mat([[0, 1], [0, 0]]))          # a row with no nonzero entry
-    with pytest.raises(ValueError):
-        monomial(mat([[1, 1], [0, 1]]))          # a row with two
-    with pytest.raises(ValueError):
-        monomial(mat([[1, 0], [2, 0]]))          # two rows share a column
+        assert fraction_mat(got) == mul(inv(fraction_mat(dense(b))),
+                                        mul(a, fraction_mat(dense(bp))))
 
 
 def textbook_rref(a):

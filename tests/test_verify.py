@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 from dualpairs import IdentityViolated, oracle
 from dualpairs.verify import run_suite
+
+GOLDEN_6_8 = Path(__file__).parent / "golden" / "verify_all_6_8.txt"
 
 
 def test_failing_check_names_first_instance(monkeypatch):
@@ -33,6 +36,9 @@ def test_all_suites_pass_at_six_eight():
     times = [c.to_json()["elapsed_s"] for c in report.checks]
     assert min(times) >= 0 and math.fsum(times) <= report.elapsed_s
     assert "elapsed" not in report.render()
+    # the text report, seeded counts included, is byte-identical to the
+    # checked-in one (the CLI prints it with a final newline)
+    assert report.render() + "\n" == GOLDEN_6_8.read_text()
 
 
 def test_lift_check_detail_is_pinned_at_seed_zero():
@@ -43,3 +49,16 @@ def test_lift_check_detail_is_pinned_at_seed_zero():
         "random moment-map values stay inside the lift closure"
     assert checks[-1].passed
     assert checks[-1].detail == "3230 contained, 1570 lift-undefined"
+
+
+def test_suites_read_no_dense_fraction_forms(monkeypatch):
+    """The suites run on the oracle's integer matrices: with the dense
+    Fraction Gram matrix and D-structures of every ambient space made to
+    raise, every suite still passes."""
+    def refuse(self):
+        raise AssertionError("dense Fraction form read")
+
+    for name in ("gram", "structures"):
+        monkeypatch.setattr(oracle.AmbientSpace, name, property(refuse))
+    report = run_suite("all", max_dims=(2, 4), seed=0)
+    assert report.passed, report.render()
