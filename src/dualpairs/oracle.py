@@ -13,9 +13,11 @@ innermost: D-basis index a occupies coordinates a*dr .. a*dr+dr-1
 and checked in it: Gram and D-structure matrices as monomials
 (rational.Monomial) written entry by entry, never parsed from dense form
 (rational.dense writes one out as its integer matrix), x, h, y as frozen
-int tuples, maps and moment-map values as rational.Scaled.  Fractions are
-written only for callers outside the oracle (moment_maps, random_isometry,
-the dense AmbientSpace.gram and .structures).
+int tuples, maps and moment-map values as rational.Scaled; identify reads
+ranks and kernels off echelon bases of the row spaces of the powers of x
+and builds no power.  Fractions are written only in rational, for callers
+outside the oracle (moment_maps, random_isometry, the dense
+AmbientSpace.gram and .structures).
 
 Conventions for the sl2 blocks (fixed once, used by realize and identify):
   X e_r = r e_{r-1},  H e_r = (t-1-2r) e_r,  Y e_r = (t-1-r) e_{r+1};
@@ -35,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .division import DIVISIONS, DivisionAlgebra
 from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
@@ -43,7 +44,7 @@ from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
 from .forms import SIG_KINDS, FormedSpace, formed_space
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate)
-from .rational import (Mat, Monomial, Scaled, cleared, dense, echelon, eye,
+from .rational import (Mat, Monomial, Scaled, dense, echelon, eye,
                        fraction_mat, int_mul, int_rows, kernel, monomial_inv,
                        monomial_rows, sandwich, scaled, scaled_mul, shape,
                        solve, sylvester_signature, transpose)
@@ -71,11 +72,11 @@ def coordinates(base: str, division: str) -> DivisionAlgebra:
     return DIVISIONS["R" if base == "C" else division]
 
 
-def _monomial(blocks) -> Monomial:
-    """The monomial matrix with diagonal blocks kron(p, e), written entry
-    by entry: p a monomial pattern, given as the (column, value) of each of
-    its rows, and e a signed permutation block such as L_u or R_u, an int
-    matrix whose rows are read for their one nonzero entry."""
+def _monomial(blocks, den: int = 1) -> Monomial:
+    """The monomial matrix over den with diagonal blocks kron(p, e), written
+    entry by entry and reduced by the gcd: p a monomial pattern, given as the
+    integer (column, value) of each of its rows, and e a signed permutation
+    block such as L_u or R_u, an int matrix with one nonzero entry per row."""
     perm, vals = [], []
     for pattern, e in blocks:
         off, k = len(perm), len(e)
@@ -84,8 +85,8 @@ def _monomial(blocks) -> Monomial:
             for j, x in units:
                 perm.append(off + col * k + j)
                 vals.append(c * x)
-    num, den = cleared(vals)
-    return Monomial(tuple(perm), tuple(num), den)
+    g = math.gcd(den, *vals)
+    return Monomial(tuple(perm), tuple(v // g for v in vals), den // g)
 
 
 def _pattern(space: FormedSpace) -> list:
@@ -104,20 +105,22 @@ def _gram(strings) -> Monomial:
     """Gram matrix of the blocks kron(g, s_t S_t, L_u) down the diagonal,
     one per (t, U) in strings: g the pattern of U's reference form, S_t the
     sl2 form of the module docstring and L_u left multiplication by u, the
-    unit i for the (R, C, -1) and (R, H, -1) types and 1 otherwise."""
+    unit i for the (R, C, -1) and (R, H, -1) types and 1 otherwise, each
+    coefficient over (T-1)!, T the longest string."""
     blocks, fact = [], math.factorial
+    den = fact(max((t for t, _ in strings), default=1) - 1)
     for t, u_space in strings:
         base = u_space.base
         div = coordinates(base, u_space.division)
         u = 1 if u_space.tag() in (("R", "C", -1), ("R", "H", -1)) else 0
-        sign = s_twist(t, base) * sigma_t(t, base)
-        coeffs = [Fraction((-1) ** r * fact(r) * fact(t - 1 - r) * sign,
-                           fact(t - 1)) for r in range(t)]
+        scale = s_twist(t, base) * sigma_t(t, base) * (den // fact(t - 1))
+        coeffs = [(-1) ** r * fact(r) * fact(t - 1 - r) * scale
+                  for r in range(t)]
         blocks.append(([(ga * t + t - 1 - r, sa * c)
                         for ga, sa in _pattern(u_space)
                         for r, c in enumerate(coeffs)],
                        div.lmat(div.unit(u))))
-    return _monomial(blocks)
+    return _monomial(blocks, den)
 
 
 def standard_gram(space: FormedSpace) -> Scaled:
@@ -533,36 +536,30 @@ def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
 
 def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     """Orbit of a nilpotent x of the isometry algebra (unchecked), given as
-    a scaled integer matrix: diagram from the D-ranks of its powers.
+    a scaled integer matrix: diagram from the D-ranks along its image chain.
 
-    Over base R the multiplicity space of row length t is
+    x = xi / den, and R_s, the echelon basis of the rows of R_(s-1) xi (of
+    xi for s = 1), spans the row space of xi^s: rank x^s = |R_s| and
+    ker x^s = kernel(R_s), ker x^0 = 0.  Over base C a multiplicity space
+    is classified by its dimension, over base R it is
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
     (-1)^(t-1) epsilon-Hermitian form (a, b) -> B(a, x^(t-1) b) of
     Burgoyne-Cushman.  On a realized block x^(t-1) e_(t-1) = (t-1)! e_0 and
     S_t[t-1][0] = (-1)^(t-1) sigma_t, so the sign below makes the integer
     Gram matrix a positive multiple of the multiplicity Gram matrix of
     realize_triple."""
-    dr = amb.dr
-    n_d = amb.space.dim
-    ranks = [n_d]
-    base = amb.space.base
-    n = amb.n_real
-    # x = xi / den: x^s = xi^s / den^s has the rank and kernel of the
-    # integer power xi^s.  Base C needs only the ranks, base R a basis of
-    # each ker x^s too.
-    xi = x.ints
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    kers = [()]  # integer kernel bases
+    dr, n, space, xi = amb.dr, amb.n_real, amb.space, x.ints
+    base = space.base
+    ranks = [space.dim]
+    chain = [None]  # chain[s] = R_s as int lists, for s >= 1
+    prod = xi  # rows spanning the row space of xi^s
     while ranks[-1] > 0:
-        if len(ranks) > n_d + 1:
+        if len(ranks) > space.dim + 1:
             raise NotNilpotent("power sequence does not reach zero")
-        powers.append(int_mul(powers[-1], xi))
-        if base == "C":
-            r = len(echelon(int_rows(powers[-1])))
-        else:
-            kers.append(kernel(int_rows(powers[-1]), n).ints)
-            r = n - len(kers[-1])
-        ranks.append(_d_rank(r, dr))
+        chain.append([[r.get(j, 0) for j in range(n)]
+                      for r in echelon(int_rows(prod)).values()])
+        ranks.append(_d_rank(len(chain[-1]), dr))
+        prod = int_mul(chain[-1], xi)
     ranks.extend([0, 0])
     mults = {}
     for t in range(1, len(ranks) - 1):
@@ -571,33 +568,31 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
             raise NotNilpotent("inconsistent rank sequence", ranks=ranks)
         if m > 0:
             mults[t] = m
-    eps = amb.space.epsilon
-    if base == "C":
-        rows = tuple(TableauRow(t, formed_space("C", "C", eps * (-1) ** (t - 1),
-                                                dim=mults[t]))
-                     for t in sorted(mults, reverse=True))
-        tab = AdmissibleTableau(amb.space, rows)
-        validate(tab)
-        return tab
-    top = len(kers) - 1  # x^s = 0 from s = top on
-    gram = amb.gram_mono
+    top = len(chain) - 1  # x^s = 0 from s = top on
+    xt = transpose(xi)
     rows = []
-    for t in sorted(mults, reverse=True):
-        # on integers: the rows xi v = den x v for v in ker x^(t+1), the
-        # basis lines, their images under xi^(t-1) = den^(t-1) x^(t-1) and
-        # the Gram matrix times gram.den: with (t-1)! positive factors,
-        # which classify_space takes as they are
-        lower = kers[t - 1] + int_mul(kers[min(t + 1, top)], transpose(xi))
-        lines = _d_basis_of(kers[t], lower, amb, mults[t])
-        images = int_mul(lines, transpose(powers[t - 1]))
-        gram_images = monomial_rows(gram, images)
+    for t, m in sorted(mults.items(), reverse=True):
+        eps_t = space.epsilon * (-1) ** (t - 1)
+        if base == "C":
+            rows.append(TableauRow(t, formed_space("C", "C", eps_t, dim=m)))
+            continue
+        # on integers: ker x^s = kernel(R_s) from fresh rows (kernel consumes
+        # them), the rows xi v = den x v for v in ker x^(t+1), the basis
+        # lines, their images under xi^(t-1) = den^(t-1) x^(t-1) and the
+        # Gram matrix times B's den: with (t-1)! positive factors, which
+        # classify_space takes as they are
+        below, kers_t, above = (kernel(int_rows(chain[min(s, top)]), n).ints
+                                if s else () for s in (t - 1, t, t + 1))
+        lines = _d_basis_of(kers_t, below + int_mul(above, xt), amb, m)
+        images = lines
+        for _ in range(t - 1):
+            images = int_mul(images, xt)
         sign = s_twist(t, base) * (-1) ** (t - 1) * sigma_t(t, base)
-        beta = [[sign * x for x in row]
-                for row in int_mul(lines, transpose(gram_images))]
-        mult = classify_space(beta, base, amb.space.division,
-                              eps * (-1) ** (t - 1))
-        rows.append(TableauRow(t, mult))
-    tab = AdmissibleTableau(amb.space, tuple(rows))
+        beta = [[sign * x for x in row] for row in int_mul(
+            lines, transpose(monomial_rows(amb.gram_mono, images)))]
+        rows.append(TableauRow(t, classify_space(beta, base, space.division,
+                                                 eps_t)))
+    tab = AdmissibleTableau(space, tuple(rows))
     validate(tab)
     return tab
 

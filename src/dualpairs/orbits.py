@@ -231,7 +231,7 @@ def complexify_tableau(tab: AdmissibleTableau) -> AdmissibleTableau:
 def real_forms(diagram: tuple, v_real: FormedSpace) -> list:
     """Real orbits over v_real whose complexified diagram equals diagram."""
     return [tab for tab in enumerate_orbits(v_real)
-            if complexify_tableau(tab).diagram() == tuple(diagram)]
+            if _complexified(tab).diagram() == tuple(diagram)]
 
 
 def _stabilizer(tab: AdmissibleTableau) -> GroupDescriptor:

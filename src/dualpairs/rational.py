@@ -131,13 +131,16 @@ class Monomial(NamedTuple):
 
 
 def monomial_inv(m: Monomial) -> Monomial:
+    """Row perm[i] holds den / num[i], over L = lcm(|num|), and then the
+    numerators and L are divided by their gcd."""
     n = len(m.perm)
-    perm, vals = [0] * n, [_ZERO] * n
+    big = math.lcm(*m.num)
+    perm, num = [0] * n, [0] * n
     for i, (j, c) in enumerate(zip(m.perm, m.num)):
         perm[j] = i
-        vals[j] = Fraction(m.den, c)
-    num, den = cleared(vals)
-    return Monomial(tuple(perm), tuple(num), den)
+        num[j] = m.den * (big // c)
+    g = math.gcd(big, *num)
+    return Monomial(tuple(perm), tuple(v // g for v in num), big // g)
 
 
 def dense(m: Monomial) -> Scaled:

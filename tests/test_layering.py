@@ -67,6 +67,16 @@ def test_division_imports_nothing_from_the_package():
     assert _imported_modules(tree) == set()
 
 
+def test_oracle_imports_nothing_from_fractions():
+    # the oracle builds and checks its matrices on integers
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names}
+    assert "fractions" not in imported
+
+
 def test_every_domain_error_is_raised():
     # an error class must not outlive its last raise
     defined = {cls.__name__ for cls in errors.DomainError.__subclasses__()}

@@ -366,6 +366,39 @@ def _same_value(a, b):
         for ra, rb in zip(a.ints, b.ints))
 
 
+def _dense_diagram(x, dr: int) -> tuple:
+    """Jordan type of a nilpotent x from the dense ranks of its powers,
+    counted over D: rank x^(t-1) - 2 rank x^t + rank x^(t+1) rows of
+    length t."""
+    ranks = [len(x) // dr]
+    while ranks[-1]:
+        ranks.append(rank(matpow(x, len(ranks))) // dr)
+    ranks.append(0)
+    return tuple(t for t in range(len(ranks) - 2, 0, -1)
+                 for _ in range(ranks[t - 1] - 2 * ranks[t] + ranks[t + 1]))
+
+
+def test_real_identify_of_moment_values_matches_dense_ranks():
+    """The real branch of identify on values that no realization wrote:
+    both moment-map values of 2 raising maps between the top orbits of
+    every base-R pair with dims <= (4, 6), over R, C and H."""
+    rng = random.Random(16)
+    divisions, checked = set(), 0
+    for v, vp in _dual_pairs((4, 6)):
+        if v.base != "R":
+            continue
+        divisions.add(v.division)
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        for _ in range(2):
+            rm = sample_raising_map(v_real, vp_real, rng)
+            for x, amb in zip(moment_maps(rm), (rm.source, rm.target)):
+                assert identify(x, amb).diagram() == \
+                    _dense_diagram(x, amb.dr), (v.render(), vp.render())
+                checked += 1
+    assert divisions == {"R", "C", "H"} and checked == 760
+
+
 def test_moment_values_match_fraction_products():
     """On every dual pair with dims <= (4, 6), over C and over R with
     D = R, C, H: seeded raising maps and every descent witness.  The public

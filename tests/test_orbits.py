@@ -318,6 +318,16 @@ def test_real_forms_of_regular_diagram():
     assert len(real_forms((1, 1, 1), orthogonal_space(2, 1))) == 1
 
 
+def test_real_forms_validates_nothing(monkeypatch):
+    # enumerate_orbits' tableaux are admissible by construction
+    v = symplectic_space(6)
+    calls = []
+    monkeypatch.setattr(orbits, "validate", calls.append)
+    diagrams = {tab.diagram() for tab in enumerate_orbits(v)}
+    found = sum(len(real_forms(d, v)) for d in diagrams)
+    assert found == len(enumerate_orbits(v)) and calls == []
+
+
 def test_complexify_tableau_validates_its_input():
     """A real tableau whose blocks miss the signature of V is refused, as
     validate refuses it, although its complexification is admissible."""
