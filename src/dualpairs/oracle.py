@@ -514,10 +514,8 @@ def triple_centralizer_dim(real: MatrixRealization) -> int:
 
 
 def graded_dim_at(real: MatrixRealization, j: int) -> int:
-    pairs = _graded_pairs(real, j)
-    if not pairs:
-        return 0
-    return _constrained_nullity(real.ambient, pairs, commute_with=[])
+    return _constrained_nullity(real.ambient, _graded_pairs(real, j),
+                                commute_with=[])
 
 
 def graded_dims(real: MatrixRealization) -> dict:

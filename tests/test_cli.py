@@ -3,13 +3,16 @@ import copy
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualpairs import enumerate_orbits, iter_spaces
+from dualpairs import (Cycle, complexify, complexify_tableau,
+                       enumerate_orbits, generalized_descent, in_moment_image,
+                       iter_spaces, verify)
 from dualpairs.cli import build_parser, main
 
 SP4 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 4})
@@ -281,15 +284,40 @@ def test_text_and_json_agree():
 
 
 def call(*argv):
-    """(exit code, stdout, stderr) of one in-process main() call."""
+    """(exit code, stdout, stderr) of one in-process main() call; the exit
+    of argparse's --help counts as its exit code."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO("")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(list(argv))
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
     finally:
         sys.stdin = stdin
     return rc, out.getvalue(), err.getvalue()
+
+
+TRANSCRIPT = pathlib.Path(__file__).parent / "golden" / "cli_transcript.json"
+
+
+def test_cli_transcript_is_byte_identical(monkeypatch):
+    # argparse wraps --help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    for rec in json.loads(TRANSCRIPT.read_text()):
+        got = call(*rec["argv"])
+        assert got == (rec["rc"], rec["stdout"], rec["stderr"]), rec["argv"]
+
+
+def test_failing_verify_exits_2_with_the_report_on_stdout(monkeypatch):
+    def failing(report, rng):
+        report.add("always fails", False)
+    monkeypatch.setattr(verify, "SUITES", {"failing": failing})
+    rc, out, err = call("verify", "--suite", "failing")
+    assert rc == 2
+    assert out.endswith("FAILURES present (1 checks)\n")
+    assert err == ""
 
 
 def test_shared_parser_matches_a_fresh_one():
@@ -385,14 +413,67 @@ NU = st.one_of(st.fractions(max_denominator=9).map(str), st.text(max_size=5))
 
 
 @st.composite
+def orbit_and_target(draw):
+    """An orbit and a target space payload: each from its own pool half of
+    the time, a mutated orbit and a mutated space of the dual type
+    otherwise."""
+    if draw(st.booleans()):
+        return draw(payload(ORBITS)), draw(payload(SPACES))
+    o = draw(st.sampled_from(ORBITS))
+    duals = [w for v, w in PAIRS if v == o["space"]]
+    return (json.dumps(mutate(draw, o)),
+            json.dumps(mutate(draw, draw(st.sampled_from(duals)))))
+
+
+def _cycle_cases():
+    """(o, o', V' real, cycle) for every descent o' -> o between two real
+    spaces with dim_F <= 3: one cycle per real form of o (multiplicity 1)
+    and, for two or more forms, their sum with multiplicities 1, 2, ..."""
+    real = [v for v in iter_spaces(3, bases=("R",)) if v.division != "C"]
+    cases = []
+    for v in real:
+        vc = complexify(v)
+        for vp in real:
+            if (vp.division, vp.epsilon) != (v.division, -v.epsilon):
+                continue
+            for op in enumerate_orbits(complexify(vp)):
+                if not in_moment_image(op, vc):
+                    continue
+                o = generalized_descent(op, vc).target
+                keys = [t for t in enumerate_orbits(v)
+                        if complexify_tableau(t).diagram() == o.diagram()]
+                terms = [((k, 1),) for k in keys]
+                if len(keys) > 1:
+                    terms.append(tuple((k, m) for m, k in enumerate(keys, 1)))
+                cases += [(o.to_json(), op.to_json(), vp.to_json(),
+                           Cycle(o, v, t).to_json()) for t in terms]
+    return cases
+
+
+CYCLE_CASES = _cycle_cases()
+
+
+@st.composite
 def cli_argv(draw):
-    command = draw(st.sampled_from(["orbits", "stabilizer", "whittaker",
-                                    "range"]))
+    command = draw(st.sampled_from([
+        "orbits", "stabilizer", "whittaker", "range", "descend", "lift",
+        "pair-factor", "cycle-lift"]))
     if command == "orbits":
         argv = [command, "--space", draw(payload(SPACES))]
     elif command == "range":
         v, w = draw(space_pair())
         argv = [command, "--nu", draw(NU), "--space", v, "--target-space", w]
+    elif command == "cycle-lift":
+        o, op, vp, c = [json.dumps(mutate(draw, x))
+                        for x in draw(st.sampled_from(CYCLE_CASES))]
+        argv = [command, "--orbit", o, "--orbit-prime", op,
+                "--target-space", vp, "--cycle", c]
+    elif command in ("descend", "lift", "pair-factor"):
+        o, v = draw(orbit_and_target())
+        flag = "--orbit" if command == "lift" else "--orbit-prime"
+        argv = [command, flag, o, "--target-space", v]
+        if command == "descend":
+            argv += draw(st.sampled_from([[], ["--real"]]))
     else:
         argv = [command, "--orbit", draw(payload(ORBITS))]
     return argv + draw(st.sampled_from([[], ["--json"]]))
