@@ -246,6 +246,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # the payload flags given '-' (a '-' for --nu is a bad rational)
+        stdin = [f for f in _FLAGS if f != "--nu"
+                 and getattr(args, f[2:].replace("-", "_"), None) == "-"]
+        if len(stdin) > 1:
+            raise UsageError("stdin holds one payload, but "
+                             f"{', '.join(stdin)} ask for it")
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,9 +108,10 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
     if o.space.base != "C" or vp.base != "C":
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
-    if vp.dim_f > DEFAULT_DIM_BOUND:
-        raise BoundExceeded("space exceeds dimension bound",
-                            dim_f=vp.dim_f, bound=DEFAULT_DIM_BOUND)
+    for space in (o.space, vp):
+        if space.dim_f > DEFAULT_DIM_BOUND:
+            raise BoundExceeded("space exceeds dimension bound",
+                                dim_f=space.dim_f, bound=DEFAULT_DIM_BOUND)
     validate(o)
     step = 2 if o.space.epsilon == -1 else 1  # a symplectic U1 is even
     for dim_u1 in range(o.diagram().count(1), -1, -step):

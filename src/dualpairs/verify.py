@@ -3,6 +3,7 @@ oracle and reports named pass/fail checks.  Deterministic for a fixed seed."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 from . import cycles as cyc
 from . import oracle, theta
-from .errors import DomainError, EmptyLift, IdentityViolated, NotInImage
+from .errors import DomainError, EmptyLift
 from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
@@ -52,6 +53,21 @@ class SuiteReport:
         self.checks.append(Check(name, bool(passed), detail, now - self.mark))
         self.mark = now
 
+    def tally(self, name: str, cases: list, check, unit: str = ""):
+        """Add a check counted over cases.  A case fails when check(case)
+        returns False or raises a DomainError; the detail names the first
+        failing case, with the error's code when one was raised."""
+        ok, first = 0, ""
+        for case in cases:
+            try:
+                passed, code = check(case) is not False, ""
+            except DomainError as exc:
+                passed, code = False, f": {exc.code}"
+            ok += passed
+            if not (passed or first):
+                first = f"; first failure {_label(case)}{code}"
+        self.add(name, ok == len(cases), f"{ok}/{len(cases)}{unit}{first}")
+
     def to_json(self) -> dict:
         return {"suite": self.suite, "seed": self.seed,
                 "max_dims": list(self.max_dims), "passed": self.passed,
@@ -70,6 +86,20 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _label(case) -> str:
+    """How a counted check names a failing case."""
+    if isinstance(case, tuple):
+        return ", ".join(map(_label, case))
+    if isinstance(case, theta.DescentResult):
+        return (f"V={case.target.space.render()}, O'={case.source.diagram()} "
+                f"in {case.source.space.render()}")
+    if isinstance(case, oracle.MatrixRealization):
+        case = case.tableau
+    if isinstance(case, AdmissibleTableau):
+        return f"{case.diagram()} in {case.space.render()}"
+    return case.render() if hasattr(case, "render") else str(case)
+
+
 def _complex_pairs(max_dims: tuple):
     for v in iter_spaces(max_dims[0], bases=("C",)):
         for vp in iter_spaces(max_dims[1], bases=("C",)):
@@ -77,56 +107,39 @@ def _complex_pairs(max_dims: tuple):
                 yield v, vp
 
 
-def _image_descents(max_dims: tuple):
+def _image_descents(max_dims: tuple) -> list:
     """The descent of every complex orbit O' in the moment image, once."""
-    for v, vp in _complex_pairs(max_dims):
-        for op in enumerate_orbits(vp):
-            try:
-                yield theta.generalized_descent(op, v)
-            except NotInImage:
-                pass
+    return [theta.generalized_descent(op, v) for v, vp in _complex_pairs(max_dims)
+            for op in enumerate_orbits(vp) if theta.in_moment_image(op, v)]
 
 
 # -- suites ---------------------------------------------------------------
 
 
 def suite_forms(report: SuiteReport, rng):
-    bound = max(report.max_dims)
-    spaces = list(iter_spaces(min(bound, 6)))
-    ok = 0
-    for s in spaces:
-        got = oracle.classify_space(oracle.standard_gram(s).ints,
-                                    s.base, s.division, s.epsilon)
-        ok += got == s
-    report.add("standard gram classifies back to its space", ok == len(spaces),
-               f"{ok}/{len(spaces)}")
-    tensor_ok = tensor_tot = 0
-    for m in spaces:
-        if m.dim > 2:
-            continue
-        for t in (1, 2, 3):
-            if m.dim_f * t > 12:
-                continue
-            want = tensor_with_sl2(m, t)
-            real = oracle.realize_triple(
-                AdmissibleTableau(want, (TableauRow(t, m),)))
-            got = oracle.classify_space(dense(real.ambient.gram_mono).ints,
-                                        m.base, m.division,
-                                        m.epsilon * (-1) ** (t - 1))
-            tensor_tot += 1
-            tensor_ok += got == want
-    report.add("tensor_with_sl2 matches gram classification",
-               tensor_ok == tensor_tot, f"{tensor_ok}/{tensor_tot}")
-    compl_ok = compl_tot = 0
-    for m in spaces:
-        if m.base != "R" or m.division == "C":
-            continue
-        for t in (2, 3):
-            compl_tot += 1
-            compl_ok += complexify(tensor_with_sl2(m, t)) == \
-                tensor_with_sl2(complexify(m), t)
-    report.add("complexify commutes with tensor_with_sl2",
-               compl_ok == compl_tot, f"{compl_ok}/{compl_tot}")
+    spaces = list(iter_spaces(min(max(report.max_dims), 6)))
+    report.tally("standard gram classifies back to its space", spaces,
+                 lambda s: oracle.classify_space(
+                     oracle.standard_gram(s).ints, s.base, s.division,
+                     s.epsilon) == s)
+
+    def tensor_classifies(case) -> bool:
+        m, t = case
+        want = tensor_with_sl2(m, t)
+        real = oracle.realize_triple(
+            AdmissibleTableau(want, (TableauRow(t, m),)))
+        return oracle.classify_space(dense(real.ambient.gram_mono).ints,
+                                     m.base, m.division,
+                                     m.epsilon * (-1) ** (t - 1)) == want
+
+    report.tally("tensor_with_sl2 matches gram classification",
+                 [(m, t) for m in spaces if m.dim <= 2
+                  for t in (1, 2, 3) if m.dim_f * t <= 12], tensor_classifies)
+    report.tally("complexify commutes with tensor_with_sl2",
+                 [(m, t) for m in spaces if m.base == "R" and m.division != "C"
+                  for t in (2, 3)],
+                 lambda c: complexify(tensor_with_sl2(*c))
+                 == tensor_with_sl2(complexify(c[0]), c[1]))
 
 
 def suite_orbit_enum(report: SuiteReport, rng):
@@ -139,72 +152,43 @@ def suite_orbit_enum(report: SuiteReport, rng):
     for name, sp, want in frozen:
         got = len(enumerate_orbits(sp))
         report.add(f"orbit count {name} = {want}", got == want, f"got {got}")
-    bound = report.max_dims[1]
-    spaces = list(iter_spaces(bound))
-    rt_ok = rt_tot = dup_ok = 0
-    for sp in spaces:
-        orbs = enumerate_orbits(sp)
-        dup_ok += len(set(orbs)) == len(orbs)
-        for tab in orbs:
-            rt_tot += 1
-            r = oracle.realize_triple(tab)
-            rt_ok += oracle.identify(r.x, r.ambient) == tab
-    report.add("identify(realize(tab)) = tab", rt_ok == rt_tot,
-               f"{rt_ok}/{rt_tot}")
-    report.add("no duplicate orbits", dup_ok == len(spaces),
-               f"{dup_ok}/{len(spaces)} spaces")
-    conj_ok = conj_tot = 0
-    for sp in frozen:
-        for tab in enumerate_orbits(sp[1]):
-            r = oracle.realize_triple(tab)
-            g = oracle.random_isometry(r.ambient, rng)
-            xg = mul(g, mul(r.x, inv(g)))
-            conj_tot += 1
-            conj_ok += oracle.identify(xg, r.ambient) == tab
-    report.add("identify stable under random conjugation",
-               conj_ok == conj_tot, f"{conj_ok}/{conj_tot}")
+    orbits_of = {sp: enumerate_orbits(sp)
+                 for sp in iter_spaces(report.max_dims[1])}
+    report.tally("identify(realize(tab)) = tab",
+                 [tab for orbs in orbits_of.values() for tab in orbs],
+                 lambda tab: oracle.identify(
+                     (r := oracle.realize_triple(tab)).x, r.ambient) == tab)
+    report.tally("no duplicate orbits", list(orbits_of),
+                 lambda sp: len(set(orbits_of[sp])) == len(orbits_of[sp]),
+                 unit=" spaces")
 
+    def conjugation_stable(tab) -> bool:
+        r = oracle.realize_triple(tab)
+        g = oracle.random_isometry(r.ambient, rng)
+        return oracle.identify(mul(g, mul(r.x, inv(g))), r.ambient) == tab
 
-def _image_check(report: SuiteReport, name: str, errors, check):
-    """Run check(d) on every image descent d; the detail names the first
-    (V, O') whose check raised one of errors, with the error code."""
-    tot = ok = 0
-    first = ""
-    for d in _image_descents(report.max_dims):
-        tot += 1
-        try:
-            check(d)
-            ok += 1
-        except errors as exc:
-            first = first or (f"; first failure V={d.target.space.render()}, "
-                              f"O'={d.source.diagram()} in "
-                              f"{d.source.space.render()}: {exc.code}")
-    report.add(name, ok == tot, f"{ok}/{tot}{first}")
+    report.tally("identify stable under random conjugation",
+                 [tab for _, sp, _ in frozen for tab in enumerate_orbits(sp)],
+                 conjugation_stable)
 
 
 def suite_descent(report: SuiteReport, rng):
-    _image_check(report, "descent witnesses verified (moment maps, degrees, kernels)",
-                 DomainError, lambda d: oracle.construct_descent_element(
+    report.tally("descent witnesses verified (moment maps, degrees, kernels)",
+                 _image_descents(report.max_dims),
+                 lambda d: oracle.construct_descent_element(
                      oracle.realize_triple(d.source), d.target.space))
 
 
 def suite_dim_identity(report: SuiteReport, rng):
-    _image_check(report, "graded dimension identity", IdentityViolated,
+    report.tally("graded dimension identity", _image_descents(report.max_dims),
                  oracle.verify_dimension_identity)
 
 
 def suite_lift(report: SuiteReport, rng):
-    strict_tot = strict_ok = 0
-    for d in _image_descents(report.max_dims):
-        if not d.strict:
-            continue
-        strict_tot += 1
-        try:
-            strict_ok += theta.theta_lift(d.target, d.source.space) == d.source
-        except DomainError:
-            pass
-    report.add("theta_lift inverts strict descents", strict_ok == strict_tot,
-               f"{strict_ok}/{strict_tot}")
+    report.tally("theta_lift inverts strict descents",
+                 [d for d in _image_descents(report.max_dims) if d.strict],
+                 lambda d: theta.theta_lift(d.target, d.source.space)
+                 == d.source)
     checked = skipped = failed = 0
     for v, vp in _complex_pairs(report.max_dims):
         vr = oracle.realize_triple(enumerate_orbits(v)[0])
@@ -231,49 +215,41 @@ def suite_lift(report: SuiteReport, rng):
                failed == 0, f"{checked} contained, {skipped} lift-undefined")
 
 
+def _factorizes(d) -> bool:
+    pf = theta.pair_factorization(d)
+    dw, _ = theta.reduced_pair_dims(d)
+    return (stabilizer(d.source).lie_dim == pf.m_xxp.lie_dim + pf.lp.lie_dim
+            and stabilizer(d.target).lie_dim >= pf.m_xxp.lie_dim + pf.l.lie_dim
+            and dw == d.target.space.d * d.b * d.s)
+
+
+def _whittaker_symmetric(tab) -> bool:
+    w = whittaker_datum(tab)
+    return (sum(w.grading.values()) == isometry_group(tab.space).lie_dim
+            and all(w.grading.get(-j, 0) == dj for j, dj in w.grading.items())
+            and w.dim_g_minus1 % 2 == 0
+            and w.dim_n == w.dim_u + w.dim_g_minus1)
+
+
 def suite_stabilizer(report: SuiteReport, rng):
-    tot = ok = grade_ok = dim_ok = 0
-    for sp in iter_spaces(report.max_dims[1]):
-        g = isometry_group(sp).lie_dim
-        for tab in enumerate_orbits(sp):
-            tot += 1
-            real = oracle.realize_triple(tab)
-            ok += stabilizer(tab).lie_dim == oracle.triple_centralizer_dim(real)
-            grade_ok += graded_dims(tab) == oracle.graded_dims(real)
-            dim_ok += orbit_dimension(tab) == \
-                g - oracle.centralizer_dim(real.x, real.ambient)
-    report.add("combinatorial stabilizer dim = oracle centralizer of (X, H)",
-               ok == tot, f"{ok}/{tot}")
-    report.add("weight-counted grading = oracle graded dims of ad H",
-               grade_ok == tot, f"{grade_ok}/{tot}")
-    report.add("orbit dimension = dim g - oracle centralizer of X",
-               dim_ok == tot, f"{dim_ok}/{tot}")
-    ftot = fok = 0
-    for d in _image_descents(report.max_dims):
-        ftot += 1
-        pf = theta.pair_factorization(d)
-        fine = stabilizer(d.source).lie_dim == pf.m_xxp.lie_dim + pf.lp.lie_dim
-        fine = fine and stabilizer(d.target).lie_dim >= \
-            pf.m_xxp.lie_dim + pf.l.lie_dim
-        dw, _ = theta.reduced_pair_dims(d)
-        fine = fine and dw == d.target.space.d * d.b * d.s
-        fok += fine
-    report.add("stabilizer factorization dim M + dim L'", fok == ftot,
-               f"{fok}/{ftot}")
-    wtot = wok = 0
-    for sp in iter_spaces(report.max_dims[0], bases=("C",)):
-        for tab in enumerate_orbits(sp):
-            wtot += 1
-            w = whittaker_datum(tab)
-            g = isometry_group(sp).lie_dim
-            fine = sum(w.grading.values()) == g
-            fine = fine and all(w.grading.get(-j, 0) == dj
-                                for j, dj in w.grading.items())
-            fine = fine and w.dim_g_minus1 % 2 == 0
-            fine = fine and w.dim_n == w.dim_u + w.dim_g_minus1
-            wok += fine
-    report.add("whittaker grading sums to dim g and is symmetric",
-               wok == wtot, f"{wok}/{wtot}")
+    # one realization per tableau, shared by the three oracle checks
+    reals = [oracle.realize_triple(tab)
+             for sp in iter_spaces(report.max_dims[1])
+             for tab in enumerate_orbits(sp)]
+    report.tally("combinatorial stabilizer dim = oracle centralizer of (X, H)",
+                 reals, lambda r: stabilizer(r.tableau).lie_dim
+                 == oracle.triple_centralizer_dim(r))
+    report.tally("weight-counted grading = oracle graded dims of ad H", reals,
+                 lambda r: graded_dims(r.tableau) == oracle.graded_dims(r))
+    report.tally("orbit dimension = dim g - oracle centralizer of X", reals,
+                 lambda r: orbit_dimension(r.tableau)
+                 == isometry_group(r.tableau.space).lie_dim
+                 - oracle.centralizer_dim(r.x, r.ambient))
+    report.tally("stabilizer factorization dim M + dim L'",
+                 _image_descents(report.max_dims), _factorizes)
+    report.tally("whittaker grading sums to dim g and is symmetric",
+                 [tab for sp in iter_spaces(report.max_dims[0], bases=("C",))
+                  for tab in enumerate_orbits(sp)], _whittaker_symmetric)
 
 
 def _random_cycle(complex_orbit, real_space, keys, rng) -> cyc.Cycle:
@@ -283,42 +259,36 @@ def _random_cycle(complex_orbit, real_space, keys, rng) -> cyc.Cycle:
 
 
 def suite_cycles(report: SuiteReport, rng):
-    sp2r = symplectic_space(2)
-    o21 = orthogonal_space(2, 1)
-    directions = []
+    # a round (O', V'_R, c1, c2, m): two random cycles over O and a scalar,
+    # drawn in that order, 15 rounds per descent pair (O', O)
+    sp2r, o21 = symplectic_space(2), orthogonal_space(2, 1)
+    rounds = []
     for v_real, vp_real in ((sp2r, o21), (o21, sp2r)):
         vc = complexify(v_real)
         for o in enumerate_orbits(vc):
+            keys = real_forms(o.diagram(), v_real)
             for op in enumerate_orbits(complexify(vp_real)):
-                try:
-                    if theta.generalized_descent(op, vc).target == o:
-                        directions.append((o, op, v_real, vp_real))
-                except NotInImage:
-                    pass
-    n_cycles = rounds = add_ok = mono_ok = total_ok = 0
-    for o, op, v_real, vp_real in directions:
-        keys = real_forms(o.diagram(), v_real)
-        if not keys:
-            continue
-        for _ in range(15):
-            c1 = _random_cycle(o, v_real, keys, rng)
-            c2 = _random_cycle(o, v_real, keys, rng)
-            m = rng.randint(0, 4)
-            d1 = cyc.dlift_cycle(o, op, c1, vp_real)
-            d2 = cyc.dlift_cycle(o, op, c2, vp_real)
-            add_ok += (cyc.dlift_cycle(o, op, c1 + c2, vp_real) == d1 + d2
-                       and cyc.dlift_cycle(o, op, m * c1, vp_real) == m * d1)
-            big = c1 + c2
-            mono_ok += cyc.cycle_leq(d1, cyc.dlift_cycle(o, op, big, vp_real))
-            total_ok += (d1.total_multiplicity <= c1.total_multiplicity
-                         and d2.total_multiplicity <= c2.total_multiplicity)
-            n_cycles += 2
-            rounds += 1
-    report.add("dlift additivity", add_ok == rounds, f"{add_ok}/{rounds}")
-    report.add("dlift monotonicity", mono_ok == rounds, f"{mono_ok}/{rounds}")
-    report.add("dlift never creates multiplicity", total_ok == rounds,
-               f"{total_ok}/{rounds}")
-    report.add("cycle corpus size >= 100", n_cycles >= 100, f"{n_cycles} cycles")
+                if keys and theta.in_moment_image(op, vc) \
+                        and theta.generalized_descent(op, vc).target == o:
+                    rounds += [(op, vp_real, _random_cycle(o, v_real, keys, rng),
+                                _random_cycle(o, v_real, keys, rng),
+                                rng.randint(0, 4)) for _ in range(15)]
+    lift = functools.cache(cyc.dlift_cycle)  # each cycle is lifted once
+
+    def lifts(r) -> list:  # of c1, c2, c1 + c2 and m * c1
+        op, vp_real, c1, c2, m = r
+        return [lift(c1.complex_orbit, op, c, vp_real)
+                for c in (c1, c2, c1 + c2, m * c1)]
+
+    report.tally("dlift additivity", rounds, lambda r: (
+        (d := lifts(r))[2] == d[0] + d[1] and d[3] == r[4] * d[0]))
+    report.tally("dlift monotonicity", rounds,
+                 lambda r: cyc.cycle_leq((d := lifts(r))[0], d[2]))
+    report.tally("dlift never creates multiplicity", rounds, lambda r: all(
+        d.total_multiplicity <= c.total_multiplicity
+        for d, c in zip(lifts(r), r[2:4])))
+    report.add("cycle corpus size >= 100", 2 * len(rounds) >= 100,
+               f"{2 * len(rounds)} cycles")
 
 
 def suite_range(report: SuiteReport, rng):

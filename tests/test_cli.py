@@ -274,6 +274,31 @@ def test_orbit_past_dimension_bound_is_domain_error():
         assert err["context"] == {"dim_f": 13, "bound": 12}
 
 
+def test_lift_past_dimension_bound_is_domain_error():
+    o13 = {"base": "C", "division": "C", "epsilon": 1, "dim": 13}
+    zero = json.dumps({"space": o13, "rows": [{"t": 1, "mult": o13}]})
+    rc, out, err = call("lift", "--orbit", zero, "--target-space", SP2,
+                        "--json")
+    assert (rc, out) == (2, "")
+    err = json.loads(err)["error"]
+    assert err["code"] == "bound_exceeded"
+    assert err["context"] == {"dim_f": 13, "bound": 12}
+
+
+def test_second_stdin_payload_is_refused(monkeypatch, capsys):
+    # stdin holds one payload; cycle-lift's --cycle reads it by default
+    for argv, flags in [
+            (("lift", "--orbit", "-", "--target-space", "-"),
+             "--orbit, --target-space"),
+            (("cycle-lift", "--orbit", "-", "--orbit-prime", O3_REG,
+              "--target-space", O21), "--orbit, --cycle")]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(REG2))
+        assert main(list(argv)) == 1
+        assert sys.stdin.tell() == 0, argv  # refused before any read
+        assert capsys.readouterr() == (
+            "", f"error: stdin holds one payload, but {flags} ask for it\n")
+
+
 def test_text_and_json_agree():
     res_t = run("descend", "--orbit-prime", T31_O4, "--target-space", SP4)
     res_j = run("descend", "--orbit-prime", T31_O4, "--target-space", SP4,

@@ -1,6 +1,6 @@
 import pytest
 
-from dualpairs import (DomainError, EmptyLift, IncompatiblePair,
+from dualpairs import (BoundExceeded, DomainError, EmptyLift, IncompatiblePair,
                        NotEmbeddable, NotInImage, UnsupportedRealClosure,
                        closure_leq, complex_orthogonal_space,
                        complex_symplectic_space,
@@ -154,6 +154,14 @@ def test_theta_lift_matches_the_search_over_every_orbit():
         outcomes.add(got if isinstance(got, str) else "lifted")
     assert outcomes == {"lifted", "empty_lift", "bound_exceeded",
                         "incompatible_pair"}
+
+
+def test_theta_lift_bounds_the_orbit_space():
+    # both spaces are bounded, the source as well as the target
+    o13 = zero_orbit(complex_orthogonal_space(13))
+    with pytest.raises(BoundExceeded, match="exceeds dimension bound") as exc:
+        theta_lift(o13, SP2)
+    assert exc.value.context == {"dim_f": 13, "bound": 12}
 
 
 def test_lift_descent_round_trip():

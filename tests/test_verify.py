@@ -29,6 +29,34 @@ def test_failing_check_names_first_instance(monkeypatch):
     assert check.passed and check.detail == f"{len(calls)}/{len(calls)}"
 
 
+def test_stabilizer_check_names_its_first_failing_tableau(monkeypatch):
+    calls = []
+    centralizer_dim = oracle.triple_centralizer_dim
+
+    def off_on_third(real):
+        calls.append(real)
+        return centralizer_dim(real) + (len(calls) == 3)
+
+    monkeypatch.setattr(oracle, "triple_centralizer_dim", off_on_third)
+    checks = run_suite("stabilizer", max_dims=(2, 2)).checks
+    assert not checks[0].passed
+    assert checks[0].detail == "15/16; first failure (2,) in C,C,-1 dim=2"
+    assert all(c.passed for c in checks[1:])
+
+
+def test_domain_error_fails_only_its_check(monkeypatch):
+    def raising(real):
+        raise IdentityViolated("planted failure")
+
+    monkeypatch.setattr(oracle, "graded_dims", raising)
+    checks = run_suite("stabilizer", max_dims=(2, 2)).checks
+    assert [c.passed for c in checks] == [True, False, True, True, True]
+    assert checks[1].name == \
+        "weight-counted grading = oracle graded dims of ad H"
+    assert checks[1].detail == (
+        "0/16; first failure (1,) in C,C,+1 dim=1: identity_violated")
+
+
 def test_all_suites_pass_at_six_eight():
     report = run_suite("all", max_dims=(6, 8), seed=0)
     assert report.passed, report.render()
