@@ -13,9 +13,11 @@ innermost: D-basis index a occupies coordinates a*dr .. a*dr+dr-1
 and checked in it: Gram and D-structure matrices as monomials
 (rational.Monomial) written entry by entry, never parsed from dense form
 (rational.dense writes one out as its integer matrix), x, h, y as frozen
-int tuples, maps and moment-map values as rational.Scaled; identify reads
-ranks and kernels off echelon bases of the row spaces of the powers of x
-and builds no power.  Fractions are written only in rational, for callers
+int tuples, maps and moment-map values as rational.Scaled, a raising map's
+drawn integers written straight into T wherever dr = 1; identify reads
+ranks and kernels off the image chain, the echelon bases of the row spaces
+of the powers of x kept as sparse rows, builds no power and computes each
+kernel once.  Fractions are written only in rational, for callers
 outside the oracle (moment_maps, random_isometry, the dense
 AmbientSpace.gram and .structures).
 
@@ -48,7 +50,7 @@ from .rational import (Mat, Monomial, Scaled, dense, echelon, eye,
                        fraction_mat, int_mul, int_rows, kernel, monomial_inv,
                        monomial_rows, sandwich, scaled, scaled_mul, shape,
                        solve, sylvester_signature, transpose)
-from .theta import generalized_descent, reduced_pair_dims
+from .theta import _check_pair, generalized_descent, reduced_pair_dims
 
 
 def sigma_t(t: int, base: str) -> int:
@@ -310,8 +312,10 @@ class RationalMap:
 
 
 def make_map(source: AmbientSpace, target: AmbientSpace, t: Scaled) -> RationalMap:
-    """T, a scaled integer matrix, checked for its shape and D-linearity,
+    """T, a scaled integer matrix, between the spaces of a dual pair (else
+    IncompatiblePair), checked for its shape and D-linearity,
     with T* written on integers from the monomial Gram forms B^-1 and B'."""
+    _check_pair(target.space, source.space)
     n = source.n_real
     ti = t.ints
     if len(ti) != target.n_real or any(len(row) != n for row in ti):
@@ -538,8 +542,9 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
 
     x = xi / den, and R_s, the echelon basis of the rows of R_(s-1) xi (of
     xi for s = 1), spans the row space of xi^s: rank x^s = |R_s| and
-    ker x^s = kernel(R_s), ker x^0 = 0.  Over base C a multiplicity space
-    is classified by its dimension, over base R it is
+    ker x^s = kernel(R_s), ker x^0 = 0.  R_s stays in echelon's sparse
+    rows, and R_s xi is formed on the sparse rows of xi.  Over base C a
+    multiplicity space is classified by its dimension, over base R it is
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
     (-1)^(t-1) epsilon-Hermitian form (a, b) -> B(a, x^(t-1) b) of
     Burgoyne-Cushman.  On a realized block x^(t-1) e_(t-1) = (t-1)! e_0 and
@@ -548,16 +553,16 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     realize_triple."""
     dr, n, space, xi = amb.dr, amb.n_real, amb.space, x.ints
     base = space.base
+    x_rows = int_rows(xi)
     ranks = [space.dim]
-    chain = [None]  # chain[s] = R_s as int lists, for s >= 1
-    prod = xi  # rows spanning the row space of xi^s
+    chain = [None]  # chain[s] = R_s as sparse rows, for s >= 1
+    prod = [dict(r) for r in x_rows]  # echelon consumes the rows it reduces
     while ranks[-1] > 0:
         if len(ranks) > space.dim + 1:
             raise NotNilpotent("power sequence does not reach zero")
-        chain.append([[r.get(j, 0) for j in range(n)]
-                      for r in echelon(int_rows(prod)).values()])
+        chain.append(list(echelon(prod).values()))
         ranks.append(_d_rank(len(chain[-1]), dr))
-        prod = int_mul(chain[-1], xi)
+        prod = _sparse_mul(chain[-1], x_rows)
     ranks.extend([0, 0])
     mults = {}
     for t in range(1, len(ranks) - 1):
@@ -567,20 +572,22 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
         if m > 0:
             mults[t] = m
     top = len(chain) - 1  # x^s = 0 from s = top on
-    xt = transpose(xi)
+    if base == "R":
+        # on integers: ker x^s = kernel(R_s), once per power (kernel consumes
+        # R_s, which is not read again), the rows xi v = den x v for v in
+        # ker x^(t+1), the basis lines, their images under
+        # xi^(t-1) = den^(t-1) x^(t-1) and the Gram matrix times B's den:
+        # with (t-1)! positive factors, which classify_space takes as they are
+        powers = {min(s, top) for t in mults for s in (t - 1, t, t + 1)}
+        kers = {s: kernel(chain[s], n).ints if s else () for s in powers}
+        xt = transpose(xi)
     rows = []
     for t, m in sorted(mults.items(), reverse=True):
         eps_t = space.epsilon * (-1) ** (t - 1)
         if base == "C":
             rows.append(TableauRow(t, formed_space("C", "C", eps_t, dim=m)))
             continue
-        # on integers: ker x^s = kernel(R_s) from fresh rows (kernel consumes
-        # them), the rows xi v = den x v for v in ker x^(t+1), the basis
-        # lines, their images under xi^(t-1) = den^(t-1) x^(t-1) and the
-        # Gram matrix times B's den: with (t-1)! positive factors, which
-        # classify_space takes as they are
-        below, kers_t, above = (kernel(int_rows(chain[min(s, top)]), n).ints
-                                if s else () for s in (t - 1, t, t + 1))
+        below, kers_t, above = (kers[min(s, top)] for s in (t - 1, t, t + 1))
         lines = _d_basis_of(kers_t, below + int_mul(above, xt), amb, m)
         images = lines
         for _ in range(t - 1):
@@ -593,6 +600,19 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     tab = AdmissibleTableau(space, tuple(rows))
     validate(tab)
     return tab
+
+
+def _sparse_mul(a: list, b: list) -> list:
+    """The rows of ab as new sparse rows {column: nonzero int}, for integer
+    matrices a and b given as sparse rows."""
+    out = []
+    for r in a:
+        acc = {}
+        for k, c in r.items():
+            for j, v in b[k].items():
+                acc[j] = acc.get(j, 0) + c * v
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 # -- descent realizers ---------------------------------------------------
@@ -698,16 +718,24 @@ def random_isometry(amb: AmbientSpace, rng) -> Mat:
 def sample_raising_map(v_real: MatrixRealization, vp_real: MatrixRealization,
                        rng) -> RationalMap:
     """Random D-linear T whose entries strictly raise reference weights, so
-    that both moment-map values are nilpotent."""
+    that both moment-map values are nilpotent.  Each raising D-entry is
+    drawn as dr integers in [-9, 9], row by row: over base C and over D = R
+    the one integer is T's entry, over D = C, H the entry z is written as
+    its block L_z."""
     space = v_real.ambient.space
     div = coordinates(space.base, space.division)
-    dr = div.dim
-    zero = [[0] * dr] * dr
-    rows = []
-    for wp in vp_real.weights:
-        blocks = [div.lmat(tuple(rng.randint(-9, 9) for _ in range(dr)))
-                  if wp >= wq + 1 else zero for wq in v_real.weights]
-        rows += [tuple(x for b in blocks for x in b[al]) for al in range(dr)]
+    dr, weights = div.dim, v_real.weights
+    if dr == 1:
+        rows = [tuple([rng.randint(-9, 9) if wp > wq else 0 for wq in weights])
+                for wp in vp_real.weights]
+    else:
+        zero = [[0] * dr] * dr
+        rows = []
+        for wp in vp_real.weights:
+            blocks = [div.lmat(tuple(rng.randint(-9, 9) for _ in range(dr)))
+                      if wp > wq else zero for wq in weights]
+            rows += [tuple(x for b in blocks for x in b[al])
+                     for al in range(dr)]
     return make_map(v_real.ambient, vp_real.ambient, Scaled(tuple(rows), 1))
 
 

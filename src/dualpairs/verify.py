@@ -3,6 +3,7 @@ oracle and reports named pass/fail checks.  Deterministic for a fixed seed."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 import time
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 from . import cycles as cyc
 from . import oracle, theta
-from .errors import DomainError, EmptyLift
+from .errors import DomainError, EmptyLift, NotInImage
 from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
@@ -107,10 +108,18 @@ def _complex_pairs(max_dims: tuple):
                 yield v, vp
 
 
-def _image_descents(max_dims: tuple) -> list:
-    """The descent of every complex orbit O' in the moment image, once."""
-    return [theta.generalized_descent(op, v) for v, vp in _complex_pairs(max_dims)
-            for op in enumerate_orbits(vp) if theta.in_moment_image(op, v)]
+@functools.lru_cache(maxsize=4)
+def _image_descents(max_dims: tuple) -> tuple:
+    """The descent of every complex orbit O' in the moment image, built once
+    per max_dims and shared by the suites that read it: one
+    generalized_descent per orbit, which raises NotInImage outside the
+    image."""
+    out = []
+    for v, vp in _complex_pairs(max_dims):
+        for op in enumerate_orbits(vp):
+            with contextlib.suppress(NotInImage):
+                out.append(theta.generalized_descent(op, v))
+    return tuple(out)
 
 
 # -- suites ---------------------------------------------------------------

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from dualpairs import (IdentityViolated, NotInAlgebra, NotNilpotent,
-                       centralizer_dim, complex_orthogonal_space,
+from dualpairs import (IdentityViolated, IncompatiblePair, NotInAlgebra,
+                       NotNilpotent, centralizer_dim, complex_orthogonal_space,
                        complex_symplectic_space, construct_descent_element,
                        enumerate_orbits, formed_space, generalized_descent,
                        identify, isometry_group, iter_spaces, moment_maps,
                        orthogonal_space, realize_triple, symplectic_space,
                        tableau, theta_lift, verify_dimension_identity,
                        zero_orbit)
+from dualpairs import oracle
 from dualpairs.oracle import (_check_triple, _constrained_kernel,
                               _constrained_nullity, _moment_values,
                               algebra_basis, classify_space, in_algebra,
@@ -327,6 +328,26 @@ def test_make_map_adjoint_and_d_linearity():
             make_map(src, tgt, scaled(bad))
 
 
+def test_make_map_refuses_spaces_that_are_not_a_dual_pair():
+    """Both spaces need one base and division and epsilon * epsilon' = -1:
+    a different base either way round, or the same epsilon, is refused
+    before T's shape is checked."""
+    cases = [(formed_space("R", "R", -1, dim=2), O3),
+             (SP2, formed_space("R", "R", -1, dim=2)),
+             (SP2, SP2)]
+    rng = random.Random(0)
+    for v, vp in cases:
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        src, tgt = v_real.ambient, vp_real.ambient
+        with pytest.raises(IncompatiblePair) as exc:
+            make_map(src, tgt, scaled(zeros(tgt.n_real + 1, src.n_real)))
+        assert exc.value.context == {"left": v.render(),
+                                     "right": vp.render()}
+        with pytest.raises(IncompatiblePair):
+            sample_raising_map(v_real, vp_real, rng)
+
+
 def test_identify_rejects_matrices_outside_the_algebra():
     """A wrong shape, a non-skew matrix and a skew but not D-linear one all
     raise NotInAlgebra with the same message and context."""
@@ -378,16 +399,14 @@ def _dense_diagram(x, dr: int) -> tuple:
                  for _ in range(ranks[t - 1] - 2 * ranks[t] + ranks[t + 1]))
 
 
-def test_real_identify_of_moment_values_matches_dense_ranks():
-    """The real branch of identify on values that no realization wrote:
-    both moment-map values of 2 raising maps between the top orbits of
-    every base-R pair with dims <= (4, 6), over R, C and H."""
-    rng = random.Random(16)
-    divisions, checked = set(), 0
+def _identify_moment_values_by_dense_ranks(base: str, rng) -> list:
+    """identify against _dense_diagram on both moment-map values of 2
+    raising maps between the top orbits of every pair over base with dims
+    <= (4, 6); returns the division of each value checked."""
+    checked = []
     for v, vp in _dual_pairs((4, 6)):
-        if v.base != "R":
+        if v.base != base:
             continue
-        divisions.add(v.division)
         v_real = realize_triple(enumerate_orbits(v)[0])
         vp_real = realize_triple(enumerate_orbits(vp)[0])
         for _ in range(2):
@@ -395,8 +414,48 @@ def test_real_identify_of_moment_values_matches_dense_ranks():
             for x, amb in zip(moment_maps(rm), (rm.source, rm.target)):
                 assert identify(x, amb).diagram() == \
                     _dense_diagram(x, amb.dr), (v.render(), vp.render())
-                checked += 1
-    assert divisions == {"R", "C", "H"} and checked == 760
+                checked.append(v.division)
+    return checked
+
+
+def test_real_identify_of_moment_values_matches_dense_ranks():
+    """The real branch of identify on values that no realization wrote,
+    over R, C and H."""
+    checked = _identify_moment_values_by_dense_ranks("R", random.Random(16))
+    assert set(checked) == {"R", "C", "H"} and len(checked) == 760
+
+
+def test_complex_identify_of_moment_values_matches_dense_ranks():
+    """The base-C branch of identify on values that no realization wrote."""
+    checked = _identify_moment_values_by_dense_ranks("C", random.Random(17))
+    assert len(checked) == 96
+
+
+def test_real_identify_computes_each_kernel_once(monkeypatch):
+    """Over base R, identify reads ker x^s for up to three powers per row
+    of the tableau; rows of neighbouring lengths share powers, and each
+    kernel is computed once."""
+    calls = []
+    kernel = oracle.kernel
+
+    def counted(rows, n):
+        rows = list(rows)
+        calls.append(tuple(tuple(sorted(r.items())) for r in rows))
+        return kernel(rows, n)
+
+    monkeypatch.setattr(oracle, "kernel", counted)
+    checked = 0
+    for space in iter_spaces(6, bases=("R",)):
+        for tab in enumerate_orbits(space):
+            if len({row.t for row in tab.rows}) < 2:
+                continue
+            real = realize_triple(tab)
+            calls.clear()
+            assert identify(real.x, real.ambient) == tab
+            assert len(calls) == len(set(calls)) <= tab.rows[0].t, \
+                tab.diagram()
+            checked += 1
+    assert checked == 48
 
 
 def test_moment_values_match_fraction_products():
@@ -641,6 +700,18 @@ def test_raising_map_draws_over_base_r_are_pinned():
          [[3, -4, 8, 1], [4, 3, 1, -8], [-8, -1, 3, -4], [-1, 8, 4, 3]]
          + [[0, 0, 0, 0]] * 4),
     ]
+    for v, vp, want in cases:
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        rm = sample_raising_map(v_real, vp_real, random.Random(0))
+        assert rm.t == Scaled(tuple(map(tuple, want)), 1)
+
+
+def test_raising_map_draws_over_base_c_are_pinned():
+    # O(3,C) x Sp(4,C) and Sp(2,C) x O(4,C), top orbits: over the Q-form
+    # each raising entry is one drawn integer
+    cases = [(O3, SP4, [[3, 4, -8], [0, -1, 7], [0, 0, 6], [0, 0, 0]]),
+             (SP2, O4, [[3, 4], [0, -8], [0, 0], [0, -1]])]
     for v, vp, want in cases:
         v_real = realize_triple(enumerate_orbits(v)[0])
         vp_real = realize_triple(enumerate_orbits(vp)[0])

@@ -1,7 +1,7 @@
 import math
 from pathlib import Path
 
-from dualpairs import IdentityViolated, oracle
+from dualpairs import IdentityViolated, oracle, verify
 from dualpairs.verify import run_suite
 
 GOLDEN_6_8 = Path(__file__).parent / "golden" / "verify_all_6_8.txt"
@@ -67,6 +67,16 @@ def test_all_suites_pass_at_six_eight():
     # the text report, seeded counts included, is byte-identical to the
     # checked-in one (the CLI prints it with a final newline)
     assert report.render() + "\n" == GOLDEN_6_8.read_text()
+
+
+def test_image_descents_are_built_once_per_run():
+    """descent, dim-identity, lift and stabilizer read one build of the
+    image descents."""
+    verify._image_descents.cache_clear()
+    report = run_suite("all", max_dims=(2, 4), seed=0)
+    assert report.passed, report.render()
+    info = verify._image_descents.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_lift_check_detail_is_pinned_at_seed_zero():
