@@ -17,7 +17,11 @@ int tuples, maps and moment-map values as rational.Scaled, a raising map's
 drawn integers written straight into T wherever dr = 1; identify reads
 ranks and kernels off the image chain, the echelon bases of the row spaces
 of the powers of x kept as sparse rows, builds no power and computes each
-kernel once.  Fractions are written only in rational, for callers
+kernel once.  classify_space checks a form for degeneracy once: by the
+signature's zero count, or by the rank for a type without a signature.
+Each graded nullity (dim g_j, dim M_X) is eliminated once per realization
+and kept in the realization's memo, which lives in realize_triple's cache
+with it.  Fractions are written only in rational, for callers
 outside the oracle (moment_maps, random_isometry, the dense
 AmbientSpace.gram and .structures).
 
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .division import DIVISIONS, DivisionAlgebra
 from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
@@ -168,6 +172,9 @@ class AmbientSpace:
 
 @dataclass(frozen=True)
 class MatrixRealization:
+    """A realized sl2 triple.  memo holds the graded nullities computed on
+    it, keyed by (j, with_x): integers derived from the frozen fields, so it
+    stays out of equality, hashing and repr, and a replace() starts empty."""
     ambient: AmbientSpace
     tableau: AdmissibleTableau
     x: tuple            # x, h, y: tuples of int tuples
@@ -175,6 +182,8 @@ class MatrixRealization:
     y: tuple
     weights: tuple      # H-weight of each D-basis index
     row_offsets: tuple  # first D-index of each tableau row block
+    memo: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
     def d_index(self, row_i: int, a: int, r: int) -> int:
         t = self.tableau.rows[row_i].t
@@ -404,15 +413,17 @@ def classify_space(br, base: str, division: str, epsilon: int) -> FormedSpace:
     epsilon-Hermitian iff br^T = epsilon br.  The checks, the rank and the
     signature all run on these integers.  A skew-Hermitian form over C
     (type (R, C, -1)) takes its signature from the symmetric J^T br, J the
-    structure of right multiplication by i."""
+    structure of right multiplication by i.  Degeneracy is checked once:
+    by the zero count of the signature, or by the rank where there is no
+    signature."""
     div = coordinates(base, division)
     if list(zip(*br)) != [tuple(epsilon * x for x in row) for row in br]:
         raise IdentityViolated("form is not epsilon-Hermitian", epsilon=epsilon)
     m = len(br) // div.dim
-    if len(echelon(int_rows(br))) != len(br):
-        raise IdentityViolated("form is degenerate", dim=m)
     tag = (base, division, epsilon)
     if tag not in SIG_KINDS:
+        if len(echelon(int_rows(br))) != len(br):
+            raise IdentityViolated("form is degenerate", dim=m)
         return formed_space(base, division, epsilon, dim=m)
     if tag == ("R", "C", -1):
         # J is a signed permutation over den 1: row J.perm[p] of J^T br is
@@ -422,7 +433,7 @@ def classify_space(br, base: str, division: str, epsilon: int) -> FormedSpace:
               for p in sorted(range(len(br)), key=j.perm.__getitem__)]
     pos, negc, zero = sylvester_signature(br)
     if zero:
-        raise IdentityViolated("degenerate after diagonalization")
+        raise IdentityViolated("form is degenerate", dim=m)
     return formed_space(base, division, epsilon,
                         signature=(pos // div.dim, negc // div.dim))
 
@@ -511,15 +522,24 @@ def _graded_pairs(real: MatrixRealization, j: int) -> list:
             if wp == wq + j]
 
 
+def _graded_nullity(real: MatrixRealization, j: int, with_x: bool) -> int:
+    """dim of the degree-j part of the algebra (of its centralizer of x when
+    with_x), eliminated once per realization and kept in real.memo."""
+    key = (j, with_x)
+    if key not in real.memo:
+        real.memo[key] = _constrained_nullity(
+            real.ambient, _graded_pairs(real, j),
+            commute_with=[real.x] if with_x else [])
+    return real.memo[key]
+
+
 def triple_centralizer_dim(real: MatrixRealization) -> int:
     """dim of the centralizer of the (X, H) pair: the reductive piece M_X."""
-    return _constrained_nullity(real.ambient, _graded_pairs(real, 0),
-                                commute_with=[real.x])
+    return _graded_nullity(real, 0, with_x=True)
 
 
 def graded_dim_at(real: MatrixRealization, j: int) -> int:
-    return _constrained_nullity(real.ambient, _graded_pairs(real, j),
-                                commute_with=[])
+    return _graded_nullity(real, j, with_x=False)
 
 
 def graded_dims(real: MatrixRealization) -> dict:

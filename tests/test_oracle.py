@@ -8,10 +8,10 @@ from dualpairs import (IdentityViolated, IncompatiblePair, NotInAlgebra,
                        NotNilpotent, centralizer_dim, complex_orthogonal_space,
                        complex_symplectic_space, construct_descent_element,
                        enumerate_orbits, formed_space, generalized_descent,
-                       identify, isometry_group, iter_spaces, moment_maps,
-                       orthogonal_space, realize_triple, symplectic_space,
-                       tableau, theta_lift, verify_dimension_identity,
-                       zero_orbit)
+                       identify, in_moment_image, isometry_group,
+                       iter_spaces, moment_maps, orthogonal_space,
+                       realize_triple, symplectic_space, tableau, theta_lift,
+                       verify_dimension_identity, zero_orbit)
 from dualpairs import oracle
 from dualpairs.oracle import (_check_triple, _constrained_kernel,
                               _constrained_nullity, _moment_values,
@@ -158,6 +158,30 @@ def test_classify_space_refuses_degenerate_forms():
     for base, division, eps, gram in singular:
         with pytest.raises(IdentityViolated, match="form is degenerate"):
             classify_space(gram, base, division, eps)
+
+
+def test_classify_space_checks_signature_kinds_once(monkeypatch):
+    """A signature-classified form takes its degeneracy from the zero count
+    of its signature and makes no echelon call; a dimension-classified one
+    makes exactly one."""
+    calls = []
+    echelon = oracle.echelon
+
+    def counted(*args):
+        calls.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(oracle, "echelon", counted)
+    for s in iter_spaces(6):
+        calls.clear()
+        assert classify_space(standard_gram(s).ints, *s.tag()) == s
+        assert len(calls) == (s.kind == "dim"), s.render()
+    calls.clear()
+    # kron([[1, 0], [0, 0]], L_i): skew-Hermitian over C and degenerate
+    singular = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(IdentityViolated, match="form is degenerate"):
+        classify_space(singular, "R", "C", -1)
+    assert calls == []
 
 
 def test_triple_relations_and_membership():
@@ -756,6 +780,81 @@ def test_constrained_nullity_matches_kernel():
                     mul(z, r.x) == mul(r.x, z)
             count += 1
     assert count == 62
+
+
+def _graded_pairs_of(r, j):
+    """The degree-j matrix entries of a realization, from its weights."""
+    n, dr = r.ambient.n_real, r.ambient.dr
+    wts = [r.weights[i // dr] for i in range(n)]
+    return [(p, q) for p in range(n) for q in range(n) if wts[p] == wts[q] + j]
+
+
+def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
+    """The graded questions of the witness sweep over every (V, V', O') in
+    the moment image with dims <= (4, 6), complex and real: the centralizer
+    of O' and dim g_-1 on both sides of its descent.  Each distinct
+    (realization, j, with_x) is eliminated once."""
+    oracle._realize.cache_clear()
+    calls = []
+    nullity = oracle._constrained_nullity
+
+    def counted(amb, pairs, commute_with):
+        calls.append(amb)
+        return nullity(amb, pairs, commute_with)
+
+    monkeypatch.setattr(oracle, "_constrained_nullity", counted)
+    items, asked = 0, set()
+    for v in iter_spaces(4):
+        for vp in iter_spaces(6):
+            if (v.base, v.division) != (vp.base, vp.division) \
+                    or v.epsilon * vp.epsilon != -1:
+                continue
+            for op in enumerate_orbits(vp):
+                if not in_moment_image(op, v):
+                    continue
+                d = generalized_descent(op, v)
+                verify_dimension_identity(d)
+                oracle.triple_centralizer_dim(realize_triple(op))
+                items += 1
+                asked |= {(d.target, -1, False), (op, -1, False),
+                          (op, 0, True)}
+    # every realization stays cached, so each is built once
+    assert len({tab for tab, _, _ in asked}) <= oracle.REALIZE_CACHE_SIZE
+    assert items == 483
+    assert len(calls) == len(asked) == 312
+
+
+def test_memoized_graded_nullities_match_direct_elimination():
+    """On every realization with dim_F <= 6, triple_centralizer_dim and each
+    entry of graded_dims equal a direct _constrained_nullity, when the memo
+    is filled and when it is read back."""
+    for v in iter_spaces(6):
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            cen = _constrained_nullity(r.ambient, _graded_pairs_of(r, 0),
+                                       [r.x])
+            for _ in range(2):
+                assert oracle.triple_centralizer_dim(r) == cen
+                dims = oracle.graded_dims(r)
+                assert dims == {j: _constrained_nullity(
+                    r.ambient, _graded_pairs_of(r, j), []) for j in dims}
+
+
+def test_filled_memo_changes_nothing_outside_itself():
+    """A realization with a filled memo equals a fresh one of the same
+    tableau, hashes the same and prints the same; a replace() of it starts
+    with an empty memo."""
+    for tab in (T211, enumerate_orbits(symplectic_space(4))[0]):
+        r = realize_triple(tab)
+        oracle.triple_centralizer_dim(r)
+        oracle.graded_dims(r)
+        assert r.memo
+        oracle._realize.cache_clear()
+        fresh = realize_triple(tab)
+        assert fresh is not r and fresh.memo == {}
+        assert fresh == r and hash(fresh) == hash(r)
+        assert repr(fresh) == repr(r) and "memo" not in repr(r)
+        assert replace(r, x=r.x).memo == {}
 
 
 def test_dimension_identity_reports():
