@@ -15,10 +15,12 @@ and checked in it: Gram and D-structure matrices as monomials
 (rational.dense writes one out as its integer matrix), x, h, y as frozen
 int tuples, maps and moment-map values as rational.Scaled, a raising map's
 drawn integers written straight into T wherever dr = 1; identify reads
-ranks and kernels off the image chain, the echelon bases of the row spaces
-of the powers of x kept as sparse rows, builds no power and computes each
-kernel once.  classify_space checks a form for degeneracy once: by the
-signature's zero count, or by the rank for a type without a signature.
+ranks off the image chain, the echelon bases of the row spaces of the
+powers of x kept as sparse rows, and builds no power.  Over base R it reads
+each multiplicity form on ker x^t itself, one kernel per row length t: as
+x is skew for B, the form's radical there is ker x^(t-1) + x ker x^(t+1),
+so no quotient basis is built.  classify_space checks a form's rank once:
+from the signature, or by one elimination for a type without a signature.
 Each graded nullity (dim g_j, dim M_X) is eliminated once per realization
 and kept in the realization's memo, which lives in realize_triple's cache
 with it.  Fractions are written only in rational, for callers
@@ -43,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 from .division import DIVISIONS, DivisionAlgebra
 from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
@@ -379,63 +382,42 @@ def kernel_form_nondegenerate(rm: RationalMap) -> bool:
 # -- identification ------------------------------------------------------
 
 
-def _d_basis_of(vectors: list, lower: list, amb: AmbientSpace,
-                expect: int) -> list:
-    """Greedy D-basis, modulo the D-submodule spanned by lower, of the
-    D-submodule spanned by lower and a list of integer vectors.  Returns
-    the D-lines of the chosen vectors v: the rows v*e_al, al < dr, so that
-    a D-valued form on the basis has the rational Gram matrix with blocks
-    L_z on them."""
-    span = echelon(int_rows(lower))
-    base_rank = len(span)
-    lines = []
-    for v in vectors:
-        if len(lines) == expect * amb.dr:
-            break
-        before = len(span)
-        echelon(int_rows([v]), span)
-        if len(span) == before:
-            continue
-        # the D-structures have denominator 1: these rows are J v exactly
-        line = [v] + [monomial_rows(j, [v])[0] for j in amb.structure_monos]
-        lines += line
-        echelon(int_rows(line[1:]), span)
-    if len(lines) != expect * amb.dr or len(span) != base_rank + len(lines):
-        raise IdentityViolated("could not extract a D-basis",
-                               expected=expect, got=len(lines) // amb.dr)
-    return lines
-
-
-def classify_space(br, base: str, division: str, epsilon: int) -> FormedSpace:
-    """Isometry class of a non-degenerate D-valued epsilon-Hermitian form,
-    given as a positive multiple of its Gram matrix with integer entries:
-    blocks L_z for the D-entries z.  As L_conj(z) = L_z^T, the form is
-    epsilon-Hermitian iff br^T = epsilon br.  The checks, the rank and the
-    signature all run on these integers.  A skew-Hermitian form over C
-    (type (R, C, -1)) takes its signature from the symmetric J^T br, J the
-    structure of right multiplication by i.  Degeneracy is checked once:
-    by the zero count of the signature, or by the rank where there is no
-    signature."""
+def classify_space(br, base: str, division: str, epsilon: int,
+                   dim: int | None = None) -> FormedSpace:
+    """Isometry class of a D-valued epsilon-Hermitian form, given as a
+    positive multiple of its Gram matrix on k D-lines with integer entries:
+    blocks L_z for the D-entries z.  The form must be non-degenerate, or,
+    when dim is given, have a non-degenerate part of D-dimension dim: the
+    class of the form on the lines modulo its radical.  As
+    L_conj(z) = L_z^T, the form is epsilon-Hermitian iff br^T = epsilon br.
+    The checks, the rank and the signature all run on these integers.  A
+    skew-Hermitian form over C (type (R, C, -1)) takes its signature from
+    the symmetric J^T br, J the structure of right multiplication by i on
+    the lines.  The rank is checked once: from the signature where the type
+    has one, by one elimination where it has none."""
     div = coordinates(base, division)
     if list(zip(*br)) != [tuple(epsilon * x for x in row) for row in br]:
         raise IdentityViolated("form is not epsilon-Hermitian", epsilon=epsilon)
-    m = len(br) // div.dim
+    k = len(br) // div.dim
+    m = k if dim is None else dim
     tag = (base, division, epsilon)
-    if tag not in SIG_KINDS:
-        if len(echelon(int_rows(br))) != len(br):
-            raise IdentityViolated("form is degenerate", dim=m)
-        return formed_space(base, division, epsilon, dim=m)
-    if tag == ("R", "C", -1):
-        # J is a signed permutation over den 1: row J.perm[p] of J^T br is
-        # J.num[p] br[p]
-        j = _structures(m, div)[0]
-        br = [[j.num[p] * x for x in br[p]]
-              for p in sorted(range(len(br)), key=j.perm.__getitem__)]
-    pos, negc, zero = sylvester_signature(br)
-    if zero:
-        raise IdentityViolated("form is degenerate", dim=m)
-    return formed_space(base, division, epsilon,
-                        signature=(pos // div.dim, negc // div.dim))
+    signature = None
+    if tag in SIG_KINDS:
+        if tag == ("R", "C", -1):
+            # J is a signed permutation over den 1: row J.perm[p] of J^T br
+            # is J.num[p] br[p]
+            j = _structures(k, div)[0]
+            br = [[j.num[p] * x for x in br[p]]
+                  for p in sorted(range(len(br)), key=j.perm.__getitem__)]
+        pos, negc, _ = sylvester_signature(br)
+        rank, signature = pos + negc, (pos // div.dim, negc // div.dim)
+    else:
+        rank = len(echelon(int_rows(br)))
+    if rank != m * div.dim:
+        raise IdentityViolated("form is degenerate" if rank < m * div.dim
+                               else "form rank exceeds its dimension",
+                               dim=m, rank=rank)
+    return formed_space(base, division, epsilon, signature=signature, dim=m)
 
 
 def _all_pairs(n: int) -> list:
@@ -564,13 +546,22 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     xi for s = 1), spans the row space of xi^s: rank x^s = |R_s| and
     ker x^s = kernel(R_s), ker x^0 = 0.  R_s stays in echelon's sparse
     rows, and R_s xi is formed on the sparse rows of xi.  Over base C a
-    multiplicity space is classified by its dimension, over base R it is
+    multiplicity space is classified by its dimension.  Over base R it is
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
     (-1)^(t-1) epsilon-Hermitian form (a, b) -> B(a, x^(t-1) b) of
-    Burgoyne-Cushman.  On a realized block x^(t-1) e_(t-1) = (t-1)! e_0 and
-    S_t[t-1][0] = (-1)^(t-1) sigma_t, so the sign below makes the integer
-    Gram matrix a positive multiple of the multiplicity Gram matrix of
-    realize_triple."""
+    Burgoyne-Cushman, read on ker x^t itself: x is skew for B, so
+    (ker x^t)^perp = im x^t, and the form's radical on ker x^t is
+    {a : x^(t-1) a in im x^t} = ker x^(t-1) + x ker x^(t+1).  It is
+    classified on the kernel vectors of ker x^t at the leads of R_(t-1):
+    they span a complement of ker x^(t-1), which lies in the radical, so
+    the form on them has the same rank, dr m, and signature.  They come in
+    D-lines (v, v e_1, ...), as the free columns of a D-stable kernel fill
+    whole D-blocks.  On a
+    realized block x^(t-1) e_(t-1) = (t-1)! e_0 and S_t[t-1][0] =
+    (-1)^(t-1) sigma_t, so the sign below makes the integer Gram matrix a
+    positive multiple of the multiplicity Gram matrix of realize_triple,
+    with (t-1)! and den^(t-1), xi^(t-1) = den^(t-1) x^(t-1), among its
+    positive factors."""
     dr, n, space, xi = amb.dr, amb.n_real, amb.space, x.ints
     base = space.base
     x_rows = int_rows(xi)
@@ -591,32 +582,34 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
             raise NotNilpotent("inconsistent rank sequence", ranks=ranks)
         if m > 0:
             mults[t] = m
-    top = len(chain) - 1  # x^s = 0 from s = top on
     if base == "R":
-        # on integers: ker x^s = kernel(R_s), once per power (kernel consumes
-        # R_s, which is not read again), the rows xi v = den x v for v in
-        # ker x^(t+1), the basis lines, their images under
-        # xi^(t-1) = den^(t-1) x^(t-1) and the Gram matrix times B's den:
-        # with (t-1)! positive factors, which classify_space takes as they are
-        powers = {min(s, top) for t in mults for s in (t - 1, t, t + 1)}
-        kers = {s: kernel(chain[s], n).ints if s else () for s in powers}
-        xt = transpose(xi)
+        # the lead columns of R_s; R_0, the identity, leads at every column
+        leads = [range(n)] + [{min(r) for r in rows} for rows in chain[1:]]
     rows = []
     for t, m in sorted(mults.items(), reverse=True):
         eps_t = space.epsilon * (-1) ** (t - 1)
         if base == "C":
             rows.append(TableauRow(t, formed_space("C", "C", eps_t, dim=m)))
             continue
-        below, kers_t, above = (kers[min(s, top)] for s in (t - 1, t, t + 1))
-        lines = _d_basis_of(kers_t, below + int_mul(above, xt), amb, m)
+        # kernel's vector at free column j of R_t is den at j and 0 at the
+        # other free columns.  Those at leads of R_(t-1) span a complement
+        # of ker x^(t-1) in ker x^t: a sum of them in ker x^(t-1) is 0 at
+        # every free column of R_(t-1), so it is 0.  There are as many as
+        # the rank drop when the leads of R_t are leads of R_(t-1).
+        free = [j for j in range(n) if j not in leads[t]]
+        lines = [v for j, v in zip(free, kernel(chain[t], n).ints)
+                 if j in leads[t - 1]]
+        if len(lines) != dr * (ranks[t - 1] - ranks[t]):
+            raise IdentityViolated("image chain is not nested", t=t,
+                                   got=len(lines))
         images = lines
         for _ in range(t - 1):
-            images = int_mul(images, xt)
+            images = [[sum(map(mul, r, v)) for r in xi] for v in images]
         sign = s_twist(t, base) * (-1) ** (t - 1) * sigma_t(t, base)
-        beta = [[sign * x for x in row] for row in int_mul(
-            lines, transpose(monomial_rows(amb.gram_mono, images)))]
+        bimages = monomial_rows(amb.gram_mono, images)
+        beta = [[sign * sum(map(mul, a, b)) for b in bimages] for a in lines]
         rows.append(TableauRow(t, classify_space(beta, base, space.division,
-                                                 eps_t)))
+                                                 eps_t, dim=m)))
     tab = AdmissibleTableau(space, tuple(rows))
     validate(tab)
     return tab

@@ -184,6 +184,23 @@ def test_classify_space_checks_signature_kinds_once(monkeypatch):
     assert calls == []
 
 
+def test_classify_space_reads_degenerate_forms_of_a_given_dimension():
+    """Given dim, a Gram matrix on more D-lines classifies by its
+    non-degenerate part, whose D-dimension must be dim: the standard Gram
+    matrix of every space with dim_F <= 6, padded by two zero D-lines."""
+    for s in iter_spaces(6):
+        gram = standard_gram(s).ints
+        pad = 2 * s.d
+        padded = ([list(row) + [0] * pad for row in gram]
+                  + [[0] * (len(gram) + pad)] * pad)
+        assert classify_space(padded, *s.tag(), dim=s.dim) == s
+        with pytest.raises(IdentityViolated, match="form is degenerate"):
+            classify_space(padded, *s.tag(), dim=s.dim + 1)
+        if s.dim:
+            with pytest.raises(IdentityViolated, match="rank exceeds"):
+                classify_space(padded, *s.tag(), dim=s.dim - 1)
+
+
 def test_triple_relations_and_membership():
     for v in list(iter_spaces(5)) + [SP4, O4]:
         for tab in enumerate_orbits(v):
@@ -251,7 +268,7 @@ def test_identify_is_conjugation_invariant():
     rng = random.Random(7)
     tabs = [tab for v in [SP4, O3, formed_space("R", "C", 1, signature=(1, 1))]
             for tab in enumerate_orbits(v)]
-    tabs += [tab for v in iter_spaces(4, bases=("R",))
+    tabs += [tab for v in iter_spaces(6, bases=("R",))
              for tab in enumerate_orbits(v)]
     # at the dimension bound: the principal sp(12,R) orbit, and the orbit
     # with the most rows of U(3,3) and of Sp(2,1)
@@ -265,6 +282,29 @@ def test_identify_is_conjugation_invariant():
         g = random_isometry(r.ambient, rng)
         conj = mul(g, mul(r.x, inv(g)))
         assert identify(conj, r.ambient) == tab
+
+
+def test_multiplicity_form_on_ker_x_t_has_the_quotient_as_radical():
+    """The lemma of the real identify, computed without it: x is skew for
+    B, so on ker x^t the form (a, b) -> B(a, x^(t-1) b) has radical
+    ker x^(t-1) + x ker x^(t+1), and its rank is dr m_t, for each row
+    length t of every realized base-R orbit with dim_F <= 8."""
+    count = 0
+    for v in iter_spaces(8, bases=("R",)):
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            x, dr = mat(r.x), r.ambient.dr
+            for row in tab.rows:
+                t, rank_t = row.t, dr * row.mult.dim
+                below, kers, above = (nullspace(matpow(x, s))
+                                      for s in (t - 1, t, t + 1))
+                form = mul(r.ambient.gram, matpow(x, t - 1))
+                assert rank(mul(mul(kers, form), transpose(kers))) == rank_t
+                radical = below + transpose(mul(x, transpose(above)))
+                assert is_zero_mat(mul(mul(radical, form), transpose(kers)))
+                assert rank(radical) == len(kers) - rank_t, tab.to_json()
+            count += 1
+    assert count == 312
 
 
 def test_identify_errors():
@@ -456,9 +496,8 @@ def test_complex_identify_of_moment_values_matches_dense_ranks():
 
 
 def test_real_identify_computes_each_kernel_once(monkeypatch):
-    """Over base R, identify reads ker x^s for up to three powers per row
-    of the tableau; rows of neighbouring lengths share powers, and each
-    kernel is computed once."""
+    """Over base R, identify reads one kernel, ker x^t, per row length t
+    of the tableau, and computes each once."""
     calls = []
     kernel = oracle.kernel
 
@@ -476,7 +515,8 @@ def test_real_identify_computes_each_kernel_once(monkeypatch):
             real = realize_triple(tab)
             calls.clear()
             assert identify(real.x, real.ambient) == tab
-            assert len(calls) == len(set(calls)) <= tab.rows[0].t, \
+            assert len(calls) == len(set(calls)) == len(
+                {row.t for row in tab.rows}), \
                 tab.diagram()
             checked += 1
     assert checked == 48
