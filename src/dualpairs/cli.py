@@ -5,11 +5,12 @@ takes (their argparse keywords are in _FLAGS) and its runner. A runner
 reads its payloads with _load and prints through _emit, which builds only
 the form asked for: the JSON model under --json, the text otherwise.
 
-Exit codes: 0 success, 1 malformed input (flags or JSON payloads),
-2 domain errors raised by the underlying operation (reported as a
-machine-readable {"error": {code, message, context}} object on stderr)
-and a verify run with a failing check (its report on stdout, nothing on
-stderr).
+Exit codes: 0 success, 1 malformed input (flags or JSON payloads, where
+every object, nested ones included, refuses an unknown field and names a
+missing one), 2 domain errors raised by the underlying operation (reported
+as a machine-readable {"error": {code, message, context}} object on
+stderr) and a verify run with a failing check (its report on stdout,
+nothing on stderr).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import (BadShape, IncomparableSupports, NonpositiveDimCirc,
                      NotDescentPair, NotEmbeddable, NotInImage)
 from .forms import (FormedSpace, GroupDescriptor, complexify, json_int,
-                    zero_space)
+                    json_list, json_object, zero_space)
 from .orbits import AdmissibleTableau, column_partition, complexify_tableau
 from .theta import _check_pair, add_column, generalized_descent
 
@@ -99,22 +99,15 @@ class Cycle:
 
     @staticmethod
     def from_json(data: dict) -> "Cycle":
-        if not isinstance(data, dict):
-            raise ValueError("cycle JSON must be an object")
-        for key in ("complex_orbit", "real_space", "terms"):
-            if key not in data:
-                raise ValueError(f"cycle JSON missing field {key!r}")
-        terms = []
-        if not isinstance(data["terms"], list):
-            raise ValueError("cycle terms must be a list")
-        for item in data["terms"]:
-            if not isinstance(item, dict) or "orbit" not in item or "mult" not in item:
-                raise ValueError("cycle term must be {orbit, mult}")
-            terms.append((AdmissibleTableau.from_json(item["orbit"]),
-                          json_int(item["mult"], "cycle multiplicity")))
+        data = json_object(data, "cycle",
+                           ("complex_orbit", "real_space", "terms"))
+        terms = [json_object(item, "cycle term", ("orbit", "mult"))
+                 for item in json_list(data["terms"], "cycle terms")]
         return Cycle(AdmissibleTableau.from_json(data["complex_orbit"]),
                      FormedSpace.from_json(data["real_space"]),
-                     tuple(terms))
+                     tuple((AdmissibleTableau.from_json(t["orbit"]),
+                            json_int(t["mult"], "cycle multiplicity"))
+                           for t in terms))
 
     def render(self) -> str:
         if self.is_zero:

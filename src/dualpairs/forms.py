@@ -33,6 +33,27 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_object(obj, what: str, required, optional=()) -> dict:
+    """obj if it is a JSON object with every required field and no field
+    outside required + optional."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(obj).difference(required, optional)
+    if unknown:
+        raise ValueError(f"unknown {what} fields {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{what} missing field {missing[0]!r}")
+    return obj
+
+
+def json_list(value, what: str) -> list:
+    """value if it is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
 @dataclass(frozen=True)
 class FormedSpace:
     base: str
@@ -98,24 +119,16 @@ class FormedSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "FormedSpace":
-        if not isinstance(obj, dict):
-            raise ValueError("formed space must be a JSON object")
-        unknown = set(obj) - {"base", "division", "epsilon", "signature", "dim"}
-        if unknown:
-            raise ValueError(f"unknown formed-space fields {sorted(unknown)}")
-        try:
-            base, division = obj["base"], obj["division"]
-            eps = json_int(obj["epsilon"], "epsilon")
-        except KeyError as exc:
-            raise ValueError(f"formed space missing field {exc}") from exc
+        obj = json_object(obj, "formed space", ("base", "division", "epsilon"),
+                          ("signature", "dim"))
+        base, division = obj["base"], obj["division"]
+        eps = json_int(obj["epsilon"], "epsilon")
         if not isinstance(base, str) or not isinstance(division, str):
             raise ValueError("base and division must be strings")
-        has_sig = "signature" in obj
-        has_dim = "dim" in obj
-        if has_sig == has_dim:
+        if ("signature" in obj) == ("dim" in obj):
             raise ValueError("exactly one of 'signature'/'dim' must be present")
         try:
-            if has_sig:
+            if "signature" in obj:
                 sig = obj["signature"]
                 if not isinstance(sig, list) or len(sig) != 2:
                     raise ValueError("signature must be a list [p, q]")

@@ -404,11 +404,10 @@ def classify_space(br, base: str, division: str, epsilon: int,
     signature = None
     if tag in SIG_KINDS:
         if tag == ("R", "C", -1):
-            # J is a signed permutation over den 1: row J.perm[p] of J^T br
-            # is J.num[p] br[p]
-            j = _structures(k, div)[0]
-            br = [[j.num[p] * x for x in br[p]]
-                  for p in sorted(range(len(br)), key=j.perm.__getitem__)]
+            # J = kron(I_k, R_i), R_i = [[0, -1], [1, 0]]: J^T br swaps
+            # each pair of rows and negates the second
+            br = [row for a in range(0, len(br), 2)
+                  for row in (br[a + 1], [-x for x in br[a]])]
         pos, negc, _ = sylvester_signature(br)
         rank, signature = pos + negc, (pos // div.dim, negc // div.dim)
     else:

@@ -25,7 +25,7 @@ from .errors import (BadShape, BadSign, BoundExceeded, NotAdmissible,
                      UnsupportedRealClosure)
 from .forms import (EVEN_DIM_KINDS, SIG_KINDS, FormedSpace, GroupDescriptor,
                     complexify, formed_space, group_factor, isometry_group,
-                    json_int)
+                    json_int, json_list, json_object)
 
 DEFAULT_DIM_BOUND = 12
 
@@ -73,19 +73,12 @@ class AdmissibleTableau:
 
     @staticmethod
     def from_json(obj: dict) -> "AdmissibleTableau":
-        if not isinstance(obj, dict):
-            raise ValueError("tableau must be a JSON object")
-        unknown = set(obj) - {"space", "rows"}
-        if unknown:
-            raise ValueError(f"unknown tableau fields {sorted(unknown)}")
-        try:
-            space = FormedSpace.from_json(obj["space"])
-            rows = tuple(TableauRow(json_int(r["t"], "row length t"),
-                                    FormedSpace.from_json(r["mult"]))
-                         for r in obj["rows"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed tableau: {exc}") from exc
-        return AdmissibleTableau(space, rows)
+        obj = json_object(obj, "tableau", ("space", "rows"))
+        rows = [json_object(r, "tableau row", ("t", "mult"))
+                for r in json_list(obj["rows"], "tableau rows")]
+        return AdmissibleTableau(FormedSpace.from_json(obj["space"]), tuple(
+            TableauRow(json_int(r["t"], "row length t"),
+                       FormedSpace.from_json(r["mult"])) for r in rows))
 
     def render(self) -> str:
         if not self.rows:

@@ -303,13 +303,12 @@ def suite_cycles(report: SuiteReport, rng):
 def suite_range(report: SuiteReport, rng):
     table = [(orthogonal_space(3, 2), Fraction(3)),          # n - 2
              (symplectic_space(4), Fraction(4)),             # 2n
-             (hermitian := formed_space("R", "C", 1, signature=(2, 1)),
+             (formed_space("R", "C", 1, signature=(2, 1)),
               Fraction(5)),                                  # 2(p+q) - 1
              (formed_space("R", "H", 1, signature=(1, 1)), Fraction(15, 2)),
              (formed_space("R", "H", -1, dim=2), Fraction(13, 2))]
-    ok = sum(cyc.dim_circ(v) == want for v, want in table)
-    report.add("dim-circle table (five real classes)", ok == len(table),
-               f"{ok}/{len(table)}")
+    report.tally("dim-circle table (five real classes)", table,
+                 lambda case: cyc.dim_circ(case[0]) == case[1])
     r1 = cyc.range_report(1, symplectic_space(4), orthogonal_space(5, 0))
     r2 = cyc.range_report(1, symplectic_space(4), orthogonal_space(4, 0))
     report.add("range example (nu=1, sp4, o5) in range",

@@ -1,18 +1,22 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
+import operator
 import pathlib
 import subprocess
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualpairs import (Cycle, complexify, complexify_tableau,
-                       enumerate_orbits, generalized_descent, in_moment_image,
-                       iter_spaces, verify)
+from dualpairs import (AdmissibleTableau, Cycle, FormedSpace, complexify,
+                       complexify_tableau, enumerate_orbits,
+                       generalized_descent, in_moment_image, iter_spaces,
+                       verify)
 from dualpairs.cli import build_parser, main
 
 SP4 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 4})
@@ -399,8 +403,9 @@ def _slots(obj):
 
 def mutate(draw, obj):
     """A copy of obj with up to two nested values replaced by arbitrary
-    JSON or deleted (none in half of the draws); half of the mutations hit
-    a value that is itself an object or a list, such as a row."""
+    JSON, deleted or, for a nested object, given an unknown field (none in
+    half of the draws); half of the mutations hit a value that is itself an
+    object or a list, such as a row."""
     obj = copy.deepcopy(obj)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         slots = list(_slots(obj))
@@ -410,7 +415,10 @@ def mutate(draw, obj):
         if not slots:
             break
         container, key = draw(st.sampled_from(slots))
-        if draw(st.booleans()):
+        how = draw(st.sampled_from(["replace", "delete", "extend"]))
+        if how == "extend" and isinstance(container[key], dict):
+            container[key]["note"] = draw(JSON)
+        elif how == "replace":
             container[key] = draw(JSON)
         else:
             del container[key]
@@ -476,6 +484,51 @@ def _cycle_cases():
 
 
 CYCLE_CASES = _cycle_cases()
+
+
+O, OP, VP, CYCLE = map(json.dumps, CYCLE_CASES[0])
+CYCLE_LIFT = ["cycle-lift", "--cycle", CYCLE, "--orbit", O,
+              "--orbit-prime", OP, "--target-space", VP]
+STABILIZER = ["stabilizer", "--orbit", REG2]
+# level: (argv of a call that succeeds, its payload's reader, the path to
+# the object at that level in the payload argv[2], the object's noun)
+LEVELS = {
+    "space": (["orbits", "--space", SP4], FormedSpace.from_json, [],
+              "formed space"),
+    "tableau": (STABILIZER, AdmissibleTableau.from_json, [], "tableau"),
+    "row": (STABILIZER, AdmissibleTableau.from_json, ["rows", 0],
+            "tableau row"),
+    "row mult": (STABILIZER, AdmissibleTableau.from_json,
+                 ["rows", 0, "mult"], "formed space"),
+    "cycle": (CYCLE_LIFT, Cycle.from_json, [], "cycle"),
+    "term": (CYCLE_LIFT, Cycle.from_json, ["terms", 0], "cycle term"),
+    "term orbit": (CYCLE_LIFT, Cycle.from_json, ["terms", 0, "orbit"],
+                   "tableau"),
+}
+
+
+@pytest.mark.parametrize("defect", ["not an object", "unknown field",
+                                    "missing field"])
+@pytest.mark.parametrize("level", list(LEVELS))
+def test_every_payload_object_refuses_a_malformed_object(level, defect):
+    argv, from_json, path, noun = LEVELS[level]
+    assert call(*argv)[0] == 0
+    root = {"payload": json.loads(argv[2])}
+    *outer, key = ["payload"] + path
+    parent = functools.reduce(operator.getitem, outer, root)
+    obj = parent[key]
+    if defect == "not an object":
+        parent[key] = list(obj)
+    elif defect == "unknown field":
+        obj["note"] = "x"
+    else:
+        del obj[next(iter(obj))]  # the first field is a required one
+    with pytest.raises(ValueError, match=noun):
+        from_json(root["payload"])
+    rc, out, err = call(*argv[:2], json.dumps(root["payload"]), *argv[3:])
+    assert (rc, out) == (1, ""), err
+    assert err.startswith("error: ") and noun in err, err
+    assert "Traceback" not in err
 
 
 @st.composite
