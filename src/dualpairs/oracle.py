@@ -23,7 +23,13 @@ so no quotient basis is built.  classify_space checks a form's rank once:
 from the signature, or by one elimination for a type without a signature.
 Each graded nullity (dim g_j, dim M_X) is eliminated once per realization
 and kept in the realization's memo, which lives in realize_triple's cache
-with it.  Fractions are written only in rational, for callers
+with it.  _identify is the one checked entry point for an orbit: it
+asserts that its value lies in the algebra, then reads the orbit, and keeps
+the tableau in an LRU cache keyed by the frozen value and ambient space,
+so a moment value met again (T*T is a descent target's x, TT* a source's)
+is neither checked nor identified twice; the moment values are asserted
+there, or by moment_maps for callers outside the oracle.  Fractions are
+written only in rational, for callers
 outside the oracle (moment_maps, random_isometry, the dense
 AmbientSpace.gram and .structures).
 
@@ -349,18 +355,18 @@ def _square_mul(a: Scaled, b: Scaled, n: int) -> Scaled:
 
 
 def _moment_values(rm: RationalMap) -> tuple:
-    """(T*T, TT*) as scaled integer matrices, asserted to land in g, g'."""
-    x = _square_mul(rm.t_star, rm.t, rm.source.n_real)
-    xp = _square_mul(rm.t, rm.t_star, rm.target.n_real)
-    _assert_in_algebra(x, rm.source)
-    _assert_in_algebra(xp, rm.target)
-    return x, xp
+    """(T*T, TT*) as scaled integer matrices, unchecked: _identify asserts
+    that each lies in g, g' before it reads its orbit."""
+    return (_square_mul(rm.t_star, rm.t, rm.source.n_real),
+            _square_mul(rm.t, rm.t_star, rm.target.n_real))
 
 
 def moment_maps(rm: RationalMap) -> tuple:
-    """(T*T, TT*): the two moment-map values as Fraction matrices, asserted
-    to land in g, g'."""
+    """(T*T, TT*): the two moment-map values as Fraction matrices, each
+    asserted here to land in g, g'."""
     x, xp = _moment_values(rm)
+    _assert_in_algebra(x, rm.source)
+    _assert_in_algebra(xp, rm.target)
     return fraction_mat(x), fraction_mat(xp)
 
 
@@ -530,16 +536,19 @@ def graded_dims(real: MatrixRealization) -> dict:
 
 
 def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
-    """Orbit of a nilpotent x, checked to lie in the isometry algebra: x is
-    cleared once, and the check and _identify read that integer form."""
-    xs = scaled(x)
-    _assert_in_algebra(xs, amb)
-    return _identify(xs, amb)
+    """Orbit of a nilpotent x of the isometry algebra: x is cleared once,
+    and _identify checks and identifies that integer form."""
+    return _identify(scaled(x), amb)
 
 
+@functools.lru_cache(maxsize=REALIZE_CACHE_SIZE)
 def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
-    """Orbit of a nilpotent x of the isometry algebra (unchecked), given as
-    a scaled integer matrix: diagram from the D-ranks along its image chain.
+    """Orbit of a nilpotent x, given as a scaled integer matrix, asserted
+    first to lie in the isometry algebra (NotInAlgebra): diagram from the
+    D-ranks along its image chain.  A least-recently-used cache of
+    REALIZE_CACHE_SIZE frozen tableaux, keyed by the frozen x and amb, so
+    each distinct value is checked and identified once; an error is raised
+    on every call and never cached.
 
     x = xi / den, and R_s, the echelon basis of the rows of R_(s-1) xi (of
     xi for s = 1), spans the row space of xi^s: rank x^s = |R_s| and
@@ -561,6 +570,7 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     positive multiple of the multiplicity Gram matrix of realize_triple,
     with (t-1)! and den^(t-1), xi^(t-1) = den^(t-1) x^(t-1), among its
     positive factors."""
+    _assert_in_algebra(x, amb)
     dr, n, space, xi = amb.dr, amb.n_real, amb.space, x.ints
     base = space.base
     x_rows = int_rows(xi)
@@ -643,7 +653,8 @@ def construct_descent_element(src_real: MatrixRealization,
                               v: FormedSpace) -> RationalMap:
     """T: V -> V' realizing the generalized descent of src_real's orbit.
 
-    Asserts identify(T*T) = descent target, identify(TT*) = source orbit,
+    Asserts identify(T*T) = descent target, identify(TT*) = source orbit
+    (each value checked to lie in its algebra by _identify),
     T(V_k) in V'_{k+1}, and Ker T non-degenerate.
     """
     op = src_real.tableau

@@ -7,6 +7,7 @@ import contextlib
 import functools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -42,6 +43,8 @@ class SuiteReport:
     max_dims: tuple
     checks: list = field(default_factory=list)
     elapsed_s: float = 0.0  # wall time of the suite, shown in JSON only
+    # hits and misses of oracle._identify's cache, shown in JSON only
+    identify_cache: Counter = field(default_factory=Counter)
     # perf_counter at the suite's start, then at its latest check
     mark: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -73,6 +76,7 @@ class SuiteReport:
         return {"suite": self.suite, "seed": self.seed,
                 "max_dims": list(self.max_dims), "passed": self.passed,
                 "elapsed_s": self.elapsed_s,
+                "identify_cache": dict(self.identify_cache),
                 "checks": [c.to_json() for c in self.checks]}
 
     def render(self) -> str:
@@ -340,6 +344,7 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
         for sub in SUITES:
             rep = run_suite(sub, max_dims=max_dims, seed=seed)
             combined.elapsed_s += rep.elapsed_s
+            combined.identify_cache.update(rep.identify_cache)
             combined.checks += [replace(c, name=f"{sub}: {c.name}")
                                 for c in rep.checks]
         return combined
@@ -347,7 +352,10 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITES) + ['all'])}")
     report = SuiteReport(suite=name, seed=seed, max_dims=tuple(max_dims))
-    start = report.mark
+    start, before = report.mark, oracle._identify.cache_info()
     SUITES[name](report, random.Random(seed))
     report.elapsed_s = time.perf_counter() - start
+    after = oracle._identify.cache_info()
+    report.identify_cache.update(hits=after.hits - before.hits,
+                                 misses=after.misses - before.misses)
     return report

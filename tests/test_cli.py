@@ -211,8 +211,13 @@ def test_verify_suite():
     times = [c["elapsed_s"] for c in out["checks"]]
     assert all(isinstance(t, float) and t >= 0 for t in times)
     assert math.fsum(times) <= elapsed
+    # the identify cache's hits and misses during the suite: none for
+    # range; descent's 67 witnesses make 134 calls on 36 distinct values
+    assert out["identify_cache"] == {"hits": 0, "misses": 0}
+    desc = json.loads(run("verify", "--suite", "descent", "--json").stdout)
+    assert desc["identify_cache"] == {"hits": 98, "misses": 36}
     text = run("verify", "--suite", "range")
-    assert "elapsed" not in text.stdout
+    assert "elapsed" not in text.stdout and "identify" not in text.stdout
 
 
 def test_malformed_inputs_exit_1():

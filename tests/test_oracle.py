@@ -1,3 +1,4 @@
+import contextlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -514,6 +515,7 @@ def test_real_identify_computes_each_kernel_once(monkeypatch):
                 continue
             real = realize_triple(tab)
             calls.clear()
+            oracle._identify.cache_clear()  # a hit would compute no kernel
             assert identify(real.x, real.ambient) == tab
             assert len(calls) == len(set(calls)) == len(
                 {row.t for row in tab.rows}), \
@@ -569,6 +571,109 @@ def test_realize_cache_is_bounded_lru():
     assert again is not first
     assert (again.x, again.h, again.ambient.gram) == \
         (first.x, first.h, first.ambient.gram)
+
+
+def test_identify_cache_is_bounded_lru():
+    """_identify keeps at most REALIZE_CACHE_SIZE tableaux: a value met
+    again returns the same frozen tableau, and an evicted one is identified
+    anew to an equal one."""
+    reals = [realize_triple(tab) for v in iter_spaces(8)
+             for tab in enumerate_orbits(v)]
+    assert len(reals) > oracle.REALIZE_CACHE_SIZE
+
+    def ident(r):
+        return oracle._identify(Scaled(r.x, 1), r.ambient)
+
+    oracle._identify.cache_clear()
+    first = ident(reals[0])
+    for r in reals:
+        assert ident(r) == r.tableau
+    assert oracle._identify.cache_info().currsize <= oracle.REALIZE_CACHE_SIZE
+    assert ident(reals[-1]) is ident(reals[-1])
+    again = ident(reals[0])  # evicted, so identified anew
+    assert again is not first and again == first
+
+
+def test_identify_cache_hits_match_fresh_identification():
+    """Both moment values of seeded raising maps on every dual pair with
+    dims <= (2, 4), over C and R: a second call is a hit returning the
+    tableau of the first, equal to a fresh identification after
+    cache_clear()."""
+    rng = random.Random(23)
+    cases = []
+    for v, vp in _dual_pairs((2, 4)):
+        v_real = realize_triple(enumerate_orbits(v)[0])
+        vp_real = realize_triple(enumerate_orbits(vp)[0])
+        for _ in range(2):
+            rm = sample_raising_map(v_real, vp_real, rng)
+            cases += zip(_moment_values(rm), (rm.source, rm.target))
+    assert {amb.space.base for _, amb in cases} == {"C", "R"}
+    oracle._identify.cache_clear()
+    first = [oracle._identify(x, amb) for x, amb in cases]
+    misses = oracle._identify.cache_info().misses
+    hits = [oracle._identify(x, amb) for x, amb in cases]
+    assert oracle._identify.cache_info().misses == misses
+    assert all(h is f for h, f in zip(hits, first))
+    oracle._identify.cache_clear()
+    assert hits == [oracle._identify(x, amb) for x, amb in cases]
+
+
+def test_identify_errors_are_never_cached():
+    """A matrix outside g raises NotInAlgebra and a non-nilpotent one
+    NotNilpotent, on each of two calls, each a miss that leaves the cache
+    as it was."""
+    r = realize_triple(T211)
+    n = r.ambient.n_real
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cases = [(Scaled(ident, 1), NotInAlgebra),
+             (Scaled(r.h, 1), NotNilpotent)]
+    oracle._identify.cache_clear()
+    oracle._identify(Scaled(r.x, 1), r.ambient)
+    for x, err in cases:
+        for _ in range(2):
+            before = oracle._identify.cache_info()
+            with pytest.raises(err):
+                oracle._identify(x, r.ambient)
+            after = oracle._identify.cache_info()
+            assert after.currsize == before.currsize == 1
+            assert (after.hits, after.misses) == \
+                (before.hits, before.misses + 1)
+
+
+def test_corrupted_adjoint_is_refused_by_every_identify_path():
+    """A RationalMap whose t_star is not T's adjoint: T*T and TT* leave
+    o(1) and sp(2), and both moment_maps and _identify of each raw product
+    raise NotInAlgebra."""
+    src = realize_triple(zero_orbit(O1)).ambient
+    tgt = realize_triple(zero_orbit(SP2)).ambient
+    rm = replace(make_map(src, tgt, scaled(mat([[3], [5]]))),
+                 t_star=Scaled(((1, 0),), 1))
+    with pytest.raises(NotInAlgebra):
+        moment_maps(rm)
+    oracle._identify.cache_clear()
+    for x, amb in zip(_moment_values(rm), (rm.source, rm.target)):
+        with pytest.raises(NotInAlgebra):
+            oracle._identify(x, amb)
+    assert oracle._identify.cache_info().currsize == 0
+
+
+def test_witness_sweep_identifies_each_moment_value_once():
+    """Over the 483 (V, V', O') in the moment image with dims <= (4, 6),
+    complex and real, construct_descent_element identifies both moment
+    values of each witness: 966 _identify calls on an emptied cache, of
+    which exactly the 183 distinct (value, ambient) pairs are misses."""
+    oracle._identify.cache_clear()
+    items = 0
+    for v, vp in _dual_pairs((4, 6)):
+        for op in enumerate_orbits(vp):
+            if not in_moment_image(op, v):
+                continue
+            with contextlib.suppress(IdentityViolated):  # real-pair sign
+                construct_descent_element(realize_triple(op), v)
+            items += 1
+    info = oracle._identify.cache_info()
+    assert items == 483
+    assert (info.hits + info.misses, info.misses) == (966, 183)
 
 
 def test_random_isometry_preserves_form():

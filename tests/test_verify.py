@@ -79,6 +79,31 @@ def test_image_descents_are_built_once_per_run():
     assert (info.misses, info.hits) == (1, 3)
 
 
+def test_identify_cache_counts_are_summed_over_all(monkeypatch):
+    """Each suite reports the hits and misses of oracle._identify's cache
+    during its run, and all reports their sum: the cache_info() delta over
+    the whole run."""
+    subs = []
+    run = verify.run_suite
+
+    def recorded(name, **kwargs):
+        rep = run(name, **kwargs)
+        subs.append(rep)
+        return rep
+
+    monkeypatch.setattr(verify, "run_suite", recorded)
+    before = oracle._identify.cache_info()
+    report = recorded("all", max_dims=(2, 4), seed=0)
+    after = oracle._identify.cache_info()
+    assert [r.suite for r in subs] == list(verify.SUITES) + ["all"]
+    total = {"hits": after.hits - before.hits,
+             "misses": after.misses - before.misses}
+    assert report.to_json()["identify_cache"] == total
+    assert total["misses"] > 0 and total["hits"] > 0
+    assert {k: sum(r.identify_cache[k] for r in subs[:-1])
+            for k in total} == total
+
+
 def test_lift_check_detail_is_pinned_at_seed_zero():
     """The lift check's sampled maps are fixed by the seed: a change to the
     draws or to the moment-map values moves this detail."""
