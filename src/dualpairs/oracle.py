@@ -21,17 +21,22 @@ each multiplicity form on ker x^t itself, one kernel per row length t: as
 x is skew for B, the form's radical there is ker x^(t-1) + x ker x^(t+1),
 so no quotient basis is built.  classify_space checks a form's rank once:
 from the signature, or by one elimination for a type without a signature.
-Each graded nullity (dim g_j, dim M_X) is eliminated once per realization
-and kept in the realization's memo, which lives in realize_triple's cache
-with it.  _identify is the one checked entry point for an orbit: it
-asserts that its value lies in the algebra, then reads the orbit, and keeps
-the tableau in an LRU cache keyed by the frozen value and ambient space,
-so a moment value met again (T*T is a descent target's x, TT* a source's)
-is neither checked nor identified twice; the moment values are asserted
-there, or by moment_maps for callers outside the oracle.  Fractions are
-written only in rational, for callers
-outside the oracle (moment_maps, random_isometry, the dense
-AmbientSpace.gram and .structures).
+Each equation of the isometry algebra, skewness for the monomial B or
+commuting with a monomial D-structure J, ties two matrix entries, so the
+algebra is read off its classes of tied entries with no elimination: its
+basis, each dim g_j, and membership, checked on the nonzero entries
+alone; a centralizer eliminates only the commutators [b, x] of that
+basis.  Each graded nullity (dim g_j, dim M_X) is computed once per
+realization and kept in the realization's memo, which lives in
+realize_triple's cache with it.  _identify is the one checked entry point
+for an orbit: it asserts that its value lies in the algebra, then reads the
+orbit, and keeps the tableau in an LRU cache keyed by the frozen value and
+ambient space, so a moment value met again (T*T is a descent target's x,
+TT* a source's) is neither checked nor identified twice; the moment values
+are asserted there, or by moment_maps for callers outside the oracle.
+Fractions are written only in rational, for callers outside the oracle
+(moment_maps, random_isometry, the dense AmbientSpace.gram and
+.structures).
 
 Conventions for the sl2 blocks (fixed once, used by realize and identify):
   X e_r = r e_{r-1},  H e_r = (t-1-2r) e_r,  Y e_r = (t-1-r) e_{r+1};
@@ -276,16 +281,6 @@ def _bracket_is(a: list, b: list, k: int, c: list) -> bool:
     return True
 
 
-def _is_skew(z: list, b) -> bool:
-    """z^T B + B z = 0 for an integer matrix z and a monomial B: entry
-    [p][perm[k]] is (b_k z[k][p] + b_p z[perm[p]][perm[k]]) / den."""
-    rows = [z[i] for i in b.perm]
-    for zk, ck, bk in zip(z, b.perm, b.num):
-        if any(bk * x + bp * r[ck] for x, bp, r in zip(zk, b.num, rows)):
-            return False
-    return True
-
-
 def _intertwines(z: list, j_in, j_out) -> bool:
     """z J_in = J_out z for an integer matrix z and monomial J_in, J_out
     with scales a, b: entry [p][j_in.perm[k]] is z[p][k] a_k on the left
@@ -300,14 +295,20 @@ def _intertwines(z: list, j_in, j_out) -> bool:
 
 
 def in_algebra(z: Scaled, amb: AmbientSpace) -> bool:
-    """z^T B + B z = 0 and z J = J z for each D-structure J, checked entry
-    by entry on z's integer matrix and the monomial forms: the shape, then
-    the checks."""
-    zi = z.ints
-    if shape(zi) != (amb.n_real, amb.n_real):
+    """z^T B + B z = 0 and z J = J z for each D-structure J, exactly: every
+    row of z's integer matrix has length n, and each nonzero entry meets
+    its equations from _ties.  An equation listed from a zero entry is left
+    unchecked; its other entry lists it back, so it is checked too or 0."""
+    zi, n = z.ints, amb.n_real
+    if len(zi) != n or any(len(row) != n for row in zi):
         return False
-    return _is_skew(zi, amb.gram_mono) and all(
-        _intertwines(zi, j, j) for j in amb.structure_monos)
+    nonzero = [(k, p) for k, row in enumerate(zi)
+               for p, v in enumerate(row) if v]
+    for k, p, q, r, a, b in _ties(amb.gram_mono, amb.structure_monos,
+                                  nonzero):
+        if a * zi[k][p] + b * zi[q][r]:
+            return False
+    return True
 
 
 def _assert_in_algebra(z: Scaled, amb: AmbientSpace):
@@ -429,76 +430,104 @@ def _all_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(n)]
 
 
+def _ties(gram: Monomial, structures, entries):
+    """The isometry algebra's equations listed from each entry (k, p) in
+    entries, (k, p, q, r, a, b) for a z[k][p] + b z[q][r] = 0: z^T B + B z
+    = 0 ties z[k][p] to z[perm_B p][perm_B k] by (b_k, b_p), and zJ = Jz,
+    for each D-structure J, to z[perm_J k][perm_J p] by (j_p, -j_k).  As
+    B^T = +-B and J^2 = -1, the other entry lists each equation back."""
+    bperm, bnum = gram.perm, gram.num
+    js = [(j.perm, j.num) for j in structures]
+    for k, p in entries:
+        yield k, p, bperm[p], bperm[k], bnum[k], bnum[p]
+        for jperm, jnum in js:
+            yield k, p, jperm[k], jperm[p], jnum[p], -jnum[k]
+
+
+def _classes(gram: Monomial, structures, entries) -> list:
+    """The solutions of the ties' equations on entries: one per live class
+    of tied entries, in the order of its last entry, as {entry: (num, den)}
+    with value 1 at that entry.  A class is dead, all 0, when a tie leaves
+    entries or the values walked from its last entry disagree around a
+    cycle (as around a self-tie with a != -b)."""
+    ties = {}
+    for k, p, q, r, a, b in _ties(gram, structures, entries):
+        ties.setdefault((k, p), []).append(((q, r), a, b))
+    live = []
+    for e in reversed(entries):  # a class is met first at its last entry
+        if e not in ties:
+            continue
+        vals, stack, ok = {e: (1, 1)}, [e], True
+        for u in stack:
+            un, ud = vals[u]
+            for f, a, b in ties.pop(u):  # z_f = -a/b z_u
+                if f in vals:
+                    fn, fd = vals[f]
+                    ok = ok and fn * b * ud == -a * un * fd
+                elif f in ties:
+                    vals[f] = (-a * un, b * ud)
+                    stack.append(f)
+                else:
+                    ok = False
+        if ok:
+            live.append(vals)
+    live.reverse()
+    return live
+
+
+def _over_one_den(classes: list) -> tuple:
+    """The classes' vectors as integers {entry: int} over their least
+    common denominator: rational.kernel's vectors of the ties' equations,
+    one at the free column of each class's last entry."""
+    den = math.lcm(*[d // math.gcd(num, d) for cls in classes
+                     for num, d in cls.values()])
+    return [{c: num * den // d for c, (num, d) in cls.items()}
+            for cls in classes], den
+
+
 def algebra_basis(amb: AmbientSpace) -> Scaled:
     """Basis of the isometry Lie algebra in the space's coordinates, its
-    size the dimension over F: the kernel vectors of its constraints over
-    one denominator, each holding the n^2 matrix entries in row-major
-    order."""
-    return _constrained_kernel(amb, _all_pairs(amb.n_real), commute_with=[])
+    size the dimension over F: one vector per live class of tied entries,
+    in the order of their last entry, over one denominator, each holding
+    the n^2 matrix entries in row-major order.  No elimination: these are
+    rational.kernel's vectors of the ties' equations, in its order."""
+    n = amb.n_real
+    vecs, den = _over_one_den(_classes(amb.gram_mono, amb.structure_monos,
+                                       _all_pairs(n)))
+    basis = []
+    for vec in vecs:
+        row = [0] * (n * n)
+        for (k, p), c in vec.items():
+            row[k * n + p] = c
+        basis.append(tuple(row))
+    return Scaled(tuple(basis), den)
 
 
-def _nonzeros(mi) -> tuple:
-    """Nonzero entries of an integer matrix: the (column, value) pairs of
-    each row and the (row, value) pairs of each column."""
-    by_row = [[(q, c) for q, c in enumerate(row) if c] for row in mi]
-    by_col = [[(p, c) for p, c in enumerate(col) if c] for col in zip(*mi)]
-    return by_row, by_col
-
-
-def _monomial_nonzeros(m: Monomial) -> tuple:
-    """_nonzeros of a monomial matrix: one entry in each row and column."""
-    by_col = [None] * len(m.perm)
-    for p, (q, c) in enumerate(zip(m.perm, m.num)):
-        by_col[q] = [(p, c)]
-    return [[entry] for entry in zip(m.perm, m.num)], by_col
-
-
-def _constraint_rows(amb: AmbientSpace, pairs: list, commute_with: list) -> list:
-    """Sparse integer rows of the skewness + D-linearity + [Z, M] = 0
-    constraints over the matrix entries Z[i][j], (i, j) in pairs, for
-    integer matrices M in commute_with.  Each row involves one matrix."""
-    rows: dict = {}
-
-    def bump(cell, var, coeff):
-        row = rows.setdefault(cell, {})
-        row[var] = row.get(var, 0) + coeff
-
-    b_rows, b_cols = _monomial_nonzeros(amb.gram_mono)
-    for vi, (i, j) in enumerate(pairs):
-        # (Z^T B + B Z)[p][q] = sum_k Z[k][p] B[k][q] + sum_k B[p][k] Z[k][q]
-        for q, c in b_rows[i]:
-            bump(("s", j, q), vi, c)
-        for p, c in b_cols[i]:
-            bump(("s", p, j), vi, c)
-    blocks = ([_monomial_nonzeros(j) for j in amb.structure_monos]
-              + [_nonzeros(m) for m in commute_with])
-    for mi, (m_rows, m_cols) in enumerate(blocks):
-        for vi, (i, j) in enumerate(pairs):
-            # (Z M - M Z)[p][q]
-            for q, c in m_rows[j]:
-                bump(("c", mi, i, q), vi, c)
-            for p, c in m_cols[i]:
-                bump(("c", mi, p, j), vi, -c)
-    return [{v: c for v, c in row.items() if c} for row in rows.values()]
-
-
-def _constrained_kernel(amb: AmbientSpace, pairs: list,
-                        commute_with: list) -> Scaled:
-    """Kernel vectors of the constraints of _constraint_rows."""
-    return kernel(_constraint_rows(amb, pairs, commute_with), len(pairs))
-
-
-def _constrained_nullity(amb: AmbientSpace, pairs: list, commute_with: list) -> int:
-    """Dimension of the same kernel, from the echelon form alone."""
-    rows = _constraint_rows(amb, pairs, commute_with)
-    return len(pairs) - len(echelon(rows))
+def _centralizer_nullity(classes: list, x) -> int:
+    """dim of the centralizer of the integer matrix x in the span of the
+    classes' vectors: their number less the rank of the commutators
+    [b, x] = bx - xb, eliminated as sparse rows over the n^2 entries."""
+    n = len(x)
+    rows, cols = int_rows(x), int_rows(zip(*x))
+    brackets = []
+    for vec in _over_one_den(classes)[0]:
+        acc = {}
+        for (k, p), c in vec.items():
+            for q, v in rows[p].items():  # (bx)[k][q] += b[k][p] x[p][q]
+                acc[k * n + q] = acc.get(k * n + q, 0) + c * v
+            for i, v in cols[k].items():  # (xb)[i][p] += x[i][k] b[k][p]
+                acc[i * n + p] = acc.get(i * n + p, 0) - v * c
+        brackets.append({e: v for e, v in acc.items() if v})
+    return len(classes) - len(echelon(brackets))
 
 
 def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
-    """dim over the base field of the centralizer of x in the isometry algebra."""
+    """dim over the base field of the centralizer of x in the isometry
+    algebra."""
     xs = scaled(x)
     _assert_in_algebra(xs, amb)
-    return _constrained_nullity(amb, _all_pairs(amb.n_real), [xs.ints])
+    return _centralizer_nullity(_classes(
+        amb.gram_mono, amb.structure_monos, _all_pairs(amb.n_real)), xs.ints)
 
 
 def _graded_pairs(real: MatrixRealization, j: int) -> list:
@@ -510,13 +539,16 @@ def _graded_pairs(real: MatrixRealization, j: int) -> list:
 
 
 def _graded_nullity(real: MatrixRealization, j: int, with_x: bool) -> int:
-    """dim of the degree-j part of the algebra (of its centralizer of x when
-    with_x), eliminated once per realization and kept in real.memo."""
+    """dim of the degree-j part of the algebra, the live classes among the
+    degree-j entries (of its centralizer of x when with_x), computed once
+    per realization and kept in real.memo."""
     key = (j, with_x)
     if key not in real.memo:
-        real.memo[key] = _constrained_nullity(
-            real.ambient, _graded_pairs(real, j),
-            commute_with=[real.x] if with_x else [])
+        amb = real.ambient
+        classes = _classes(amb.gram_mono, amb.structure_monos,
+                           _graded_pairs(real, j))
+        real.memo[key] = (_centralizer_nullity(classes, real.x) if with_x
+                          else len(classes))
     return real.memo[key]
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import (BoundExceeded, EmptyLift, IncompatiblePair, NotEmbeddable,
-                     NotInImage, UnsupportedRealClosure)
+from .errors import (BoundExceeded, EmptyLift, IncompatiblePair, NotInImage,
+                     UnsupportedRealClosure)
 from .forms import (FormedSpace, GroupDescriptor, direct_sum, embeds,
                     formed_space, group_factor, isometry_group,
                     orth_complement, tensor_with_sl2, zero_space)
@@ -104,7 +104,9 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
     """The closure-maximal orbit over vp whose descent to o.space equals o:
     add_column(o, vp, U1) with the largest U1 that fits, since over base C
     each dim U1 gives one candidate and a larger U1 dominates a smaller one
-    (one 2-box in place of two 1-boxes)."""
+    (one 2-box in place of two 1-boxes): the largest dim U1 up to o's 1-row
+    count, in steps of 2 for a symplectic U1, with core + 2 dim U1 <= dim vp,
+    the core taking (t + 1) dim U_t for each row t >= 2 of o."""
     if o.space.base != "C" or vp.base != "C":
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
@@ -114,13 +116,13 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
                                 dim_f=space.dim_f, bound=DEFAULT_DIM_BOUND)
     validate(o)
     step = 2 if o.space.epsilon == -1 else 1  # a symplectic U1 is even
-    for dim_u1 in range(o.diagram().count(1), -1, -step):
-        try:
-            return add_column(o, vp, formed_space(*o.space.tag(), dim=dim_u1))
-        except NotEmbeddable:
-            continue
-    raise EmptyLift("no orbit descends to the given one",
-                    orbit=o.diagram(), space=vp.render())
+    core = sum((row.t + 1) * row.mult.dim for row in o.rows if row.t >= 2)
+    room, ones = (vp.dim - core) // 2, o.diagram().count(1)
+    if room < 0:
+        raise EmptyLift("no orbit descends to the given one",
+                        orbit=o.diagram(), space=vp.render())
+    dim_u1 = ones if room >= ones else room - (ones - room) % step
+    return add_column(o, vp, formed_space(*o.space.tag(), dim=dim_u1))
 
 
 def k_descent(op_real: AdmissibleTableau, v_real: FormedSpace):

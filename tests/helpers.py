@@ -8,7 +8,10 @@ groups.  None of this touches the matrix code under test.
 Small dense matrix helpers that only tests need (Fraction matrices,
 scalar multiples, sums, differences, commutators, powers, the zero test,
 the rank, the nullspace, Kronecker products and block diagonals) sit at
-the end.  After them come the realization's sl2
+the end.  With them is the reference for the oracle's isometry algebra:
+its defining equations (skewness, D-linearity, commuting with given
+matrices) on chosen matrix entries as one sparse linear system, solved by
+`kernel` and `echelon`.  After them come the realization's sl2
 triple, Gram matrix and D-structures assembled from Kronecker products, a
 reference for the entry-by-entry ones; `mul`, `echelon` and `kernel` come
 from the package, which test_rational checks against the textbook product
@@ -118,6 +121,62 @@ def nullspace(a):
     column, as Fractions: the kernel's integer vectors over their
     denominator."""
     return fraction_mat(kernel(sparse_rows(a), len(a[0]) if a else 0))
+
+
+def _nonzeros(mi) -> tuple:
+    """Nonzero entries of an integer matrix: the (column, value) pairs of
+    each row and the (row, value) pairs of each column."""
+    by_row = [[(q, c) for q, c in enumerate(row) if c] for row in mi]
+    by_col = [[(p, c) for p, c in enumerate(col) if c] for col in zip(*mi)]
+    return by_row, by_col
+
+
+def _monomial_nonzeros(m) -> tuple:
+    """_nonzeros of a monomial matrix: one entry in each row and column."""
+    by_col = [None] * len(m.perm)
+    for p, (q, c) in enumerate(zip(m.perm, m.num)):
+        by_col[q] = [(p, c)]
+    return [[entry] for entry in zip(m.perm, m.num)], by_col
+
+
+def constraint_rows(amb, pairs: list, commute_with: list) -> list:
+    """Sparse integer rows of the skewness + D-linearity + [Z, M] = 0
+    constraints over the matrix entries Z[i][j], (i, j) in pairs, for
+    integer matrices M in commute_with; entries outside pairs are 0."""
+    rows: dict = {}
+
+    def bump(cell, var, coeff):
+        row = rows.setdefault(cell, {})
+        row[var] = row.get(var, 0) + coeff
+
+    b_rows, b_cols = _monomial_nonzeros(amb.gram_mono)
+    for vi, (i, j) in enumerate(pairs):
+        # (Z^T B + B Z)[p][q] = sum_k Z[k][p] B[k][q] + sum_k B[p][k] Z[k][q]
+        for q, c in b_rows[i]:
+            bump(("s", j, q), vi, c)
+        for p, c in b_cols[i]:
+            bump(("s", p, j), vi, c)
+    blocks = ([_monomial_nonzeros(j) for j in amb.structure_monos]
+              + [_nonzeros(m) for m in commute_with])
+    for mi, (m_rows, m_cols) in enumerate(blocks):
+        for vi, (i, j) in enumerate(pairs):
+            # (Z M - M Z)[p][q]
+            for q, c in m_rows[j]:
+                bump(("c", mi, i, q), vi, c)
+            for p, c in m_cols[i]:
+                bump(("c", mi, p, j), vi, -c)
+    return [{v: c for v, c in row.items() if c} for row in rows.values()]
+
+
+def constrained_kernel(amb, pairs: list, commute_with: list):
+    """Kernel vectors of the constraints, one entry per pair, over one
+    denominator (a Scaled)."""
+    return kernel(constraint_rows(amb, pairs, commute_with), len(pairs))
+
+
+def constrained_nullity(amb, pairs: list, commute_with: list) -> int:
+    """Dimension of the same kernel, from the echelon form alone."""
+    return len(pairs) - len(echelon(constraint_rows(amb, pairs, commute_with)))
 
 
 def kron(a, b):

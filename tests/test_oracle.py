@@ -2,6 +2,7 @@ import contextlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,15 +15,15 @@ from dualpairs import (IdentityViolated, IncompatiblePair, NotInAlgebra,
                        realize_triple, symplectic_space, tableau, theta_lift,
                        verify_dimension_identity, zero_orbit)
 from dualpairs import oracle
-from dualpairs.oracle import (_check_triple, _constrained_kernel,
-                              _constrained_nullity, _moment_values,
-                              algebra_basis, classify_space, in_algebra,
+from dualpairs.oracle import (_check_triple, _moment_values, algebra_basis,
+                              classify_space, in_algebra,
                               kernel_form_nondegenerate, make_map,
                               random_isometry, sample_raising_map,
                               standard_gram)
-from dualpairs.rational import (Scaled, eye, fraction_mat, inv, mul, scaled,
-                                transpose, zeros)
-from helpers import (add, commutator, is_zero_mat, kron, kron_gram,
+from dualpairs.rational import (Monomial, Scaled, dense, eye, fraction_mat,
+                                int_mul, inv, mul, scaled, transpose, zeros)
+from helpers import (add, commutator, constrained_kernel,
+                     constrained_nullity, is_zero_mat, kron, kron_gram,
                      kron_standard_gram, kron_structures, kron_triple, mat,
                      matpow, nullspace, rank, scal)
 
@@ -899,25 +900,24 @@ def test_centralizer_dims():
 
 
 def test_constrained_nullity_matches_kernel():
-    """The echelon-only nullity equals the size of the back-substituted
-    kernel on the centralizer and graded systems of every realization with
-    dim_F <= 4; centralizer kernel vectors lie in the algebra and commute
-    with x."""
+    """The reference elimination's echelon-only nullity equals the size of
+    its back-substituted kernel on the centralizer and graded systems of
+    every realization with dim_F <= 4; centralizer kernel vectors lie in
+    the algebra and commute with x."""
     count = 0
     for v in iter_spaces(4):
         for tab in enumerate_orbits(v):
             r = realize_triple(tab)
             amb, n = r.ambient, r.ambient.n_real
-            wts = [r.weights[i // amb.dr] for i in range(n)]
             full = [(i, j) for i in range(n) for j in range(n)]
             systems = [(full, [r.x])]
             for d in range(-2 * max(r.weights), 2 * max(r.weights) + 1):
-                pairs = [(p, q) for p, q in full if wts[p] == wts[q] + d]
+                pairs = _graded_pairs_of(r, d)
                 systems += [(pairs, []), (pairs, [r.x])]
             for pairs, commute in systems:
-                kern = _constrained_kernel(amb, pairs, commute).ints
-                assert _constrained_nullity(amb, pairs, commute) == len(kern)
-            for vec in _constrained_kernel(amb, full, [r.x]).ints:
+                kern = constrained_kernel(amb, pairs, commute).ints
+                assert constrained_nullity(amb, pairs, commute) == len(kern)
+            for vec in constrained_kernel(amb, full, [r.x]).ints:
                 z = zeros(n, n)
                 for (i, j), c in zip(full, vec):
                     z[i][j] = c
@@ -938,16 +938,16 @@ def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
     """The graded questions of the witness sweep over every (V, V', O') in
     the moment image with dims <= (4, 6), complex and real: the centralizer
     of O' and dim g_-1 on both sides of its descent.  Each distinct
-    (realization, j, with_x) is eliminated once."""
+    (realization, j, with_x) has its classes of tied entries walked once."""
     oracle._realize.cache_clear()
     calls = []
-    nullity = oracle._constrained_nullity
+    classes = oracle._classes
 
-    def counted(amb, pairs, commute_with):
-        calls.append(amb)
-        return nullity(amb, pairs, commute_with)
+    def counted(gram, structures, entries):
+        calls.append(gram)
+        return classes(gram, structures, entries)
 
-    monkeypatch.setattr(oracle, "_constrained_nullity", counted)
+    monkeypatch.setattr(oracle, "_classes", counted)
     items, asked = 0, set()
     for v in iter_spaces(4):
         for vp in iter_spaces(6):
@@ -971,17 +971,17 @@ def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
 
 def test_memoized_graded_nullities_match_direct_elimination():
     """On every realization with dim_F <= 6, triple_centralizer_dim and each
-    entry of graded_dims equal a direct _constrained_nullity, when the memo
-    is filled and when it is read back."""
+    entry of graded_dims equal the reference elimination's nullity, when
+    the memo is filled and when it is read back."""
     for v in iter_spaces(6):
         for tab in enumerate_orbits(v):
             r = realize_triple(tab)
-            cen = _constrained_nullity(r.ambient, _graded_pairs_of(r, 0),
-                                       [r.x])
+            cen = constrained_nullity(r.ambient, _graded_pairs_of(r, 0),
+                                      [r.x])
             for _ in range(2):
                 assert oracle.triple_centralizer_dim(r) == cen
                 dims = oracle.graded_dims(r)
-                assert dims == {j: _constrained_nullity(
+                assert dims == {j: constrained_nullity(
                     r.ambient, _graded_pairs_of(r, j), []) for j in dims}
 
 
@@ -1027,3 +1027,133 @@ def test_algebra_basis_spans_lie_dim():
         for vec in basis:
             z = tuple(vec[i:i + n] for i in range(0, n * n, n))
             assert in_algebra(Scaled(z, 1), amb)
+
+
+def test_algebra_basis_and_nullities_match_the_reference_elimination():
+    """On every realization with dim_F <= 8, algebra_basis is the reference
+    elimination's kernel vector for vector, in order and over the same
+    denominator, and every graded nullity, with and without x, and the
+    centralizer of x equal the reference nullities."""
+    count = 0
+    for v in iter_spaces(8):
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            amb, n = r.ambient, r.ambient.n_real
+            full = [(i, j) for i in range(n) for j in range(n)]
+            assert algebra_basis(amb) == constrained_kernel(amb, full, [])
+            assert centralizer_dim(fraction_mat(Scaled(r.x, 1)), amb) == \
+                constrained_nullity(amb, full, [r.x])
+            span = 2 * max(r.weights, default=-1)
+            for j in range(-span, span + 1):
+                pairs = _graded_pairs_of(r, j)
+                for commute in ([], [r.x]):
+                    assert oracle._graded_nullity(r, j, bool(commute)) == \
+                        constrained_nullity(amb, pairs, commute)
+            count += 1
+    assert count == 373
+
+
+def _random_monomial_form(rng):
+    """An ambient carrying only a random monomial Gram matrix B with
+    B^T = eps B: an involution perm, fixed points only for eps = 1, and
+    scales from 1 to 6 with num[perm k] = eps num[k], over a random den."""
+    eps = rng.choice((1, -1))
+    n = rng.randrange(0, 4) * 2 + (eps == 1 and rng.random() < 0.5)
+    idx = list(range(n))
+    rng.shuffle(idx)
+    perm, num = [0] * n, [0] * n
+    if n % 2:
+        k = idx.pop()
+        perm[k], num[k] = k, rng.choice((1, -1)) * rng.randint(1, 6)
+    for k, q in zip(idx[::2], idx[1::2]):
+        perm[k], perm[q] = q, k
+        num[k] = rng.choice((1, -1)) * rng.randint(1, 6)
+        num[q] = eps * num[k]
+    gram = Monomial(tuple(perm), tuple(num), rng.randint(1, 4))
+    return SimpleNamespace(gram_mono=gram, structure_monos=(), n_real=n)
+
+
+def test_tied_entries_solve_random_monomial_forms():
+    """On random monomial forms, with unequal scales that no realization
+    has, algebra_basis is the reference kernel, the live classes among a
+    random set of entries, which may cut through a class, number the
+    reference nullity on those entries, and in_algebra agrees with the
+    dense equations on random algebra elements and their corruptions."""
+    rng = random.Random(24)
+    for _ in range(300):
+        amb = _random_monomial_form(rng)
+        n = amb.n_real
+        full = [(i, j) for i in range(n) for j in range(n)]
+        basis = algebra_basis(amb)
+        assert basis == constrained_kernel(amb, full, [])
+        some = [e for e in full if rng.random() < 0.6]
+        assert len(oracle._classes(amb.gram_mono, (), some)) == \
+            constrained_nullity(amb, some, [])
+        element = [0] * (n * n)
+        for vec in basis.ints:
+            c = rng.randint(-2, 2)
+            element = [e + c * x for e, x in zip(element, vec)]
+        z = [element[i:i + n] for i in range(0, n * n, n or 1)]
+        assert in_algebra(Scaled(tuple(map(tuple, z)), 1), amb)
+        if n:
+            z[rng.randrange(n)][rng.randrange(n)] += 1
+            z = tuple(map(tuple, z))
+            assert in_algebra(Scaled(z, 1), amb) == _dense_in_algebra(z, amb)
+
+
+def _dense_in_algebra(z, amb) -> bool:
+    """z^T B + B z = 0 and zJ = Jz on the dense integer matrices."""
+    b = dense(amb.gram_mono).ints
+    lhs, rhs = int_mul(tuple(zip(*z)), b), int_mul(b, z)
+    return all(x == -y for r1, r2 in zip(lhs, rhs) for x, y in zip(r1, r2)) \
+        and all(int_mul(z, j) == int_mul(j, z)
+                for j in (dense(m).ints for m in amb.structure_monos))
+
+
+def test_in_algebra_matches_dense_equations_on_random_and_corrupted_matrices():
+    """in_algebra, which checks only the nonzero entries, agrees with the
+    dense equations on random integer matrices and random algebra elements
+    and on every single-entry corruption of x and of those elements (one
+    added to the entry, and a nonzero entry set to zero), on every
+    realization with dim_F <= 6."""
+    rng = random.Random(24)
+    verdicts = {True: 0, False: 0}
+    for v in iter_spaces(6):
+        for tab in enumerate_orbits(v):
+            r = realize_triple(tab)
+            amb, n = r.ambient, r.ambient.n_real
+            basis = algebra_basis(amb).ints
+            element = [0] * (n * n)
+            for vec in basis:
+                c = rng.randint(-2, 2)
+                element = [e + c * x for e, x in zip(element, vec)]
+            element = tuple(tuple(element[i:i + n])
+                            for i in range(0, n * n, n))
+            cases = [tuple(tuple(rng.randint(-2, 2) for _ in range(n))
+                           for _ in range(n)) for _ in range(2)]
+            for z in (r.x, element):
+                cases.append(z)
+                for p in range(n):
+                    for q in range(n):
+                        for new in {z[p][q] + 1, 0} - {z[p][q]}:
+                            w = [list(row) for row in z]
+                            w[p][q] = new
+                            cases.append(tuple(map(tuple, w)))
+            for z in cases:
+                want = _dense_in_algebra(z, amb)
+                assert in_algebra(Scaled(z, 1), amb) == want
+                verdicts[want] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 10000
+
+
+def test_non_square_input_is_not_in_the_algebra():
+    """A matrix with a row of the wrong length, whichever row it is, is not
+    in the algebra: identify and centralizer_dim raise NotInAlgebra."""
+    amb = realize_triple(zero_orbit(SP2)).ambient
+    for rows in ([[0, 0], [0, 0, 7]], [[0, 0], [0]], [[0, 0, 1], [0, 0]]):
+        z = mat(rows)
+        assert not in_algebra(scaled(z), amb)
+        with pytest.raises(NotInAlgebra):
+            identify(z, amb)
+        with pytest.raises(NotInAlgebra):
+            centralizer_dim(z, amb)
