@@ -23,17 +23,18 @@ so no quotient basis is built.  classify_space checks a form's rank once:
 from the signature, or by one elimination for a type without a signature.
 Each equation of the isometry algebra, skewness for the monomial B or
 commuting with a monomial D-structure J, ties two matrix entries, so the
-algebra is read off its classes of tied entries with no elimination: its
-basis, each dim g_j, and membership, checked on the nonzero entries
-alone; a centralizer eliminates only the commutators [b, x] of that
-basis.  Each graded nullity (dim g_j, dim M_X) is computed once per
-realization and kept in the realization's memo, which lives in
-realize_triple's cache with it.  _identify is the one checked entry point
-for an orbit: it asserts that its value lies in the algebra, then reads the
-orbit, and keeps the tableau in an LRU cache keyed by the frozen value and
-ambient space, so a moment value met again (T*T is a descent target's x,
-TT* a source's) is neither checked nor identified twice; the moment values
-are asserted there, or by moment_maps for callers outside the oracle.
+algebra is read off its classes of tied entries with no elimination.
+algebra_basis walks all n^2 entries once per AmbientSpace, which keeps the
+classes; every class has one ad H-degree, so a realization counts them
+for each dim g_j and takes dim M_X on the degree-0 ones, and keeps both.
+Membership is checked on the nonzero entries alone, and a centralizer
+eliminates only the commutators [b, x] of the classes.  _identify is the
+one checked entry point for an orbit: it asserts that its value lies in
+the algebra, then reads the orbit, and keeps the tableau in an LRU cache
+keyed by the frozen value and ambient space, so a moment value met again
+(T*T is a descent target's x, TT* a source's) is neither checked nor
+identified twice; the moment values are asserted there, or by moment_maps
+for callers outside the oracle.
 Fractions are written only in rational, for callers outside the oracle
 (moment_maps, random_isometry, the dense AmbientSpace.gram and
 .structures).
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from .division import DIVISIONS, DivisionAlgebra
@@ -161,11 +162,18 @@ def _structures(n_d: int, div: DivisionAlgebra) -> tuple:
 class AmbientSpace:
     """Rational carrier of a formed space in monomial form: the Gram matrix
     B, its inverse and the D-structures (none over base C, where D acts as
-    Q); gram and structures are fresh dense Fraction copies."""
+    Q); gram and structures are fresh dense Fraction copies.  classes, the
+    algebra's classes of tied entries from algebra_basis, is computed on
+    first use from the frozen fields and kept outside equality, hashing
+    and repr."""
     space: FormedSpace
     gram_mono: Monomial
     gram_inv_mono: Monomial
     structure_monos: tuple
+
+    @functools.cached_property
+    def classes(self) -> list:
+        return algebra_basis(self)
 
     @property
     def gram(self) -> Mat:
@@ -186,9 +194,10 @@ class AmbientSpace:
 
 @dataclass(frozen=True)
 class MatrixRealization:
-    """A realized sl2 triple.  memo holds the graded nullities computed on
-    it, keyed by (j, with_x): integers derived from the frozen fields, so it
-    stays out of equality, hashing and repr, and a replace() starts empty."""
+    """A realized sl2 triple.  grading (each dim g_j) and dim_m_x (dim M_X)
+    are read off the ambient's classes on first use and kept: integers
+    derived from the frozen fields, so they stay out of equality, hashing
+    and repr, and a replace() computes its own."""
     ambient: AmbientSpace
     tableau: AdmissibleTableau
     x: tuple            # x, h, y: tuples of int tuples
@@ -196,12 +205,34 @@ class MatrixRealization:
     y: tuple
     weights: tuple      # H-weight of each D-basis index
     row_offsets: tuple  # first D-index of each tableau row block
-    memo: dict = field(default_factory=dict, init=False, compare=False,
-                       repr=False)
 
     def d_index(self, row_i: int, a: int, r: int) -> int:
         t = self.tableau.rows[row_i].t
         return self.row_offsets[row_i] + a * t + r
+
+    def _degree(self, cls: dict) -> int:
+        """ad H-degree wt(p) - wt(q) of a class, read at any one entry
+        (p, q): a B-tie sends it to (perm q, perm p), and the weight-adapted
+        B pairs weight w with -w, while a J-tie stays in its D-block."""
+        (p, q), dr = next(iter(cls)), self.ambient.dr
+        return self.weights[p // dr] - self.weights[q // dr]
+
+    @functools.cached_property
+    def grading(self) -> dict:
+        """dim g_j for every j in the weight span of ad H: the ambient's
+        classes counted by degree."""
+        span = 2 * max(self.weights, default=-1)  # no j for the zero space
+        dims = dict.fromkeys(range(-span, span + 1), 0)
+        for cls in self.ambient.classes:
+            dims[self._degree(cls)] += 1
+        return dims
+
+    @functools.cached_property
+    def dim_m_x(self) -> int:
+        """dim of M_X, the centralizer of x in g_0: the degree-0 classes over
+        their own denominator, less the rank of their commutators with x."""
+        g0 = [cls for cls in self.ambient.classes if not self._degree(cls)]
+        return _centralizer_nullity(g0, self.x)
 
 
 REALIZE_CACHE_SIZE = 256
@@ -426,10 +457,6 @@ def classify_space(br, base: str, division: str, epsilon: int,
     return formed_space(base, division, epsilon, signature=signature, dim=m)
 
 
-def _all_pairs(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(n)]
-
-
 def _ties(gram: Monomial, structures, entries):
     """The isometry algebra's equations listed from each entry (k, p) in
     entries, (k, p, q, r, a, b) for a z[k][p] + b z[q][r] = 0: z^T B + B z
@@ -485,22 +512,15 @@ def _over_one_den(classes: list) -> tuple:
             for cls in classes], den
 
 
-def algebra_basis(amb: AmbientSpace) -> Scaled:
+def algebra_basis(amb: AmbientSpace) -> list:
     """Basis of the isometry Lie algebra in the space's coordinates, its
-    size the dimension over F: one vector per live class of tied entries,
-    in the order of their last entry, over one denominator, each holding
-    the n^2 matrix entries in row-major order.  No elimination: these are
-    rational.kernel's vectors of the ties' equations, in its order."""
+    size the dimension over F: _classes over all n^2 entries in one walk,
+    which AmbientSpace.classes keeps.  No elimination: over one
+    denominator (_over_one_den) the classes are rational.kernel's vectors
+    of the ties' equations, in its order."""
     n = amb.n_real
-    vecs, den = _over_one_den(_classes(amb.gram_mono, amb.structure_monos,
-                                       _all_pairs(n)))
-    basis = []
-    for vec in vecs:
-        row = [0] * (n * n)
-        for (k, p), c in vec.items():
-            row[k * n + p] = c
-        basis.append(tuple(row))
-    return Scaled(tuple(basis), den)
+    return _classes(amb.gram_mono, amb.structure_monos,
+                    [(i, j) for i in range(n) for j in range(n)])
 
 
 def _centralizer_nullity(classes: list, x) -> int:
@@ -526,45 +546,18 @@ def centralizer_dim(x: Mat, amb: AmbientSpace) -> int:
     algebra."""
     xs = scaled(x)
     _assert_in_algebra(xs, amb)
-    return _centralizer_nullity(_classes(
-        amb.gram_mono, amb.structure_monos, _all_pairs(amb.n_real)), xs.ints)
-
-
-def _graded_pairs(real: MatrixRealization, j: int) -> list:
-    """The matrix entries (p, q) of ad H-degree j: wt(p) = wt(q) + j."""
-    dr = real.ambient.dr
-    wts = [real.weights[i // dr] for i in range(real.ambient.n_real)]
-    return [(p, q) for p, wp in enumerate(wts) for q, wq in enumerate(wts)
-            if wp == wq + j]
-
-
-def _graded_nullity(real: MatrixRealization, j: int, with_x: bool) -> int:
-    """dim of the degree-j part of the algebra, the live classes among the
-    degree-j entries (of its centralizer of x when with_x), computed once
-    per realization and kept in real.memo."""
-    key = (j, with_x)
-    if key not in real.memo:
-        amb = real.ambient
-        classes = _classes(amb.gram_mono, amb.structure_monos,
-                           _graded_pairs(real, j))
-        real.memo[key] = (_centralizer_nullity(classes, real.x) if with_x
-                          else len(classes))
-    return real.memo[key]
+    return _centralizer_nullity(amb.classes, xs.ints)
 
 
 def triple_centralizer_dim(real: MatrixRealization) -> int:
     """dim of the centralizer of the (X, H) pair: the reductive piece M_X."""
-    return _graded_nullity(real, 0, with_x=True)
-
-
-def graded_dim_at(real: MatrixRealization, j: int) -> int:
-    return _graded_nullity(real, j, with_x=False)
+    return real.dim_m_x
 
 
 def graded_dims(real: MatrixRealization) -> dict:
-    """dim g_j (base field) for every j in the weight span of ad H."""
-    span = 2 * max(real.weights, default=-1)  # no j at all for the zero space
-    return {j: graded_dim_at(real, j) for j in range(-span, span + 1)}
+    """dim g_j (base field) for every j in the weight span of ad H, a copy
+    of the realization's grading."""
+    return dict(real.grading)
 
 
 def identify(x: Mat, amb: AmbientSpace) -> AdmissibleTableau:
@@ -745,20 +738,19 @@ def _check_degree(rm: RationalMap, tgt_real: MatrixRealization,
 def random_isometry(amb: AmbientSpace, rng) -> Mat:
     """Exact rational isometry: the Cayley transform (I + a)^-1 (I - a) of a
     random algebra element a, solved from [I + a | I - a] at once.  a is
-    drawn as ai / den, den the common denominator of the basis vectors, and
-    the solve runs on the integer matrices den I +- ai."""
-    ints, den = algebra_basis(amb)
+    drawn as ai / den, one integer in [-2, 2] per class of the ambient, den
+    the classes' common denominator, and the solve runs on the integer
+    matrices den I +- ai."""
+    vecs, den = _over_one_den(amb.classes)
     n = amb.n_real
-    if not ints:
+    if not vecs:
         return eye(n)
-    nonzeros = [[(*divmod(k, n), x) for k, x in enumerate(vec) if x]
-                for vec in ints]
     for _ in range(50):
         ai = [[0] * n for _ in range(n)]
-        for entries in nonzeros:
+        for vec in vecs:
             c = rng.randint(-2, 2)
             if c:
-                for i, j, x in entries:
+                for (i, j), x in vec.items():
                     ai[i][j] += c * x
         try:
             return solve([[den * (i == j) + x for j, x in enumerate(row)]
@@ -821,8 +813,8 @@ def verify_dimension_identity(dres) -> DimIdentityReport:
     terms on the right from theta.reduced_pair_dims."""
     tgt = realize_triple(dres.target)
     src = realize_triple(dres.source)
-    g1 = graded_dim_at(tgt, -1)
-    gp1 = graded_dim_at(src, -1)
+    g1 = tgt.grading.get(-1, 0)
+    gp1 = src.grading.get(-1, 0)
     dim_w, w0 = reduced_pair_dims(dres)
     lhs = g1 + gp1
     rhs = w0 - dim_w

@@ -11,9 +11,10 @@ the rank, the nullspace, Kronecker products and block diagonals) sit at
 the end.  With them is the reference for the oracle's isometry algebra:
 its defining equations (skewness, D-linearity, commuting with given
 matrices) on chosen matrix entries as one sparse linear system, solved by
-`kernel` and `echelon`.  After them come the realization's sl2
-triple, Gram matrix and D-structures assembled from Kronecker products, a
-reference for the entry-by-entry ones; `mul`, `echelon` and `kernel` come
+`kernel` and `echelon`, and `dense_basis`, which writes the oracle's
+classes of tied entries in the form of that kernel.  After them come the
+realization's sl2 triple, Gram matrix and D-structures assembled from
+Kronecker products, a reference for the entry-by-entry ones; `mul`, `echelon` and `kernel` come
 from the package, which test_rational checks against the textbook product
 and Gauss-Jordan elimination.
 
@@ -34,7 +35,7 @@ from dualpairs import (AdmissibleTableau, NotAdmissible, TableauRow,
 from dualpairs.division import DIVISIONS
 from dualpairs.forms import EVEN_DIM_KINDS, SIG_KINDS, zero_space
 from dualpairs.rational import (echelon, eye, fraction_mat, kernel, mul,
-                                sparse_rows, zeros)
+                                scaled, sparse_rows, zeros)
 
 
 def sl2_weights(t: int) -> list:
@@ -177,6 +178,19 @@ def constrained_kernel(amb, pairs: list, commute_with: list):
 def constrained_nullity(amb, pairs: list, commute_with: list) -> int:
     """Dimension of the same kernel, from the echelon form alone."""
     return len(pairs) - len(echelon(constraint_rows(amb, pairs, commute_with)))
+
+
+def dense_basis(classes, n: int):
+    """The classes of tied entries {(k, p): (num, den)} as n^2-entry rows,
+    row-major, over their least common denominator (a Scaled): the form of
+    constrained_kernel's vectors."""
+    rows = []
+    for cls in classes:
+        row = [Fraction(0)] * (n * n)
+        for (k, p), (num, d) in cls.items():
+            row[k * n + p] = Fraction(num, d)
+        rows.append(row)
+    return scaled(rows)
 
 
 def kron(a, b):

@@ -23,9 +23,9 @@ from dualpairs.oracle import (_check_triple, _moment_values, algebra_basis,
 from dualpairs.rational import (Monomial, Scaled, dense, eye, fraction_mat,
                                 int_mul, inv, mul, scaled, transpose, zeros)
 from helpers import (add, commutator, constrained_kernel,
-                     constrained_nullity, is_zero_mat, kron, kron_gram,
-                     kron_standard_gram, kron_structures, kron_triple, mat,
-                     matpow, nullspace, rank, scal)
+                     constrained_nullity, dense_basis, is_zero_mat, kron,
+                     kron_gram, kron_standard_gram, kron_structures,
+                     kron_triple, mat, matpow, nullspace, rank, scal)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -706,7 +706,7 @@ def test_random_isometry_is_pinned():
         g = random_isometry(amb, rng)
         assert [" ".join(map(str, row)) for row in g] == want
         ref = random.Random(0)
-        for _ in range(draws * len(algebra_basis(amb).ints)):
+        for _ in range(draws * len(algebra_basis(amb))):
             ref.randint(-2, 2)
         assert rng.random() == ref.random()
 
@@ -938,17 +938,18 @@ def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
     """The graded questions of the witness sweep over every (V, V', O') in
     the moment image with dims <= (4, 6), complex and real: the centralizer
     of O' and dim g_-1 on both sides of its descent.  Each distinct
-    (realization, j, with_x) has its classes of tied entries walked once."""
+    realization's ambient has its classes of tied entries walked once,
+    over all n^2 entries, whatever degrees are asked of it."""
     oracle._realize.cache_clear()
     calls = []
     classes = oracle._classes
 
     def counted(gram, structures, entries):
-        calls.append(gram)
+        calls.append(len(entries) == len(gram.perm) ** 2)
         return classes(gram, structures, entries)
 
     monkeypatch.setattr(oracle, "_classes", counted)
-    items, asked = 0, set()
+    items, realized = 0, set()
     for v in iter_spaces(4):
         for vp in iter_spaces(6):
             if (v.base, v.division) != (vp.base, vp.division) \
@@ -961,45 +962,100 @@ def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
                 verify_dimension_identity(d)
                 oracle.triple_centralizer_dim(realize_triple(op))
                 items += 1
-                asked |= {(d.target, -1, False), (op, -1, False),
-                          (op, 0, True)}
+                realized |= {d.target, op}
     # every realization stays cached, so each is built once
-    assert len({tab for tab, _, _ in asked}) <= oracle.REALIZE_CACHE_SIZE
+    assert len(realized) <= oracle.REALIZE_CACHE_SIZE
     assert items == 483
-    assert len(calls) == len(asked) == 312
+    assert len(calls) == len(realized) == 156 and all(calls)
 
 
 def test_memoized_graded_nullities_match_direct_elimination():
-    """On every realization with dim_F <= 6, triple_centralizer_dim and each
-    entry of graded_dims equal the reference elimination's nullity, when
-    the memo is filled and when it is read back."""
+    """On every realization with dim_F <= 6, the ambient's classes inside
+    the degree-j entries are the reference kernel on those entries, vector
+    for vector, in order and over one denominator, and between them the
+    degrees hold every class.  The grading and dim M_X equal the reference
+    nullities, when computed and when read back."""
     for v in iter_spaces(6):
         for tab in enumerate_orbits(v):
             r = realize_triple(tab)
-            cen = constrained_nullity(r.ambient, _graded_pairs_of(r, 0),
-                                      [r.x])
+            amb, n = r.ambient, r.ambient.n_real
+            span = 2 * max(r.weights, default=-1)
+            held = 0
+            for j in range(-span, span + 1):
+                pairs = _graded_pairs_of(r, j)
+                classes = [c for c in amb.classes if set(pairs) >= set(c)]
+                basis = dense_basis(classes, n)
+                cols = [p * n + q for p, q in pairs]
+                assert Scaled(tuple(tuple(row[c] for c in cols)
+                                    for row in basis.ints), basis.den) \
+                    == constrained_kernel(amb, pairs, [])
+                held += len(classes)
+            assert held == len(amb.classes)
+            cen = constrained_nullity(amb, _graded_pairs_of(r, 0), [r.x])
             for _ in range(2):
                 assert oracle.triple_centralizer_dim(r) == cen
                 dims = oracle.graded_dims(r)
+                assert list(dims) == list(range(-span, span + 1))
                 assert dims == {j: constrained_nullity(
-                    r.ambient, _graded_pairs_of(r, j), []) for j in dims}
+                    amb, _graded_pairs_of(r, j), []) for j in dims}
 
 
 def test_filled_memo_changes_nothing_outside_itself():
-    """A realization with a filled memo equals a fresh one of the same
-    tableau, hashes the same and prints the same; a replace() of it starts
-    with an empty memo."""
+    """A realization with its grading and dim M_X cached, on an ambient with
+    its classes cached, equals a fresh one of the same tableau, hashes the
+    same and prints the same, and so does its ambient."""
+    cached = {"grading", "dim_m_x", "classes"}
     for tab in (T211, enumerate_orbits(symplectic_space(4))[0]):
         r = realize_triple(tab)
         oracle.triple_centralizer_dim(r)
         oracle.graded_dims(r)
-        assert r.memo
+        assert set(vars(r)) | set(vars(r.ambient)) >= cached
         oracle._realize.cache_clear()
         fresh = realize_triple(tab)
-        assert fresh is not r and fresh.memo == {}
-        assert fresh == r and hash(fresh) == hash(r)
-        assert repr(fresh) == repr(r) and "memo" not in repr(r)
-        assert replace(r, x=r.x).memo == {}
+        assert fresh is not r
+        assert not (set(vars(fresh)) | set(vars(fresh.ambient))) & cached
+        for a, b in ((fresh, r), (fresh.ambient, r.ambient)):
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert not any(name in repr(b) for name in cached)
+
+
+def test_cached_values_are_never_shared_or_handed_out():
+    """replace(r, x=0) computes its own dim M_X, which is dim g_0, and not
+    r's; graded_dims returns a copy, so changing it changes no later
+    call."""
+    r = realize_triple(T211)
+    n = r.ambient.n_real
+    dims = oracle.graded_dims(r)
+    assert oracle.triple_centralizer_dim(r) == 3 < dims[0] == 4
+    z = replace(r, x=((0,) * n,) * n)
+    assert oracle.triple_centralizer_dim(z) == oracle.graded_dims(z)[0] == 4
+    assert oracle.triple_centralizer_dim(r) == 3
+    want = dict(dims)
+    dims[0] += 1
+    dims[99] = 1
+    assert oracle.graded_dims(r) == want
+
+
+def test_one_ambient_walks_its_tied_entries_once(monkeypatch):
+    """random_isometry, centralizer_dim, graded_dims and
+    triple_centralizer_dim on one new realization walk its classes of tied
+    entries once between them."""
+    walks = []
+    classes = oracle._classes
+
+    def counted(*args):
+        walks.append(args)
+        return classes(*args)
+
+    monkeypatch.setattr(oracle, "_classes", counted)
+    oracle._realize.cache_clear()
+    r = realize_triple(enumerate_orbits(orthogonal_space(2, 1))[0])
+    assert not walks
+    random_isometry(r.ambient, random.Random(0))
+    centralizer_dim(r.x, r.ambient)
+    oracle.graded_dims(r)
+    oracle.triple_centralizer_dim(r)
+    assert len(walks) == 1
 
 
 def test_dimension_identity_reports():
@@ -1022,7 +1078,7 @@ def test_algebra_basis_spans_lie_dim():
     for v in iter_spaces(6):
         amb = realize_triple(zero_orbit(v)).ambient
         n = amb.n_real
-        basis = algebra_basis(amb).ints
+        basis = dense_basis(algebra_basis(amb), n).ints
         assert rank(basis) == len(basis) == isometry_group(v).lie_dim
         for vec in basis:
             z = tuple(vec[i:i + n] for i in range(0, n * n, n))
@@ -1032,23 +1088,22 @@ def test_algebra_basis_spans_lie_dim():
 def test_algebra_basis_and_nullities_match_the_reference_elimination():
     """On every realization with dim_F <= 8, algebra_basis is the reference
     elimination's kernel vector for vector, in order and over the same
-    denominator, and every graded nullity, with and without x, and the
-    centralizer of x equal the reference nullities."""
+    denominator, and the centralizer of x, each dim g_j of the grading and
+    dim M_X equal the reference nullities."""
     count = 0
     for v in iter_spaces(8):
         for tab in enumerate_orbits(v):
             r = realize_triple(tab)
             amb, n = r.ambient, r.ambient.n_real
             full = [(i, j) for i in range(n) for j in range(n)]
-            assert algebra_basis(amb) == constrained_kernel(amb, full, [])
+            assert dense_basis(algebra_basis(amb), n) == \
+                constrained_kernel(amb, full, [])
             assert centralizer_dim(fraction_mat(Scaled(r.x, 1)), amb) == \
                 constrained_nullity(amb, full, [r.x])
-            span = 2 * max(r.weights, default=-1)
-            for j in range(-span, span + 1):
-                pairs = _graded_pairs_of(r, j)
-                for commute in ([], [r.x]):
-                    assert oracle._graded_nullity(r, j, bool(commute)) == \
-                        constrained_nullity(amb, pairs, commute)
+            assert r.grading == {j: constrained_nullity(
+                amb, _graded_pairs_of(r, j), []) for j in r.grading}
+            assert r.dim_m_x == constrained_nullity(
+                amb, _graded_pairs_of(r, 0), [r.x])
             count += 1
     assert count == 373
 
@@ -1084,7 +1139,7 @@ def test_tied_entries_solve_random_monomial_forms():
         amb = _random_monomial_form(rng)
         n = amb.n_real
         full = [(i, j) for i in range(n) for j in range(n)]
-        basis = algebra_basis(amb)
+        basis = dense_basis(algebra_basis(amb), n)
         assert basis == constrained_kernel(amb, full, [])
         some = [e for e in full if rng.random() < 0.6]
         assert len(oracle._classes(amb.gram_mono, (), some)) == \
@@ -1122,7 +1177,7 @@ def test_in_algebra_matches_dense_equations_on_random_and_corrupted_matrices():
         for tab in enumerate_orbits(v):
             r = realize_triple(tab)
             amb, n = r.ambient, r.ambient.n_real
-            basis = algebra_basis(amb).ints
+            basis = dense_basis(algebra_basis(amb), n).ints
             element = [0] * (n * n)
             for vec in basis:
                 c = rng.randint(-2, 2)
