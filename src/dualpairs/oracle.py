@@ -402,12 +402,6 @@ def moment_maps(rm: RationalMap) -> tuple:
     return fraction_mat(x), fraction_mat(xp)
 
 
-def _d_rank(r: int, dr: int) -> int:
-    if r % dr != 0:
-        raise IdentityViolated("rank not divisible by division dimension", rank=r)
-    return r // dr
-
-
 def kernel_form_nondegenerate(rm: RationalMap) -> bool:
     """B restricted to Ker T is non-degenerate, on integers: the Gram matrix
     bk of the integer kernel basis k under den * B has full rank."""
@@ -471,12 +465,17 @@ def _ties(gram: Monomial, structures, entries):
             yield k, p, jperm[k], jperm[p], jnum[p], -jnum[k]
 
 
-def _classes(gram: Monomial, structures, entries) -> list:
-    """The solutions of the ties' equations on entries: one per live class
-    of tied entries, in the order of its last entry, as {entry: (num, den)}
-    with value 1 at that entry.  A class is dead, all 0, when a tie leaves
-    entries or the values walked from its last entry disagree around a
-    cycle (as around a self-tie with a != -b)."""
+def _classes(gram: Monomial, structures) -> list:
+    """The solutions of the ties' equations on all n^2 entries: one per live
+    class of tied entries, in the order of its last entry, as
+    {entry: (num, den)} with value 1 at that entry.  A class is dead, all 0,
+    when the values walked from its last entry disagree around a cycle (as
+    around a self-tie with a != -b).  A walk meets no entry of an earlier
+    class: each tie is listed back from its other entry (_ties), so an
+    earlier walk that reached such an entry would have walked on into this
+    class."""
+    n = len(gram.perm)
+    entries = [(k, p) for k in range(n) for p in range(n)]
     ties = {}
     for k, p, q, r, a, b in _ties(gram, structures, entries):
         ties.setdefault((k, p), []).append(((q, r), a, b))
@@ -491,11 +490,9 @@ def _classes(gram: Monomial, structures, entries) -> list:
                 if f in vals:
                     fn, fd = vals[f]
                     ok = ok and fn * b * ud == -a * un * fd
-                elif f in ties:
+                else:
                     vals[f] = (-a * un, b * ud)
                     stack.append(f)
-                else:
-                    ok = False
         if ok:
             live.append(vals)
     live.reverse()
@@ -518,9 +515,7 @@ def algebra_basis(amb: AmbientSpace) -> list:
     which AmbientSpace.classes keeps.  No elimination: over one
     denominator (_over_one_den) the classes are rational.kernel's vectors
     of the ties' equations, in its order."""
-    n = amb.n_real
-    return _classes(amb.gram_mono, amb.structure_monos,
-                    [(i, j) for i in range(n) for j in range(n)])
+    return _classes(amb.gram_mono, amb.structure_monos)
 
 
 def _centralizer_nullity(classes: list, x) -> int:
@@ -578,7 +573,16 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
     x = xi / den, and R_s, the echelon basis of the rows of R_(s-1) xi (of
     xi for s = 1), spans the row space of xi^s: rank x^s = |R_s| and
     ker x^s = kernel(R_s), ker x^0 = 0.  R_s stays in echelon's sparse
-    rows, and R_s xi is formed on the sparse rows of xi.  Over base C a
+    rows, and R_s xi is formed on the sparse rows of xi.  Three theorems
+    stand in for checks on the chain.  x commutes with each D-structure J,
+    so the row space of x^s is stable under right multiplication by J, a
+    D-submodule, and |R_s| is a multiple of dr.  By Frobenius' rank
+    inequality, rank x^(t-1) + rank x^(t+1) >= 2 rank x^t, so no
+    multiplicity is negative.  The leads of R_t are leads of R_(t-1):
+    echelon leaves each row a distinct smallest column, so its leads are
+    the smallest columns of the nonzero vectors of its row space, a set
+    that shrinks with the space, and row x^t lies in row x^(t-1).  So the
+    lines below number dr (rank x^(t-1) - rank x^t).  Over base C a
     multiplicity space is classified by its dimension.  Over base R it is
     ker x^t / (ker x^(t-1) + x ker x^(t+1)), carrying the non-degenerate
     (-1)^(t-1) epsilon-Hermitian form (a, b) -> B(a, x^(t-1) b) of
@@ -606,16 +610,11 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
         if len(ranks) > space.dim + 1:
             raise NotNilpotent("power sequence does not reach zero")
         chain.append(list(echelon(prod).values()))
-        ranks.append(_d_rank(len(chain[-1]), dr))
+        ranks.append(len(chain[-1]) // dr)
         prod = _sparse_mul(chain[-1], x_rows)
     ranks.extend([0, 0])
-    mults = {}
-    for t in range(1, len(ranks) - 1):
-        m = ranks[t - 1] - 2 * ranks[t] + ranks[t + 1]
-        if m < 0:
-            raise NotNilpotent("inconsistent rank sequence", ranks=ranks)
-        if m > 0:
-            mults[t] = m
+    mults = {t: m for t in range(1, len(ranks) - 1)
+             if (m := ranks[t - 1] - 2 * ranks[t] + ranks[t + 1])}
     if base == "R":
         # the lead columns of R_s; R_0, the identity, leads at every column
         leads = [range(n)] + [{min(r) for r in rows} for rows in chain[1:]]
@@ -628,14 +627,10 @@ def _identify(x: Scaled, amb: AmbientSpace) -> AdmissibleTableau:
         # kernel's vector at free column j of R_t is den at j and 0 at the
         # other free columns.  Those at leads of R_(t-1) span a complement
         # of ker x^(t-1) in ker x^t: a sum of them in ker x^(t-1) is 0 at
-        # every free column of R_(t-1), so it is 0.  There are as many as
-        # the rank drop when the leads of R_t are leads of R_(t-1).
+        # every free column of R_(t-1), so it is 0.
         free = [j for j in range(n) if j not in leads[t]]
         lines = [v for j, v in zip(free, kernel(chain[t], n).ints)
                  if j in leads[t - 1]]
-        if len(lines) != dr * (ranks[t - 1] - ranks[t]):
-            raise IdentityViolated("image chain is not nested", t=t,
-                                   got=len(lines))
         images = lines
         for _ in range(t - 1):
             images = [[sum(map(mul, r, v)) for r in xi] for v in images]

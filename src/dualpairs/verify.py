@@ -257,7 +257,7 @@ def suite_stabilizer(report: SuiteReport, rng):
     report.tally("orbit dimension = dim g - oracle centralizer of X", reals,
                  lambda r: orbit_dimension(r.tableau)
                  == isometry_group(r.tableau.space).lie_dim
-                 - oracle.centralizer_dim(r.x, r.ambient))
+                 - oracle._centralizer_nullity(r.ambient.classes, r.x))
     report.tally("stabilizer factorization dim M + dim L'",
                  _image_descents(report.max_dims), _factorizes)
     report.tally("whittaker grading sums to dim g and is symmetric",

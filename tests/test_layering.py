@@ -5,7 +5,8 @@ which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
 is still raised somewhere in the package, every module-level function
 and class is used in it or exported, and every module-level import is used
-in its module or exported.
+in its module or exported.  The message of every raise in the oracle is
+written in some test, so each of its guards is one that a test reaches.
 """
 
 import ast
@@ -15,6 +16,7 @@ import dualpairs
 from dualpairs import errors
 
 PACKAGE = Path(dualpairs.__file__).parent
+TESTS = Path(__file__).parent
 COMBINATORIAL = ("forms", "orbits", "theta", "cycles")
 
 
@@ -123,3 +125,45 @@ def test_every_module_level_import_is_used():
                    for name in sorted(imported - used)
                    if name not in dualpairs.__all__]
     assert unused == []
+
+
+def _strings(node) -> list:
+    """The string literals in node, the literal parts of f-strings among
+    them, with adjacent literals joined as the parser joins them."""
+    return [c.value for c in ast.walk(node)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+
+
+def _raise_messages(tree: ast.Module) -> list:
+    """(line, literal texts) of each raise whose exception is called with a
+    message: the strings in its first argument, or, when that is a name a
+    for loop binds, the strings the loop iterates."""
+    bound = {}
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For):
+            bound.update((name.id, _strings(loop.iter))
+                         for name in ast.walk(loop.target)
+                         if isinstance(name, ast.Name))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and node.exc.args:
+            msg = node.exc.args[0]
+            out.append((node.lineno, bound.get(msg.id, [])
+                        if isinstance(msg, ast.Name) else _strings(msg)))
+    return out
+
+
+def test_every_oracle_raise_is_pinned():
+    # a guard of the ground truth either fires in some test, which writes
+    # its message, or goes: a check that cannot fail checks nothing
+    written = [text for path in sorted(TESTS.glob("*.py"))
+               for text in _strings(ast.parse(path.read_text()))]
+    unpinned = []
+    for line, texts in _raise_messages(
+            ast.parse((PACKAGE / "oracle.py").read_text())):
+        unpinned += [f"oracle.py:{line}: {text!r}" for text in texts
+                     if text.strip() and not any(text in w for w in written)]
+        if not texts:
+            unpinned.append(f"oracle.py:{line}: no literal message")
+    assert unpinned == []

@@ -1,18 +1,20 @@
 import contextlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from dualpairs import (IdentityViolated, IncompatiblePair, NotInAlgebra,
-                       NotNilpotent, centralizer_dim, complex_orthogonal_space,
-                       complex_symplectic_space, construct_descent_element,
-                       enumerate_orbits, formed_space, generalized_descent,
-                       identify, in_moment_image, isometry_group,
-                       iter_spaces, moment_maps, orthogonal_space,
-                       realize_triple, symplectic_space, tableau, theta_lift,
+from dualpairs import (BoundExceeded, IdentityViolated, IncompatiblePair,
+                       NotInAlgebra, NotNilpotent, centralizer_dim,
+                       complex_orthogonal_space, complex_symplectic_space,
+                       construct_descent_element, enumerate_orbits,
+                       formed_space, generalized_descent, identify,
+                       in_moment_image, isometry_group, iter_spaces,
+                       moment_maps, orthogonal_space, realize_triple,
+                       symplectic_space, tableau, theta_lift,
                        verify_dimension_identity, zero_orbit)
 from dualpairs import oracle
 from dualpairs.oracle import (_check_triple, _moment_values, algebra_basis,
@@ -22,6 +24,7 @@ from dualpairs.oracle import (_check_triple, _moment_values, algebra_basis,
                               standard_gram)
 from dualpairs.rational import (Monomial, Scaled, dense, eye, fraction_mat,
                                 int_mul, inv, mul, scaled, transpose, zeros)
+from dualpairs.theta import reduced_pair_dims
 from helpers import (add, commutator, constrained_kernel,
                      constrained_nullity, dense_basis, is_zero_mat, kron,
                      kron_gram, kron_standard_gram, kron_structures,
@@ -106,13 +109,20 @@ def test_moment_maps_into_the_zero_space():
     x, xp = moment_maps(rm)
     assert x == zeros(2, 2) and xp == []
     assert identify(x, src) == zero_orbit(SP2)
-    with pytest.raises(NotInAlgebra, match="wrong shape"):
+    with pytest.raises(NotInAlgebra, match="map has wrong shape"):
         make_map(src, tgt, scaled([[]]))
 
 
 def test_realize_zero_orbit():
     r = realize_triple(zero_orbit(SP4))
     assert is_zero_mat(r.x) and is_zero_mat(r.h) and is_zero_mat(r.y)
+
+
+def test_realize_triple_refuses_spaces_beyond_the_bound():
+    with pytest.raises(BoundExceeded,
+                       match="space exceeds realization bound") as exc:
+        realize_triple(zero_orbit(complex_symplectic_space(14)))
+    assert exc.value.context == {"dim_f": 14, "bound": 12}
 
 
 def test_principal_orthogonal_gram_is_antidiagonal():
@@ -127,7 +137,8 @@ def test_classify_space_reads_rational_gram_matrices():
         gram = standard_gram(s).ints  # a positive multiple
         assert len(gram) == s.dim_f
         assert classify_space(gram, s.base, s.division, s.epsilon) == s
-        with pytest.raises(IdentityViolated, match="not epsilon-Hermitian"):
+        with pytest.raises(IdentityViolated,
+                           match="form is not epsilon-Hermitian"):
             classify_space(gram, s.base, s.division, -s.epsilon)
     # an int Gram matrix of determinant -1 with entries near 1e20
     big = [[10**20, 10**20 + 1], [10**20 + 1, 10**20 + 2]]
@@ -199,7 +210,8 @@ def test_classify_space_reads_degenerate_forms_of_a_given_dimension():
         with pytest.raises(IdentityViolated, match="form is degenerate"):
             classify_space(padded, *s.tag(), dim=s.dim + 1)
         if s.dim:
-            with pytest.raises(IdentityViolated, match="rank exceeds"):
+            with pytest.raises(IdentityViolated,
+                               match="form rank exceeds its dimension"):
                 classify_space(padded, *s.tag(), dim=s.dim - 1)
 
 
@@ -228,14 +240,14 @@ def test_check_triple_rejects_broken_triples():
     g = mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
     conj = {k: frozen(mul(g, mul(getattr(r, k), inv(g)))) for k in "xhy"}
     assert conj["x"] != r.x
-    cases = [(replace(r, x=frozen(add(r.x, r.h))), r"\[H,X\] != 2X"),
-             (replace(r, h=frozen(scal(2, r.h))), r"\[H,X\] != 2X"),
-             (replace(r, y=frozen(add(r.y, r.h))), r"\[H,Y\] != -2Y"),
-             (replace(r, x=frozen(scal(2, r.x))), r"\[X,Y\] != H"),
+    cases = [(replace(r, x=frozen(add(r.x, r.h))), "[H,X] != 2X"),
+             (replace(r, h=frozen(scal(2, r.h))), "[H,X] != 2X"),
+             (replace(r, y=frozen(add(r.y, r.h))), "[H,Y] != -2Y"),
+             (replace(r, x=frozen(scal(2, r.x))), "[X,Y] != H"),
              (replace(r, **conj), "X is not in the isometry algebra")]
     _check_triple(r)
     for bad, msg in cases:
-        with pytest.raises(IdentityViolated, match=msg):
+        with pytest.raises(IdentityViolated, match=re.escape(msg)):
             _check_triple(bad)
 
 
@@ -311,7 +323,8 @@ def test_multiplicity_form_on_ker_x_t_has_the_quotient_as_radical():
 
 def test_identify_errors():
     r = realize_triple(REG2)
-    with pytest.raises(NotNilpotent):
+    with pytest.raises(NotNilpotent,
+                       match="power sequence does not reach zero"):
         identify(r.h, r.ambient)
     with pytest.raises(NotInAlgebra):
         bad = zeros(2, 2)  # the right shape, not skew for the form
@@ -386,11 +399,11 @@ def test_make_map_adjoint_and_d_linearity():
             assert fraction_mat(rm.t_star) == dense
         if v.base == "C":
             # no D-structures on a Q-form: only the shape can be wrong
-            bad = zeros(tgt.n_real + 1, src.n_real)
+            bad, msg = zeros(tgt.n_real + 1, src.n_real), "map has wrong shape"
         else:
-            bad = zeros(tgt.n_real, src.n_real)
+            bad, msg = zeros(tgt.n_real, src.n_real), "map is not D-linear"
             bad[0][0] = Fraction(1, 3)
-        with pytest.raises(NotInAlgebra):
+        with pytest.raises(NotInAlgebra, match=msg):
             make_map(src, tgt, scaled(bad))
 
 
@@ -711,6 +724,21 @@ def test_random_isometry_is_pinned():
         assert rng.random() == ref.random()
 
 
+def test_random_isometry_gives_up_after_fifty_singular_draws(monkeypatch):
+    calls = []
+
+    def singular(a, b):
+        calls.append(a)
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(oracle, "solve", singular)
+    amb = realize_triple(zero_orbit(SP2)).ambient
+    with pytest.raises(IdentityViolated, match=(
+            "could not sample an invertible Cayley transform")):
+        random_isometry(amb, random.Random(0))
+    assert len(calls) == 50
+
+
 def test_adjoint_identity():
     src = realize_triple(zero_orbit(O1)).ambient
     tgt = realize_triple(zero_orbit(SP2)).ambient
@@ -794,7 +822,9 @@ def test_real_even_row_signature_flip():
     sp2r = symplectic_space(2)
     op = tableau(sp2r, [(2, formed_space("R", "R", 1, signature=(1, 0)))])
     src = realize_triple(op)
-    with pytest.raises(IdentityViolated):
+    with pytest.raises(IdentityViolated, match=(
+            "descent witness does not recover the source orbit; its even "
+            "rows carry an asymmetric signature that the moment map flips")):
         construct_descent_element(src, orthogonal_space(1, 0))
 
 
@@ -810,6 +840,39 @@ def test_degree_condition():
         for p, val in enumerate(col):
             if val:
                 assert src.weights[p // src.ambient.dr] == wq + 1
+
+
+def test_descent_witness_rejects_planted_faults(monkeypatch):
+    """Each remaining guard of the T31 -> T211 witness fails on its own
+    planted fault: T*T identified as the zero orbit, a kernel form reported
+    degenerate, and one nonzero entry of T moved to a row of another
+    weight."""
+    src = realize_triple(T31_O4)
+    rm = construct_descent_element(src, SP4)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_identify", lambda x, amb: zero_orbit(amb.space))
+        with pytest.raises(IdentityViolated, match=(
+                "moment map misses the descent target")) as exc:
+            construct_descent_element(src, SP4)
+    assert exc.value.context == {"expected": T211.to_json(),
+                                 "got": zero_orbit(SP4).to_json()}
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "kernel_form_nondegenerate", lambda rm: False)
+        with pytest.raises(IdentityViolated, match=(
+                "kernel of the descent witness is degenerate")):
+            construct_descent_element(src, SP4)
+    tgt = realize_triple(T211)
+    oracle._check_degree(rm, tgt, src)
+    t = [list(row) for row in rm.t.ints]  # over base C a row is a D-index
+    i, j = next((i, j) for i, row in enumerate(t)
+                for j, v in enumerate(row) if v)
+    k = next(k for k, w in enumerate(src.weights) if w != src.weights[i])
+    t[k][j], t[i][j] = t[i][j], 0
+    moved = replace(rm, t=Scaled(tuple(map(tuple, t)), 1))
+    with pytest.raises(IdentityViolated, match=(
+            "witness does not raise weights by one")) as exc:
+        oracle._check_degree(moved, tgt, src)
+    assert exc.value.context == {"entry": (k, j)}
 
 
 def test_truncation_kernel_nondegenerate():
@@ -939,14 +1002,14 @@ def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
     the moment image with dims <= (4, 6), complex and real: the centralizer
     of O' and dim g_-1 on both sides of its descent.  Each distinct
     realization's ambient has its classes of tied entries walked once,
-    over all n^2 entries, whatever degrees are asked of it."""
+    whatever degrees are asked of it."""
     oracle._realize.cache_clear()
     calls = []
     classes = oracle._classes
 
-    def counted(gram, structures, entries):
-        calls.append(len(entries) == len(gram.perm) ** 2)
-        return classes(gram, structures, entries)
+    def counted(*args):
+        calls.append(args)
+        return classes(*args)
 
     monkeypatch.setattr(oracle, "_classes", counted)
     items, realized = 0, set()
@@ -966,7 +1029,7 @@ def test_graded_nullities_are_computed_once_per_realization(monkeypatch):
     # every realization stays cached, so each is built once
     assert len(realized) <= oracle.REALIZE_CACHE_SIZE
     assert items == 483
-    assert len(calls) == len(realized) == 156 and all(calls)
+    assert len(calls) == len(realized) == 156
 
 
 def test_memoized_graded_nullities_match_direct_elimination():
@@ -1073,6 +1136,20 @@ def test_dimension_identity_reports():
     assert (rep.lhs, rep.rhs) == (0, 0)
 
 
+def test_dimension_identity_rejects_a_planted_fault(monkeypatch):
+    """A reduced_pair_dims that overstates dim W by one moves the right
+    side off the graded dimensions: the check raises with its report."""
+    dres = generalized_descent(T31_O4, SP4)
+    dim_w, w0 = reduced_pair_dims(dres)
+    monkeypatch.setattr(oracle, "reduced_pair_dims",
+                        lambda d: (dim_w + 1, w0))
+    with pytest.raises(IdentityViolated,
+                       match="graded dimension identity fails") as exc:
+        verify_dimension_identity(dres)
+    report = exc.value.context["report"]
+    assert (report["lhs"], report["rhs"]) == (2, 1)
+
+
 def test_algebra_basis_spans_lie_dim():
     # each vector holds the n^2 entries of one algebra element, row-major
     for v in iter_spaces(6):
@@ -1130,10 +1207,9 @@ def _random_monomial_form(rng):
 
 def test_tied_entries_solve_random_monomial_forms():
     """On random monomial forms, with unequal scales that no realization
-    has, algebra_basis is the reference kernel, the live classes among a
-    random set of entries, which may cut through a class, number the
-    reference nullity on those entries, and in_algebra agrees with the
-    dense equations on random algebra elements and their corruptions."""
+    has, algebra_basis is the reference kernel, and in_algebra agrees with
+    the dense equations on random algebra elements and their
+    corruptions."""
     rng = random.Random(24)
     for _ in range(300):
         amb = _random_monomial_form(rng)
@@ -1141,9 +1217,6 @@ def test_tied_entries_solve_random_monomial_forms():
         full = [(i, j) for i in range(n) for j in range(n)]
         basis = dense_basis(algebra_basis(amb), n)
         assert basis == constrained_kernel(amb, full, [])
-        some = [e for e in full if rng.random() < 0.6]
-        assert len(oracle._classes(amb.gram_mono, (), some)) == \
-            constrained_nullity(amb, some, [])
         element = [0] * (n * n)
         for vec in basis.ints:
             c = rng.randint(-2, 2)

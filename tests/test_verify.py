@@ -1,7 +1,8 @@
 import math
 from pathlib import Path
 
-from dualpairs import IdentityViolated, oracle, verify
+from dualpairs import (IdentityViolated, complex_symplectic_space,
+                       oracle, verify)
 from dualpairs.verify import run_suite
 
 GOLDEN_6_8 = Path(__file__).parent / "golden" / "verify_all_6_8.txt"
@@ -55,6 +56,17 @@ def test_domain_error_fails_only_its_check(monkeypatch):
         "weight-counted grading = oracle graded dims of ad H"
     assert checks[1].detail == (
         "0/16; first failure (1,) in C,C,+1 dim=1: identity_violated")
+
+
+def test_failing_tuple_case_is_labelled_by_its_parts():
+    """A tuple case is named by its parts, joined: a space by render(),
+    anything else by str."""
+    space = complex_symplectic_space(2)
+    report = verify.SuiteReport("forms", 0, (2, 2))
+    report.tally("planted", [(space, 2)], lambda case: False)
+    check, = report.checks
+    assert not check.passed
+    assert check.detail == f"0/1; first failure {space.render()}, 2"
 
 
 def test_all_suites_pass_at_six_eight():
