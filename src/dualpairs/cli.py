@@ -3,7 +3,10 @@
 Each subcommand is one row of _COMMANDS: its help, the payload flags it
 takes (their argparse keywords are in _FLAGS) and its runner. A runner
 reads its payloads with _load and prints through _emit, which builds only
-the form asked for: the JSON model under --json, the text otherwise.
+the form asked for: the JSON model under --json, the text otherwise. The
+JSON is written by _dumps, byte for byte json.dumps(model, indent=2)
+without json's pure-Python indenting encoder. A call that names a
+subcommand first is parsed by that subcommand's parser alone.
 
 Exit codes: 0 success, 1 malformed input (flags or JSON payloads, where
 every object, nested ones included, refuses an unknown field and names a
@@ -20,6 +23,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import cycles as cyc
 from . import theta, verify
@@ -34,6 +38,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # the top parser's subcommand parsers, by name
+
     def error(self, message):  # argparse would exit(2); we want exit 1
         raise UsageError(message)
 
@@ -94,9 +100,34 @@ def _max_dims(value) -> tuple:
         raise UsageError(f"--max-dims expects 'A,B', got {value!r}") from None
 
 
+def _dumps(o, pad: str = "\n") -> str:
+    """json.dumps(o, indent=2) for dicts with str keys, lists, str, int,
+    float, bool and None; any other container or key raises TypeError.
+    (With an indent, json.dumps runs its pure-Python encoder.)"""
+    if isinstance(o, str):
+        return _quote(o)
+    if type(o) is int:
+        return str(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        items = [f"{_quote(k)}: {_dumps(v, inner)}" for k, v in o.items()]
+    elif isinstance(o, list):
+        items = [_dumps(v, inner) for v in o]
+    elif o is None or isinstance(o, (bool, int, float)):
+        return json.dumps(o)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON "
+                        "serializable")
+    ends = "{}" if isinstance(o, dict) else "[]"
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+
+
 def _emit(args, model, text) -> int:
-    """Print model() as indented JSON under --json, text() otherwise."""
-    print(json.dumps(model(), indent=2) if args.as_json else text())
+    """Print model() under --json, text() otherwise. The JSON is written
+    by _dumps, byte-identical to json.dumps(model(), indent=2)."""
+    print(_dumps(model()) if args.as_json else text())
     return 0
 
 
@@ -224,14 +255,16 @@ def build_parser() -> _Parser:
                             "lift for classical dual pairs, with an "
                             "exact-rational verification oracle.")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = {}
     for name, (help_, flags, runner) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
+        sp = p.commands[name] = sub.add_parser(name, help=help_)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
         sp.add_argument("--json", action="store_true", dest="as_json",
                         help="emit machine-readable JSON")
         sp.set_defaults(run=runner)
-    vp = sub.add_parser("verify", help="run a verification suite")
+    vp = p.commands["verify"] = sub.add_parser(
+        "verify", help="run a verification suite")
     vp.add_argument("--suite", default="all",
                     help="forms, orbit-enum, descent, dim-identity, lift, "
                          "stabilizer, cycles, range, or all")
@@ -244,9 +277,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # after a subcommand, its parser alone reads the rest; the top parser
+        # takes any other argv (empty, -h, an option, an unknown command)
+        sub = parser.commands.get(argv[0]) if argv else None
+        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
         # the payload flags given '-' (a '-' for --nu is a bad rational)
         stdin = [f for f in _FLAGS if f != "--nu"
                  and getattr(args, f[2:].replace("-", "_"), None) == "-"]

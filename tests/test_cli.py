@@ -17,7 +17,8 @@ from dualpairs import (AdmissibleTableau, Cycle, FormedSpace, complexify,
                        complexify_tableau, enumerate_orbits,
                        generalized_descent, in_moment_image, iter_spaces,
                        verify)
-from dualpairs.cli import build_parser, main
+from dualpairs.cli import UsageError, _dumps, build_parser, main
+from dualpairs.errors import DomainError
 
 SP4 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 4})
 SP2 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 2})
@@ -317,15 +318,15 @@ def test_text_and_json_agree():
     assert f"a={out['a']} b={out['b']} s={out['s']}" in res_t.stdout
 
 
-def call(*argv):
-    """(exit code, stdout, stderr) of one in-process main() call; the exit
-    of argparse's --help counts as its exit code."""
+def call(*argv, entry=main):
+    """(exit code, stdout, stderr) of one in-process entry(argv) call, main
+    by default; the exit of argparse's --help counts as its exit code."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO("")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                rc = main(list(argv))
+                rc = entry(list(argv))
             except SystemExit as exc:
                 rc = exc.code
     finally:
@@ -383,18 +384,84 @@ def test_shared_parser_matches_a_fresh_one():
     assert build_parser() is build_parser()
 
 
+def top_level(argv):
+    """main(argv) as a full parse by the top parser, which hands the
+    subcommand's arguments on to its subparser."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except DomainError as exc:
+        print(json.dumps(exc.to_json()), file=sys.stderr)
+        return 2
+
+
+def test_subcommand_parse_matches_the_top_level_parse(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to it
+    argvs = [rec["argv"] for rec in json.loads(TRANSCRIPT.read_text())]
+    argvs += [[], ["-h"], ["--json", "orbits"], ["bogus-subcommand"],
+              ["orbits", "--bogus-flag"], ["orbits", "-h"],
+              ["orbits", "--spa", SP4]]
+    for argv in argvs:
+        assert call(*argv) == call(*argv, entry=top_level), argv
+    assert call("orbits", "--spa", SP4)[0] == 0  # abbreviations still work
+    # the console script calls main() with no argv: it reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["dualpairs", "orbits", "--space", SP4])
+    assert call(entry=lambda _: main()) == call(
+        "orbits", "--space", SP4, entry=top_level)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("orbits", "--space", "{not json"),
+     "invalid JSON for --space: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (("range", "--space", SP4, "--target-space", O4), "range requires --nu"),
+    (("range", "--nu", "x/0", "--space", SP4, "--target-space", O4),
+     "invalid rational for --nu: 'x/0'"),
+    (("range", "--nu", "1/0", "--space", SP4, "--target-space", O4),
+     "invalid rational for --nu: '1/0'"),
+    (("verify", "--max-dims", "4"), "--max-dims expects 'A,B', got '4'"),
+    (("verify", "--max-dims=-1,6"), "--max-dims expects 'A,B', got '-1,6'"),
+    (("verify", "--max-dims", "a,b"), "--max-dims expects 'A,B', got 'a,b'"),
+    (("verify", "--suite", "nosuch"),
+     "unknown suite 'nosuch'; choose from " + ", ".join(
+         list(verify.SUITES) + ["all"])),
+])
+def test_usage_errors_exit_1_with_their_message(argv, message):
+    assert call(*argv) == (1, "", f"error: {message}\n")
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 14) | st.floats()
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8)
+
 SPACES = [v.to_json() for v in iter_spaces(8, include_zero=True)]
 ORBITS = [o.to_json() for v in iter_spaces(6) for o in enumerate_orbits(v)]
 # dual pairs: same base and division, opposite epsilons
 PAIRS = [(v, w) for v in SPACES for w in SPACES
          if (v["base"], v["division"]) == (w["base"], w["division"])
          and v["epsilon"] == -w["epsilon"]]
+
+
+@given(JSON)
+def test_json_writer_matches_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_on_a_verify_model_and_foreign_containers():
+    model = verify.run_suite("all", max_dims=(4, 6), seed=0).to_json()
+    assert all(type(c["elapsed_s"]) is float for c in model["checks"])
+    assert _dumps(model) == json.dumps(model, indent=2)
+    # json.dumps writes a tuple as a list and an int key as a string;
+    # the writer refuses both rather than write them differently
+    for obj in ((1, 2), {"a": [(3,)]}, {1: 2}, {4}):
+        with pytest.raises(TypeError):
+            _dumps(obj)
 
 
 def _slots(obj):
