@@ -7,10 +7,17 @@ classes are discrete: some types are classified by a signature (p, q), the
 others by dimension alone (with a parity constraint for the symplectic
 ones).  Everything here is invariant arithmetic; explicit Gram matrices
 live in the matrix oracle.
+
+formed_space shares one instance per distinct argument tuple, kept in a
+least-recently-used cache of SPACE_CACHE_SIZE spaces, so a space built
+again is not checked again.  The key is typed (an epsilon of True or 1.0
+gets the space an uncached call builds) and an error is never cached.  A
+FormedSpace built directly equals the shared one and hashes alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import BadShape, MismatchedType, NotEmbeddable
@@ -24,6 +31,8 @@ EVEN_DIM_KINDS = {("R", "R", -1), ("C", "C", -1)}
 # dimension of D over the base field F, also the oracle's coordinate width
 # (it realizes a base-C space on its Q-form, where D = C acts as Q)
 _DIM_F_D = {("R", "R"): 1, ("R", "C"): 2, ("R", "H"): 4, ("C", "C"): 1}
+
+SPACE_CACHE_SIZE = 1024
 
 
 def json_int(value, what: str) -> int:
@@ -152,10 +161,18 @@ def formed_space(base: str, division: str, epsilon: int,
                  signature: tuple | None = None, dim: int | None = None) -> FormedSpace:
     if signature is not None:
         p, q = signature
-        return FormedSpace(base, division, epsilon, (int(p), int(q)), int(p) + int(q))
+        return _space(base, division, epsilon, (int(p), int(q)), int(p) + int(q))
     if dim is None:
         raise BadShape("one of signature/dim is required")
-    return FormedSpace(base, division, epsilon, None, int(dim))
+    return _space(base, division, epsilon, None, int(dim))
+
+
+@functools.lru_cache(maxsize=SPACE_CACHE_SIZE, typed=True)
+def _space(base: str, division: str, epsilon: int, signature: tuple | None,
+           dim: int) -> FormedSpace:
+    """The shared FormedSpace of normalized arguments: signature an int
+    pair or None, dim an int."""
+    return FormedSpace(base, division, epsilon, signature, dim)
 
 
 def zero_space(tag: tuple) -> FormedSpace:

@@ -14,10 +14,15 @@ the rows partition dim V.  Only a signature-classified V constrains more:
 the positive indices of the blocks must add up to p(V), and the block of
 an even row has positive index ct/2 whatever its multiplicity form, while
 that of an odd row with multiplicity signature (p, c - p) has c(t-1)/2 + p.
+
+validate checks each distinct tableau once: an admissible one is kept in a
+least-recently-used cache of VALIDATE_CACHE_SIZE tableaux, and an invalid
+one raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,6 +33,7 @@ from .forms import (EVEN_DIM_KINDS, SIG_KINDS, FormedSpace, GroupDescriptor,
                     json_int, json_list, json_object)
 
 DEFAULT_DIM_BOUND = 12
+VALIDATE_CACHE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,7 @@ def _positive_index(t: int, c: int, p: int = 0) -> int:
     return c * (t // 2) + (p if t % 2 else 0)
 
 
+@functools.lru_cache(maxsize=VALIDATE_CACHE_SIZE)
 def validate(tab: AdmissibleTableau) -> None:
     """Raise unless tab is an admissible tableau for its ambient space:
     the shape first, then the sign of each row, then the sum of the blocks,
@@ -227,14 +234,10 @@ def real_forms(diagram: tuple, v_real: FormedSpace) -> list:
             if _complexified(tab).diagram() == tuple(diagram)]
 
 
-def _stabilizer(tab: AdmissibleTableau) -> GroupDescriptor:
-    return GroupDescriptor(tuple(group_factor(row.mult) for row in tab.rows))
-
-
 def stabilizer(tab: AdmissibleTableau) -> GroupDescriptor:
     """The reductive stabilizer M_X, one isometry factor per row."""
     validate(tab)
-    return _stabilizer(tab)
+    return GroupDescriptor(tuple(group_factor(row.mult) for row in tab.rows))
 
 
 def column_partition(tab: AdmissibleTableau) -> list:
@@ -293,9 +296,8 @@ def graded_dims(tab: AdmissibleTableau) -> dict:
     return out
 
 
-def _checked_grading(tab: AdmissibleTableau) -> dict:
-    """graded_dims of tab after its one validation and the bound check."""
-    validate(tab)
+def _bounded_grading(tab: AdmissibleTableau) -> dict:
+    """graded_dims of a validated tab after the bound check."""
     if tab.space.dim_f > DEFAULT_DIM_BOUND:
         raise BoundExceeded("space exceeds dimension bound",
                             dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
@@ -306,7 +308,8 @@ def orbit_dimension(tab: AdmissibleTableau) -> int:
     """dim of the orbit through tab over the base field: dim g - dim g^X,
     with dim g^X = dim g_0 + dim g_1 because every irreducible summand of g
     under the sl2 triple has one X-fixed vector and one weight in {0, 1}."""
-    grading = _checked_grading(tab)
+    validate(tab)
+    grading = _bounded_grading(tab)
     return (isometry_group(tab.space).lie_dim - grading.get(0, 0)
             - grading.get(1, 0))
 
@@ -330,9 +333,10 @@ class WhittakerDatum:
 
 def whittaker_datum(tab: AdmissibleTableau) -> WhittakerDatum:
     """Grading dims of g under ad(H) plus the character/Heisenberg dichotomy."""
-    grading = _checked_grading(tab)
+    stab = stabilizer(tab)  # validates tab
+    grading = _bounded_grading(tab)
     dim_u = sum(v for k, v in grading.items() if k <= -2)
     g1 = grading.get(-1, 0)
     return WhittakerDatum(grading=grading, dim_u=dim_u, dim_n=dim_u + g1,
                           dim_g_minus1=g1, heisenberg_case=g1 != 0,
-                          stabilizer=_stabilizer(tab))
+                          stabilizer=stab)

@@ -6,12 +6,17 @@ diagram, keeping the multiplicity forms, and padding with 1-boxes; the lift
 is the inverse operation, adding a first column.  The orbits that descend to
 O differ only in the 2-row U1 they carve from O's 1-row U, and a larger U1
 dominates a smaller one, so the largest U1 that fits is the closure maximum.
+
+generalized_descent computes each distinct (O', V) once: its frozen
+DescentResult is kept in a least-recently-used cache of DESCENT_CACHE_SIZE
+results, and an error (IncompatiblePair, NotInImage or one of validate's)
+is raised on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import (BoundExceeded, EmptyLift, IncompatiblePair, NotInImage,
                      UnsupportedRealClosure)
@@ -20,6 +25,8 @@ from .forms import (FormedSpace, GroupDescriptor, direct_sum, embeds,
                     orth_complement, tensor_with_sl2, zero_space)
 from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
                      validate, weight_dims)
+
+DESCENT_CACHE_SIZE = 1024
 
 
 def _check_pair(op_space: FormedSpace, v: FormedSpace):
@@ -68,6 +75,7 @@ class DescentResult:
                 "a": self.a, "b": self.b, "s": self.s, "strict": self.strict}
 
 
+@functools.lru_cache(maxsize=DESCENT_CACHE_SIZE)
 def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
     """Erase the first column of op's diagram, pad with 1-boxes inside V."""
     _check_pair(op.space, v)
@@ -95,7 +103,7 @@ def add_column(o: AdmissibleTableau, vp: FormedSpace,
     is the 1-row.  NotEmbeddable when vp has no room."""
     rows = [TableauRow(row.t + 1, row.mult) for row in o.rows if row.t >= 2]
     rows.append(TableauRow(2, u1))
-    used = reduce(direct_sum, (tensor_with_sl2(r.mult, r.t) for r in rows))
+    used = functools.reduce(direct_sum, (tensor_with_sl2(r.mult, r.t) for r in rows))
     rows.append(TableauRow(1, orth_complement(used, vp)))
     return AdmissibleTableau(vp, tuple(r for r in rows if not r.mult.is_zero))
 

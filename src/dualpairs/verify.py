@@ -43,8 +43,10 @@ class SuiteReport:
     max_dims: tuple
     checks: list = field(default_factory=list)
     elapsed_s: float = 0.0  # wall time of the suite, shown in JSON only
-    # hits and misses of oracle._identify's cache, shown in JSON only
+    # hits and misses of oracle._identify's and of generalized_descent's
+    # caches, shown in JSON only
     identify_cache: Counter = field(default_factory=Counter)
+    descent_cache: Counter = field(default_factory=Counter)
     # perf_counter at the suite's start, then at its latest check
     mark: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -77,6 +79,7 @@ class SuiteReport:
                 "max_dims": list(self.max_dims), "passed": self.passed,
                 "elapsed_s": self.elapsed_s,
                 "identify_cache": dict(self.identify_cache),
+                "descent_cache": dict(self.descent_cache),
                 "checks": [c.to_json() for c in self.checks]}
 
     def render(self) -> str:
@@ -345,6 +348,7 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
             rep = run_suite(sub, max_dims=max_dims, seed=seed)
             combined.elapsed_s += rep.elapsed_s
             combined.identify_cache.update(rep.identify_cache)
+            combined.descent_cache.update(rep.descent_cache)
             combined.checks += [replace(c, name=f"{sub}: {c.name}")
                                 for c in rep.checks]
         return combined
@@ -352,10 +356,13 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(list(SUITES) + ['all'])}")
     report = SuiteReport(suite=name, seed=seed, max_dims=tuple(max_dims))
-    start, before = report.mark, oracle._identify.cache_info()
+    counted = ((report.identify_cache, oracle._identify),
+               (report.descent_cache, theta.generalized_descent))
+    before = [cache.cache_info() for _, cache in counted]
+    start = report.mark
     SUITES[name](report, random.Random(seed))
     report.elapsed_s = time.perf_counter() - start
-    after = oracle._identify.cache_info()
-    report.identify_cache.update(hits=after.hits - before.hits,
-                                 misses=after.misses - before.misses)
+    for (counts, cache), was in zip(counted, before):
+        now = cache.cache_info()
+        counts.update(hits=now.hits - was.hits, misses=now.misses - was.misses)
     return report

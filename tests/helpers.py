@@ -21,7 +21,8 @@ and Gauss-Jordan elimination.
 Last comes the brute-force orbit enumeration: every product of
 multiplicity forms over every partition, kept when `validate` accepts it,
 and the block sum it checks built as a formed space with `direct_sum` and
-`tensor_with_sl2`.
+`tensor_with_sl2`.  At the very end, `raised_twice` checks that a cached
+function raises again, alike, on a second identical call.
 """
 
 import math
@@ -29,9 +30,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from dualpairs import (AdmissibleTableau, NotAdmissible, TableauRow,
-                       complexify_tableau, direct_sum, formed_space,
-                       tensor_with_sl2, validate)
+from dualpairs import (AdmissibleTableau, DomainError, NotAdmissible,
+                       TableauRow, complexify_tableau, direct_sum,
+                       formed_space, tensor_with_sl2, validate)
 from dualpairs.division import DIVISIONS
 from dualpairs.forms import EVEN_DIM_KINDS, SIG_KINDS, zero_space
 from dualpairs.rational import (echelon, eye, fraction_mat, kernel, mul,
@@ -343,3 +344,19 @@ def brute_enumerate(v) -> list:
         found.append(tab)
     found.sort(key=lambda tb: tb.sort_key(), reverse=True)
     return found
+
+
+def raised_twice(call, *args, **kwargs) -> dict:
+    """The error payload that call(*args, **kwargs) raises, raised again,
+    with the same payload, by a second identical call: a cache keeps no
+    error."""
+    payloads = []
+    for _ in range(2):
+        try:
+            call(*args, **kwargs)
+        except DomainError as exc:
+            payloads.append(exc.to_json()["error"])
+        else:
+            raise AssertionError(f"{call.__name__}{args} did not raise")
+    assert payloads[0] == payloads[1]
+    return payloads[0]

@@ -10,6 +10,8 @@ from dualpairs import (BadShape, MismatchedType, NotEmbeddable, FormedSpace,
                        quaternionic_hermitian_space, quaternionic_skew_space,
                        skew_hermitian_space, symplectic_space,
                        tensor_with_sl2)
+from dualpairs import forms
+from helpers import raised_twice
 
 
 def all_spaces(bound=6):
@@ -151,3 +153,45 @@ def test_iter_spaces_properties():
         seen.add(v)
     assert orthogonal_space(0, 0) not in seen
     assert orthogonal_space(0, 0) in set(iter_spaces(2, include_zero=True))
+
+
+def test_formed_space_shares_one_instance_per_argument_tuple():
+    """Equal exact-int arguments give the identical space, a list signature
+    included; an epsilon of True or 1.0 comes back as it was passed, as an
+    uncached call builds it; a space built directly is equal to the shared
+    one and hashes alike."""
+    shared = formed_space("R", "R", 1, signature=(2, 1))
+    assert formed_space("R", "R", 1, signature=(2, 1)) is shared
+    assert formed_space("R", "R", 1, signature=[2, 1]) is shared
+    assert orthogonal_space(2, 1) is shared
+    assert formed_space("C", "C", -1, dim=4) is complex_symplectic_space(4)
+    for eps in (True, 1.0):
+        v = formed_space("R", "R", eps, signature=(1, 1))
+        assert v == orthogonal_space(1, 1)
+        assert type(v.epsilon) is type(eps)
+        assert type(v.to_json()["epsilon"]) is type(eps)
+        assert formed_space("R", "R", eps, signature=(1, 1)) is v
+    direct = FormedSpace("R", "R", 1, (2, 1), 3)
+    assert direct is not shared
+    assert direct == shared and hash(direct) == hash(shared)
+
+
+def test_formed_space_errors_are_raised_on_every_call():
+    cases = [
+        (("R", "R", 1), {}, "one of signature/dim is required"),
+        (("C", "C", 1), {"dim": -1}, "dimension must be non-negative"),
+        (("R", "R", -1), {"dim": 3}, "symplectic type requires even dimension"),
+        (("R", "R", 1), {"dim": 3},
+         "type ('R', 'R', 1) is signature-classified"),
+        (("C", "C", 1), {"signature": (2, 1)},
+         "type ('C', 'C', 1) is dimension-classified"),
+        (("C", "R", 1), {"dim": 2}, "invalid base/division pair (C,R)"),
+        (("R", "R", 1), {"signature": (2, -1)},
+         "signature must be non-negative and sum to dim"),
+        (("R", "R", 2), {"signature": (1, 0)}, "epsilon must be +1 or -1, got 2"),
+    ]
+    size = forms._space.cache_info().currsize
+    for args, kwargs, message in cases:
+        error = raised_twice(formed_space, *args, **kwargs)
+        assert (error["code"], error["message"]) == ("bad_shape", message)
+    assert forms._space.cache_info().currsize == size

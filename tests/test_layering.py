@@ -5,8 +5,9 @@ which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
 is still raised somewhere in the package, every module-level function
 and class is used in it or exported, and every module-level import is used
-in its module or exported.  The message of every raise in the oracle is
-written in some test, so each of its guards is one that a test reaches.
+in its module or exported.  The message of every raise in the oracle,
+orbits and theta is written in some test, so each of its guards is one that
+a test reaches.  Every cache that lives as long as the process is bounded.
 """
 
 import ast
@@ -155,15 +156,67 @@ def _raise_messages(tree: ast.Module) -> list:
 
 
 def test_every_oracle_raise_is_pinned():
-    # a guard of the ground truth either fires in some test, which writes
-    # its message, or goes: a check that cannot fail checks nothing
+    # a guard of the ground truth, or of the memoized orbit and descent
+    # checks, either fires in some test, which writes its message, or goes:
+    # a check that cannot fail checks nothing
     written = [text for path in sorted(TESTS.glob("*.py"))
                for text in _strings(ast.parse(path.read_text()))]
     unpinned = []
-    for line, texts in _raise_messages(
-            ast.parse((PACKAGE / "oracle.py").read_text())):
-        unpinned += [f"oracle.py:{line}: {text!r}" for text in texts
-                     if text.strip() and not any(text in w for w in written)]
-        if not texts:
-            unpinned.append(f"oracle.py:{line}: no literal message")
+    for name in ("oracle.py", "orbits.py", "theta.py"):
+        for line, texts in _raise_messages(
+                ast.parse((PACKAGE / name).read_text())):
+            unpinned += [f"{name}:{line}: {text!r}" for text in texts
+                         if text.strip()
+                         and not any(text in w for w in written)]
+            if not texts:
+                unpinned.append(f"{name}:{line}: no literal message")
     assert unpinned == []
+
+
+def _module_ints(tree: ast.Module) -> dict:
+    """The module-level names that tree assigns an int literal."""
+    return {target.id: node.value.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_every_cache_is_bounded():
+    # a cache decorating a function lives as long as the process, so it
+    # needs a finite bound, or the memory it holds grows with every value
+    # it meets: each lru_cache names its maxsize, an int or a module int
+    # constant, and functools.cache only keeps a function of no argument.
+    # A cache built inside a function call (verify's per-suite cycle
+    # lifts) is dropped with that call and is not read here.
+    seen, unbounded = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        ints = _module_ints(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in func.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                name = ast.unparse(call.func if call else dec)
+                where = f"{path.name}:{func.name}"
+                if name in ("functools.lru_cache", "lru_cache"):
+                    seen.add(where)
+                    sizes = ([k.value for k in call.keywords
+                              if k.arg == "maxsize"] + call.args) if call else []
+                    size = sizes[0] if sizes else None
+                    bound = ints.get(size.id) if isinstance(size, ast.Name) \
+                        else getattr(size, "value", None)
+                    if type(bound) is not int or bound < 1:
+                        unbounded.append(f"{where}: maxsize {bound!r}")
+                elif name in ("functools.cache", "cache"):
+                    seen.add(where)
+                    args = func.args
+                    if args.posonlyargs or args.args or args.vararg \
+                            or args.kwonlyargs or args.kwarg:
+                        unbounded.append(f"{where}: cache with arguments")
+    assert unbounded == []
+    assert {"forms.py:_space", "orbits.py:validate",
+            "theta.py:generalized_descent", "oracle.py:_realize",
+            "oracle.py:_identify", "verify.py:_image_descents",
+            "cli.py:build_parser"} <= seen

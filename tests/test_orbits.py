@@ -13,7 +13,7 @@ from dualpairs import (AdmissibleTableau, BadShape, BadSign, BoundExceeded,
                        whittaker_datum, zero_orbit)
 from dualpairs.oracle import graded_dims, realize_triple
 from helpers import (block_sum, brute_enumerate, candidate_tableaux,
-                     expected_grading)
+                     expected_grading, raised_twice)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -339,3 +339,46 @@ def test_complexify_tableau_validates_its_input():
     with pytest.raises(NotAdmissible) as again:
         complexify_tableau(bad)
     assert again.value.to_json() == exc.value.to_json()
+
+
+def test_validate_checks_each_admissible_tableau_once():
+    """An admissible tableau is checked on its first call and found in the
+    cache on the next, an equal tableau built anew included; an invalid one
+    raises on every call and is never cached."""
+    validate.cache_clear()
+    validate(unchecked(SP4, [(2, CPLUS2)]))
+    validate(unchecked(SP4, [(2, CPLUS2)]))
+    info = validate.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    cases = [
+        ((SP2, [(0, CPLUS1)]), "bad_shape", "row lengths must be positive"),
+        ((SP4, [(1, CMINUS2), (2, CPLUS1)]), "bad_shape",
+         "row lengths must be strictly decreasing"),
+        ((SP2, [(2, formed_space("C", "C", 1, dim=0))]), "bad_shape",
+         "rows must have nonzero multiplicity"),
+        ((O3, [(3, orthogonal_space(1, 0))]), "bad_sign",
+         "multiplicity space over wrong base/division"),
+        ((SP2, [(2, CMINUS2)]), "bad_sign",
+         "multiplicity sign must be (-1)^(t-1)*epsilon"),
+        ((SP4, [(2, CPLUS1)]), "not_admissible",
+         "tensor blocks do not sum to the ambient space"),
+    ]
+    for args, code, message in cases:
+        error = raised_twice(validate, unchecked(*args))
+        assert (error["code"], error["message"]) == (code, message)
+    assert validate.cache_info().currsize == 1
+
+
+def test_bound_and_closure_errors_carry_their_messages():
+    big = complex_symplectic_space(14)
+    with pytest.raises(BoundExceeded, match="^space exceeds enumeration bound$"):
+        enumerate_orbits(big)
+    with pytest.raises(BoundExceeded, match="^space exceeds dimension bound$"):
+        orbit_dimension(zero_orbit(big))
+    with pytest.raises(BadShape,
+                       match="^closure order needs a common ambient space$"):
+        closure_leq(REG2, T22)
+    real = zero_orbit(symplectic_space(2))
+    with pytest.raises(UnsupportedRealClosure,
+                       match="^closure order implemented for base C only$"):
+        closure_leq(real, real)

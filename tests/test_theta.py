@@ -1,15 +1,18 @@
+from collections import Counter
+
 import pytest
 
-from dualpairs import (BoundExceeded, DomainError, EmptyLift, IncompatiblePair,
-                       NotEmbeddable, NotInImage, UnsupportedRealClosure,
-                       closure_leq, complex_orthogonal_space,
-                       complex_symplectic_space,
+from dualpairs import (AdmissibleTableau, BoundExceeded, DomainError,
+                       EmptyLift, IncompatiblePair, NotEmbeddable, NotInImage,
+                       TableauRow, UnsupportedRealClosure, closure_leq,
+                       complex_orthogonal_space, complex_symplectic_space,
                        enumerate_orbits, formed_space, generalized_descent,
                        in_moment_image, iter_spaces, k_descent,
                        orthogonal_space, pair_factorization,
                        reduced_pair_dims, symplectic_space, tableau,
                        theta_lift, zero_orbit)
 from dualpairs.theta import add_column
+from helpers import raised_twice
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -286,3 +289,53 @@ def test_reduced_pair_dims():
     w, w0 = reduced_pair_dims(zres)
     assert w == 2 * 4
     assert w0 == 2 * 4  # both sides concentrated in weight 0
+
+
+def _descent_or_error(descend, op, v):
+    try:
+        return descend(op, v)
+    except NotInImage as exc:
+        return exc.to_json()
+
+
+def test_cached_descent_equals_the_uncached_one():
+    """On every (O', V) with dims <= (4, 6), over C and R, generalized_descent
+    gives what its undecorated function gives, on a first call and on a
+    second, the orbits outside the moment image included."""
+    outcomes = Counter()
+    for v in iter_spaces(4):
+        for vp in iter_spaces(6):
+            if (v.base, v.division) != (vp.base, vp.division) \
+                    or v.epsilon * vp.epsilon != -1:
+                continue
+            for op in enumerate_orbits(vp):
+                want = _descent_or_error(generalized_descent.__wrapped__, op, v)
+                for _ in range(2):
+                    assert _descent_or_error(generalized_descent, op, v) == want
+                outcomes[type(want).__name__] += 1
+    # 67 complex and 416 real descents, as witness-sweep counts them
+    assert outcomes == {"DescentResult": 483, "dict": 323}
+
+
+def test_descent_errors_are_raised_on_every_call():
+    size = generalized_descent.cache_info().currsize
+    bad = AdmissibleTableau(SP4, (TableauRow(2, O1),))  # blocks sum to dim 2
+    cases = [((T22, SP2), "incompatible_pair", "spaces do not form a dual pair"),
+             ((T4, O2), "not_in_image", "orbit is not in the moment-map image"),
+             ((bad, O2), "not_admissible",
+              "tensor blocks do not sum to the ambient space")]
+    for args, code, message in cases:
+        error = raised_twice(generalized_descent, *args)
+        assert (error["code"], error["message"]) == (code, message)
+    assert generalized_descent.cache_info().currsize == size
+
+
+def test_lift_and_real_descent_errors_carry_their_messages():
+    with pytest.raises(UnsupportedRealClosure,
+                       match="^orbit lift needs the complex closure order$"):
+        theta_lift(zero_orbit(symplectic_space(2)), orthogonal_space(2, 0))
+    with pytest.raises(BoundExceeded, match="^space exceeds dimension bound$"):
+        theta_lift(REG2, complex_orthogonal_space(14))
+    with pytest.raises(IncompatiblePair,
+                       match="^real descent needs base R on both sides$"):
+        k_descent(T22, O2)

@@ -2,7 +2,7 @@ import math
 from pathlib import Path
 
 from dualpairs import (IdentityViolated, complex_symplectic_space,
-                       oracle, verify)
+                       oracle, theta, verify)
 from dualpairs.verify import run_suite
 
 GOLDEN_6_8 = Path(__file__).parent / "golden" / "verify_all_6_8.txt"
@@ -114,6 +114,33 @@ def test_identify_cache_counts_are_summed_over_all(monkeypatch):
     assert total["misses"] > 0 and total["hits"] > 0
     assert {k: sum(r.identify_cache[k] for r in subs[:-1])
             for k in total} == total
+
+
+def test_descent_cache_counts_are_summed_over_all(monkeypatch):
+    """Each suite reports the hits and misses of generalized_descent's
+    cache during its run, next to identify_cache in JSON, and all reports
+    their sum; the text report shows neither."""
+    subs = []
+    run = verify.run_suite
+
+    def recorded(name, **kwargs):
+        rep = run(name, **kwargs)
+        subs.append(rep)
+        return rep
+
+    monkeypatch.setattr(verify, "run_suite", recorded)
+    verify._image_descents.cache_clear()  # its descents count as calls
+    theta.generalized_descent.cache_clear()
+    report = recorded("all", max_dims=(2, 4), seed=0)
+    info = theta.generalized_descent.cache_info()
+    total = {"hits": info.hits, "misses": info.misses}
+    out = report.to_json()
+    assert list(out)[5:7] == ["identify_cache", "descent_cache"]
+    assert out["descent_cache"] == total
+    assert total["misses"] > 0 and total["hits"] > 0
+    assert {k: sum(r.descent_cache[k] for r in subs[:-1])
+            for k in total} == total
+    assert "cache" not in report.render()
 
 
 def test_lift_check_detail_is_pinned_at_seed_zero():
