@@ -138,11 +138,13 @@ def dlift_cycle(o: AdmissibleTableau, op: AdmissibleTableau, c: Cycle,
     space is strict and lands on a key of c; the strictness requirement is
     what keeps the transport injective on terms, so multiplicities move
     unchanged and none are merged or created.  A strict descent has U1 = U,
-    so a term's one candidate is add_column with its whole 1-row.
+    so a term's one candidate is add_column with its whole 1-row.  o is
+    c's complex orbit, so over base C; op's base is checked before
+    complexify(vp_real), which raises MismatchedType for division C.
     """
     if c.complex_orbit != o:
         raise NotDescentPair("cycle does not live over the stated orbit")
-    if o.space.base != "C" or op.space.base != "C":
+    if op.space.base != "C":
         raise NotDescentPair("descent pair must be stated over base C")
     if complexify(vp_real) != op.space:
         raise NotDescentPair("real form does not complexify to the lifted "

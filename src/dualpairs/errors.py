@@ -55,7 +55,7 @@ class BadShape(DomainError):
 
 
 class BoundExceeded(DomainError):
-    """Requested enumeration exceeds the configured dimension bound."""
+    """A space's dim_F exceeds the fixed bound orbits.DEFAULT_DIM_BOUND."""
 
     code = "bound_exceeded"
 

@@ -80,6 +80,9 @@ class FormedSpace:
         if key in SIG_KINDS:
             if self.signature is None:
                 raise BadShape(f"type {key} is signature-classified", kind=key)
+            if type(self.signature) is not tuple:  # a list is unhashable
+                raise BadShape("signature must be a tuple (p, q)",
+                               signature=self.signature)
             p, q = self.signature
             if p < 0 or q < 0 or p + q != self.dim:
                 raise BadShape("signature must be non-negative and sum to dim",
@@ -330,7 +333,8 @@ def _pq_name(prefix: str, p: int, q: int) -> str:
 
 def group_factor(v: FormedSpace) -> GroupFactor:
     """The isometry group of a nonzero formed space, with its Lie dimension
-    over the base field."""
+    over the base field.  The last case needs no test: FormedSpace admits
+    only the eight tags of SIG_KINDS and DIM_KINDS, the first seven here."""
     key = v.tag()
     n = v.dim
     if key == ("R", "R", 1):
@@ -345,9 +349,7 @@ def group_factor(v: FormedSpace) -> GroupFactor:
         return GroupFactor("OstarH", f"O*({2 * n})", n * (2 * n - 1))
     if key == ("C", "C", 1):
         return GroupFactor("OC", f"O({n},C)", n * (n - 1) // 2)
-    if key == ("C", "C", -1):
-        return GroupFactor("SpC", f"Sp({n},C)", (n // 2) * (n + 1))
-    raise BadShape("unclassifiable space", space=v.render())
+    return GroupFactor("SpC", f"Sp({n},C)", (n // 2) * (n + 1))
 
 
 def isometry_group(v: FormedSpace) -> GroupDescriptor:

@@ -60,11 +60,9 @@ from dataclasses import dataclass
 from operator import mul
 
 from .division import DIVISIONS, DivisionAlgebra
-from .errors import (BoundExceeded, IdentityViolated, NotInAlgebra,
-                     NotNilpotent)
+from .errors import IdentityViolated, NotInAlgebra, NotNilpotent
 from .forms import SIG_KINDS, FormedSpace, formed_space
-from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
-                     validate)
+from .orbits import AdmissibleTableau, TableauRow, check_bound, validate
 from .rational import (Mat, Monomial, Scaled, dense, echelon, eye,
                        fraction_mat, int_mul, int_rows, kernel, monomial_inv,
                        monomial_rows, sandwich, scaled, scaled_mul, shape,
@@ -241,9 +239,7 @@ REALIZE_CACHE_SIZE = 256
 def realize_triple(tab: AdmissibleTableau) -> MatrixRealization:
     """Weight-adapted block realization of the orbit's sl2 triple, from a
     least-recently-used cache of REALIZE_CACHE_SIZE realizations."""
-    if tab.space.dim_f > DEFAULT_DIM_BOUND:
-        raise BoundExceeded("space exceeds realization bound",
-                            dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
+    check_bound(tab.space)
     return _realize(tab)
 
 

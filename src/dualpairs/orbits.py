@@ -18,6 +18,8 @@ that of an odd row with multiplicity signature (p, c - p) has c(t-1)/2 + p.
 validate checks each distinct tableau once: an admissible one is kept in a
 least-recently-used cache of VALIDATE_CACHE_SIZE tableaux, and an invalid
 one raises on every call.
+Enumeration, gradings, the lift and the oracle's realizations refuse a
+space with dim_F > DEFAULT_DIM_BOUND through one check, check_bound.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ class AdmissibleTableau:
             lines.append(f"{cells}  [{row.mult.render()}]")
             lines.extend([cells] * (row.mult.dim - 1))
         return "\n".join(lines)
+
+
+def check_bound(*spaces: FormedSpace) -> None:
+    """BoundExceeded for the first space with dim_F > DEFAULT_DIM_BOUND."""
+    for space in spaces:
+        if space.dim_f > DEFAULT_DIM_BOUND:
+            raise BoundExceeded("space exceeds dimension bound",
+                                dim_f=space.dim_f, bound=DEFAULT_DIM_BOUND)
 
 
 def tableau(space: FormedSpace, rows) -> AdmissibleTableau:
@@ -197,9 +207,7 @@ def enumerate_orbits(v: FormedSpace) -> list:
     each row taking each of its multiplicity forms, except that over a
     signature-classified V the odd rows' p add up to what p(V) leaves over
     after the rows' ct/2 and c(t-1)/2 (see `_positive_index`)."""
-    if v.dim_f > DEFAULT_DIM_BOUND:
-        raise BoundExceeded("space exceeds enumeration bound",
-                            dim_f=v.dim_f, bound=DEFAULT_DIM_BOUND)
+    check_bound(v)
     found = []
     for diagram in _partitions(v.dim):
         rows = tuple(Counter(diagram).items())  # lengths decreasing
@@ -296,20 +304,13 @@ def graded_dims(tab: AdmissibleTableau) -> dict:
     return out
 
 
-def _bounded_grading(tab: AdmissibleTableau) -> dict:
-    """graded_dims of a validated tab after the bound check."""
-    if tab.space.dim_f > DEFAULT_DIM_BOUND:
-        raise BoundExceeded("space exceeds dimension bound",
-                            dim_f=tab.space.dim_f, bound=DEFAULT_DIM_BOUND)
-    return graded_dims(tab)
-
-
 def orbit_dimension(tab: AdmissibleTableau) -> int:
     """dim of the orbit through tab over the base field: dim g - dim g^X,
     with dim g^X = dim g_0 + dim g_1 because every irreducible summand of g
     under the sl2 triple has one X-fixed vector and one weight in {0, 1}."""
     validate(tab)
-    grading = _bounded_grading(tab)
+    check_bound(tab.space)
+    grading = graded_dims(tab)
     return (isometry_group(tab.space).lie_dim - grading.get(0, 0)
             - grading.get(1, 0))
 
@@ -334,7 +335,8 @@ class WhittakerDatum:
 def whittaker_datum(tab: AdmissibleTableau) -> WhittakerDatum:
     """Grading dims of g under ad(H) plus the character/Heisenberg dichotomy."""
     stab = stabilizer(tab)  # validates tab
-    grading = _bounded_grading(tab)
+    check_bound(tab.space)
+    grading = graded_dims(tab)
     dim_u = sum(v for k, v in grading.items() if k <= -2)
     g1 = grading.get(-1, 0)
     return WhittakerDatum(grading=grading, dim_u=dim_u, dim_n=dim_u + g1,

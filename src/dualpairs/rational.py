@@ -207,16 +207,14 @@ def _primitive(r: dict) -> dict:
     return r
 
 
-def echelon(rows, pivots: dict | None = None) -> dict:
+def echelon(rows) -> dict:
     """Fraction-free row echelon form of integer rows {column: nonzero int}.
 
     Each row is reduced in place (the rows are consumed) against the pivot
     of its smallest column until it vanishes or its smallest column has no
     pivot; it then becomes that column's pivot, divided by its content.
-    Returns pivots, extended, or a new {leading column: primitive row}; its
-    size is the rank."""
-    if pivots is None:
-        pivots = {}
+    Returns {leading column: primitive row}; its size is the rank."""
+    pivots = {}
     for r in rows:
         while r:
             lead = min(r)

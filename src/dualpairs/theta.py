@@ -10,7 +10,9 @@ dominates a smaller one, so the largest U1 that fits is the closure maximum.
 generalized_descent computes each distinct (O', V) once: its frozen
 DescentResult is kept in a least-recently-used cache of DESCENT_CACHE_SIZE
 results, and an error (IncompatiblePair, NotInImage or one of validate's)
-is raised on every call.
+is raised on every call.  Descent is defined exactly on the moment image,
+so in_moment_image asks the cached descent and does not decide it again;
+a later descent of an orbit found in the image is a cache hit.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import (BoundExceeded, EmptyLift, IncompatiblePair, NotInImage,
+from .errors import (EmptyLift, IncompatiblePair, NotInImage,
                      UnsupportedRealClosure)
 from .forms import (FormedSpace, GroupDescriptor, direct_sum, embeds,
                     formed_space, group_factor, isometry_group,
                     orth_complement, tensor_with_sl2, zero_space)
-from .orbits import (DEFAULT_DIM_BOUND, AdmissibleTableau, TableauRow,
-                     validate, weight_dims)
+from .orbits import (AdmissibleTableau, TableauRow, check_bound, validate,
+                     weight_dims)
 
 DESCENT_CACHE_SIZE = 1024
 
@@ -34,28 +36,6 @@ def _check_pair(op_space: FormedSpace, v: FormedSpace):
             or op_space.epsilon * v.epsilon != -1:
         raise IncompatiblePair("spaces do not form a dual pair",
                                left=v.render(), right=op_space.render())
-
-
-def _descent_pieces(op: AdmissibleTableau, v: FormedSpace):
-    """Core (rows >= 3 after erasure), U1 (2-row mult), s (1-row mult dim)."""
-    validate(op)
-    core = u1 = zero_space(v.tag())
-    s_mult = None
-    for row in op.rows:
-        if row.t >= 3:
-            core = direct_sum(core, tensor_with_sl2(row.mult, row.t - 1))
-        elif row.t == 2:
-            u1 = row.mult
-        else:
-            s_mult = row.mult
-    return core, u1, s_mult
-
-
-def in_moment_image(op: AdmissibleTableau, v: FormedSpace) -> bool:
-    """Whether orbits in op lie in the image of the moment map from Hom(V, V')."""
-    _check_pair(op.space, v)
-    core, u1, _ = _descent_pieces(op, v)
-    return embeds(direct_sum(core, u1), v)
 
 
 @dataclass(frozen=True)
@@ -77,9 +57,19 @@ class DescentResult:
 
 @functools.lru_cache(maxsize=DESCENT_CACHE_SIZE)
 def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
-    """Erase the first column of op's diagram, pad with 1-boxes inside V."""
+    """Erase the first column of op's diagram, pad with 1-boxes inside V;
+    NotInImage unless the shortened rows t >= 3 and the 2-row embed in V."""
     _check_pair(op.space, v)
-    core, u1, s_mult = _descent_pieces(op, v)
+    validate(op)
+    core = u1 = zero_space(v.tag())
+    s_mult = None
+    for row in op.rows:
+        if row.t >= 3:
+            core = direct_sum(core, tensor_with_sl2(row.mult, row.t - 1))
+        elif row.t == 2:
+            u1 = row.mult
+        else:
+            s_mult = row.mult
     if not embeds(direct_sum(core, u1), v):
         raise NotInImage("orbit is not in the moment-map image",
                          orbit=op.diagram(), space=v.render())
@@ -94,6 +84,16 @@ def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
     return DescentResult(source=op, target=target, U=u, U1=u1, a=a, b=b,
                          s=s_mult.dim if s_mult is not None else 0,
                          strict=b == 0)
+
+
+def in_moment_image(op: AdmissibleTableau, v: FormedSpace) -> bool:
+    """Whether orbits in op lie in the image of the moment map from
+    Hom(V, V'): whether the cached generalized_descent(op, v) is defined."""
+    try:
+        generalized_descent(op, v)
+    except NotInImage:
+        return False
+    return True
 
 
 def add_column(o: AdmissibleTableau, vp: FormedSpace,
@@ -118,10 +118,7 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
     if o.space.base != "C" or vp.base != "C":
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
-    for space in (o.space, vp):
-        if space.dim_f > DEFAULT_DIM_BOUND:
-            raise BoundExceeded("space exceeds dimension bound",
-                                dim_f=space.dim_f, bound=DEFAULT_DIM_BOUND)
+    check_bound(o.space, vp)
     validate(o)
     step = 2 if o.space.epsilon == -1 else 1  # a symplectic U1 is even
     core = sum((row.t + 1) * row.mult.dim for row in o.rows if row.t >= 2)

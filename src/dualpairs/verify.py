@@ -115,18 +115,16 @@ def _complex_pairs(max_dims: tuple):
                 yield v, vp
 
 
-@functools.lru_cache(maxsize=4)
-def _image_descents(max_dims: tuple) -> tuple:
-    """The descent of every complex orbit O' in the moment image, built once
-    per max_dims and shared by the suites that read it: one
-    generalized_descent per orbit, which raises NotInImage outside the
-    image."""
+def _image_descents(max_dims: tuple) -> list:
+    """The descent of every complex orbit O' in the moment image: one
+    generalized_descent per orbit, cached, which raises NotInImage outside
+    the image."""
     out = []
     for v, vp in _complex_pairs(max_dims):
         for op in enumerate_orbits(vp):
             with contextlib.suppress(NotInImage):
                 out.append(theta.generalized_descent(op, v))
-    return tuple(out)
+    return out
 
 
 # -- suites ---------------------------------------------------------------

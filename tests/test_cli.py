@@ -425,6 +425,7 @@ def test_subcommand_parse_matches_the_top_level_parse(monkeypatch):
     (("verify", "--max-dims", "4"), "--max-dims expects 'A,B', got '4'"),
     (("verify", "--max-dims=-1,6"), "--max-dims expects 'A,B', got '-1,6'"),
     (("verify", "--max-dims", "a,b"), "--max-dims expects 'A,B', got 'a,b'"),
+    (("orbits",), "missing required --space payload"),
     (("verify", "--suite", "nosuch"),
      "unknown suite 'nosuch'; choose from " + ", ".join(
          list(verify.SUITES) + ["all"])),
@@ -459,9 +460,13 @@ def test_json_writer_on_a_verify_model_and_foreign_containers():
     assert _dumps(model) == json.dumps(model, indent=2)
     # json.dumps writes a tuple as a list and an int key as a string;
     # the writer refuses both rather than write them differently
-    for obj in ((1, 2), {"a": [(3,)]}, {1: 2}, {4}):
-        with pytest.raises(TypeError):
+    for obj, kind in (((1, 2), "tuple"), ({"a": [(3,)]}, "tuple"),
+                      ({4}, "set")):
+        with pytest.raises(TypeError, match=f"^Object of type {kind} is not "
+                                            "JSON serializable$"):
             _dumps(obj)
+    with pytest.raises(TypeError):  # from json's string encoder
+        _dumps({1: 2})
 
 
 def _slots(obj):

@@ -13,7 +13,7 @@ from dualpairs import (BadShape, Cycle, IncomparableSupports, IncompatiblePair,
                        isometry_group, iter_spaces, orthogonal_space,
                        quaternionic_hermitian_space, quaternionic_skew_space,
                        range_report, real_forms, skew_hermitian_space,
-                       symplectic_space, tableau, zero_cycle)
+                       symplectic_space, tableau, zero_cycle, zero_orbit)
 from dualpairs.cycles import dim_circ
 
 SP2C = complex_symplectic_space(2)
@@ -48,21 +48,25 @@ def test_cycle_normalization_and_accessors():
 
 
 def test_cycle_validation():
-    with pytest.raises(BadShape):
-        Cycle(PLUS, SP2R, ())  # orbit must be complex
-    with pytest.raises(BadShape):
-        Cycle(O_SP, SP2C, ())  # ambient must be real
-    with pytest.raises(BadShape):
-        Cycle(O_SP, symplectic_space(4), ())  # wrong complexification
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="^complex_orbit must live over base C$"):
+        Cycle(PLUS, SP2R, ())
+    with pytest.raises(BadShape, match="^real ambient space must be a real "
+                                       "or quaternionic form$"):
+        Cycle(O_SP, SP2C, ())
+    with pytest.raises(BadShape, match="^real ambient space does not "
+                                       "complexify to the orbit's space$"):
+        Cycle(O_SP, symplectic_space(4), ())
+    with pytest.raises(BadShape, match="^multiplicities must be non-negative "
+                                       "integers$"):
         Cycle(O_SP, SP2R, ((PLUS, -1),))
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="^term lives over the wrong real "
+                                       "space$"):
         Cycle(O_SP, SP2R, ((rtab(symplectic_space(4), 2, (2, 0)), 1),))
-    with pytest.raises(BadShape):
-        # diagram (1,1) does not complexify to the supporting orbit (2,)
-        from dualpairs import zero_orbit
+    # diagram (1,1) does not complexify to the supporting orbit (2,)
+    with pytest.raises(BadShape, match="^term diagram does not complexify to "
+                                       "the complex orbit$"):
         Cycle(O_SP, SP2R, ((zero_orbit(SP2R), 1),))
-    with pytest.raises(BadShape):
+    with pytest.raises(BadShape, match="^duplicate term$"):
         Cycle(O_SP, SP2R, ((PLUS, 1), (PLUS, 2)))
 
 
@@ -73,17 +77,19 @@ def test_cycle_arithmetic():
     assert s.multiplicity(PLUS) == 3 and s.multiplicity(MINUS) == 4
     assert (2 * a).multiplicity(PLUS) == 4
     assert (0 * b).is_zero
-    with pytest.raises(BadShape):
-        -1 * a
-    with pytest.raises(BadShape):
-        Fraction(1, 2) * a
+    for m in (-1, Fraction(1, 2)):
+        with pytest.raises(BadShape, match="^cycle multiplier must be a "
+                                           "non-negative integer$"):
+            m * a
 
 
 def test_cycle_incomparable():
     other = Cycle(OP_O3, O21, ())
-    with pytest.raises(IncomparableSupports):
+    with pytest.raises(IncomparableSupports,
+                       match="^cycles live over different data$"):
         mk_cycle([]) + other
-    with pytest.raises(IncomparableSupports):
+    with pytest.raises(IncomparableSupports,
+                       match="^cycles live over different data$"):
         cycle_leq(mk_cycle([]), other)
 
 
@@ -160,14 +166,29 @@ def test_dlift_additive_and_monotone():
 
 def test_dlift_rejections():
     c = mk_cycle([(PLUS, 1)])
-    with pytest.raises(NotDescentPair):
-        dlift_cycle(OP_O3, O_SP, c, O21)  # cycle lives over the wrong orbit
-    with pytest.raises(NotDescentPair):
-        # real form complexifies to o(2,C), not to op's space o(3,C)
+    with pytest.raises(NotDescentPair,
+                       match="^cycle does not live over the stated orbit$"):
+        dlift_cycle(OP_O3, O_SP, c, O21)
+    # op over base R is refused before its division-C real form, which
+    # complexify would refuse with another code
+    u11 = hermitian_space(1, 1)
+    with pytest.raises(NotDescentPair,
+                       match="^descent pair must be stated over base C$"):
+        dlift_cycle(O_SP, zero_orbit(u11), c, u11)
+    # real form complexifies to o(2,C), not to op's space o(3,C)
+    with pytest.raises(NotDescentPair, match="^real form does not complexify "
+                                             "to the lifted orbit's space$"):
         dlift_cycle(O_SP, OP_O3, c, orthogonal_space(2, 0))
+    # the 5-row of o(5,C) leaves a core of dim 4, too big for sp(2,C)
+    o5_regular = tableau(complex_orthogonal_space(5),
+                         [(5, formed_space("C", "C", 1, dim=1))])
+    with pytest.raises(NotDescentPair,
+                       match="^orbit pair is not a descent pair$"):
+        dlift_cycle(O_SP, o5_regular, c, orthogonal_space(3, 2))
     o3_zero = tableau(O3C, [(1, formed_space("C", "C", 1, dim=3))])
-    with pytest.raises(NotDescentPair):
-        dlift_cycle(O_SP, o3_zero, c, O21)  # descent misses the target
+    with pytest.raises(NotDescentPair, match="^descent of the source orbit "
+                                             "misses the target$"):
+        dlift_cycle(O_SP, o3_zero, c, O21)
     # O*(4) complexifies to O(4,C), but it does not pair with Sp(2,R)
     sp2_zero = tableau(SP2C, [(1, SP2C)])
     c = Cycle(sp2_zero, SP2R, ((tableau(SP2R, [(1, SP2R)]), 1),))
@@ -239,7 +260,7 @@ def test_range_report():
     js = range_report(1, symplectic_space(4), orthogonal_space(3, 2)).to_json()
     assert js == {"dim_circ_V": "4", "exponent": "5/4", "threshold": "3/4",
                   "nu": "1", "in_range": True}
-    with pytest.raises(NonpositiveDimCirc):
+    with pytest.raises(NonpositiveDimCirc, match="^dim° V must be positive$"):
         range_report(1, orthogonal_space(1, 1), symplectic_space(2))
 
 

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs import (BadShape, MismatchedType, NotEmbeddable, FormedSpace,
+from dualpairs import (AdmissibleTableau, BadShape, MismatchedType,
+                       NotEmbeddable, FormedSpace,
                        complex_orthogonal_space, complex_symplectic_space,
                        complexify, direct_sum, embeds, formed_space,
                        hermitian_space, isometry_group, iter_spaces,
@@ -56,14 +59,41 @@ def test_constructor_rejections():
 def test_json_round_trip():
     for v in all_spaces(6):
         assert FormedSpace.from_json(v.to_json()) == v
-    with pytest.raises(ValueError):
-        FormedSpace.from_json({"base": "R", "division": "R", "epsilon": 1})
-    with pytest.raises(ValueError):
-        FormedSpace.from_json({"base": "R", "division": "R", "epsilon": 1,
-                               "signature": [1, 0], "dim": 1})
-    with pytest.raises(ValueError):
-        FormedSpace.from_json({"base": "R", "division": "R", "epsilon": -1,
-                               "dim": 3})
+    one = "exactly one of 'signature'/'dim' must be present"
+    cases = [
+        ({"base": "R", "division": "R", "epsilon": 1}, one),
+        ({"base": "R", "division": "R", "epsilon": 1,
+          "signature": [1, 0], "dim": 1}, one),
+        # a BadShape of the space comes back as a ValueError
+        ({"base": "R", "division": "R", "epsilon": -1, "dim": 3},
+         "symplectic type requires even dimension"),
+        ({"base": "R", "division": "R", "epsilon": 1.0, "dim": 1},
+         "epsilon must be an integer, got 1.0"),
+        ({"base": "R", "division": "R", "epsilon": 1, "signature": [1]},
+         "signature must be a list [p, q]"),
+        ({"base": 1, "division": "R", "epsilon": 1, "dim": 1},
+         "base and division must be strings"),
+        ({"base": "R", "division": "R", "epsilon": 1, "rank": 1},
+         "unknown formed space fields ['rank']"),
+        ({"base": "R", "division": "R"},
+         "formed space missing field 'epsilon'"),
+        ([], "formed space must be a JSON object"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FormedSpace.from_json(obj)
+    with pytest.raises(ValueError, match="^tableau rows must be a list$"):
+        AdmissibleTableau.from_json({"space": orthogonal_space(1, 0).to_json(),
+                                     "rows": {}})
+
+
+def test_direct_construction_needs_a_tuple_signature():
+    # a list would make the frozen space unhashable; formed_space takes one
+    with pytest.raises(BadShape, match=re.escape(
+            "signature must be a tuple (p, q)")):
+        FormedSpace("R", "R", 1, [1, 1], 2)
+    assert formed_space("R", "R", 1, signature=[1, 1]) == \
+        FormedSpace("R", "R", 1, (1, 1), 2)
 
 
 def test_direct_sum_and_complement():
@@ -72,9 +102,10 @@ def test_direct_sum_and_complement():
     s = direct_sum(a, b)
     assert s.signature == (3, 3)
     assert orth_complement(a, s) == b
-    with pytest.raises(NotEmbeddable):
+    with pytest.raises(NotEmbeddable, match="^no isometric embedding$"):
         orth_complement(orthogonal_space(4, 0), s)
-    with pytest.raises(MismatchedType):
+    with pytest.raises(MismatchedType, match=re.escape(
+            "spaces have different (base, division, epsilon)")):
         direct_sum(a, symplectic_space(2))
 
 
@@ -96,6 +127,8 @@ def test_tensor_with_sl2_examples():
         complex_symplectic_space(6)
     assert tensor_with_sl2(complex_orthogonal_space(1), 2) == \
         complex_symplectic_space(2)
+    with pytest.raises(BadShape, match="^tensor length must be positive$"):
+        tensor_with_sl2(orthogonal_space(1, 0), 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,7 +147,8 @@ def test_complexify_table():
         complex_symplectic_space(4)
     assert complexify(quaternionic_skew_space(2)) == complex_orthogonal_space(4)
     assert complexify(complex_orthogonal_space(3)) == complex_orthogonal_space(3)
-    with pytest.raises(MismatchedType):
+    with pytest.raises(MismatchedType, match="^division C spaces have no "
+                                             "formed complexification$"):
         complexify(hermitian_space(1, 1))
 
 

@@ -5,9 +5,10 @@ which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
 is still raised somewhere in the package, every module-level function
 and class is used in it or exported, and every module-level import is used
-in its module or exported.  The message of every raise in the oracle,
-orbits and theta is written in some test, so each of its guards is one that
-a test reaches.  Every cache that lives as long as the process is bounded.
+in its module or exported.  The message of every raise in the package is
+written in some test, so each of its guards is one that a test reaches.
+BoundExceeded is raised in one place, orbits.check_bound.  Every cache
+that lives as long as the process is bounded.
 """
 
 import ast
@@ -135,42 +136,76 @@ def _strings(node) -> list:
             if isinstance(c, ast.Constant) and isinstance(c.value, str)]
 
 
+def _re_raises(tree: ast.Module) -> set:
+    """Lines of the raises that pass on a message raised elsewhere: str(exc)
+    in the handler that caught exc, or the message that argparse hands to
+    the error method of an ArgumentParser subclass."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.name:
+            passed = f"str({node.name})"
+        elif isinstance(node, ast.ClassDef) and "argparse.ArgumentParser" \
+                in map(ast.unparse, node.bases):
+            passed = "message"
+        else:
+            continue
+        lines.update(r.lineno for r in ast.walk(node)
+                     if isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+                     and r.exc.args and ast.unparse(r.exc.args[0]) == passed)
+    return lines
+
+
 def _raise_messages(tree: ast.Module) -> list:
     """(line, literal texts) of each raise whose exception is called with a
     message: the strings in its first argument, or, when that is a name a
-    for loop binds, the strings the loop iterates."""
+    for loop binds, the strings the loop iterates.  A re-raise is left out:
+    its text is pinned where it is first raised."""
     bound = {}
     for loop in ast.walk(tree):
         if isinstance(loop, ast.For):
             bound.update((name.id, _strings(loop.iter))
                          for name in ast.walk(loop.target)
                          if isinstance(name, ast.Name))
+    passed_on = _re_raises(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
-                and node.exc.args:
+                and node.exc.args and node.lineno not in passed_on:
             msg = node.exc.args[0]
             out.append((node.lineno, bound.get(msg.id, [])
                         if isinstance(msg, ast.Name) else _strings(msg)))
     return out
 
 
-def test_every_oracle_raise_is_pinned():
-    # a guard of the ground truth, or of the memoized orbit and descent
-    # checks, either fires in some test, which writes its message, or goes:
-    # a check that cannot fail checks nothing
+def test_every_raise_is_pinned():
+    # a guard of the package either fires in some test, which writes its
+    # message, or goes: a check that cannot fail checks nothing
     written = [text for path in sorted(TESTS.glob("*.py"))
                for text in _strings(ast.parse(path.read_text()))]
     unpinned = []
-    for name in ("oracle.py", "orbits.py", "theta.py"):
-        for line, texts in _raise_messages(
-                ast.parse((PACKAGE / name).read_text())):
-            unpinned += [f"{name}:{line}: {text!r}" for text in texts
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, texts in _raise_messages(ast.parse(path.read_text())):
+            unpinned += [f"{path.name}:{line}: {text!r}" for text in texts
                          if text.strip()
                          and not any(text in w for w in written)]
             if not texts:
-                unpinned.append(f"{name}:{line}: no literal message")
+                unpinned.append(f"{path.name}:{line}: no literal message")
     assert unpinned == []
+
+
+def test_the_dimension_bound_is_checked_in_one_place():
+    # every bounded operation calls orbits.check_bound, so no inline copy
+    # of the check, with a message of its own, can come back
+    raisers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                raisers += [f"{path.name}:{func.name}"
+                            for node in ast.walk(func)
+                            if isinstance(node, ast.Raise)
+                            and "BoundExceeded" in ast.unparse(node)]
+    assert raisers == ["orbits.py:check_bound"]
 
 
 def _module_ints(tree: ast.Module) -> dict:
@@ -218,5 +253,4 @@ def test_every_cache_is_bounded():
     assert unbounded == []
     assert {"forms.py:_space", "orbits.py:validate",
             "theta.py:generalized_descent", "oracle.py:_realize",
-            "oracle.py:_identify", "verify.py:_image_descents",
-            "cli.py:build_parser"} <= seen
+            "oracle.py:_identify", "cli.py:build_parser"} <= seen

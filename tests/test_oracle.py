@@ -120,7 +120,7 @@ def test_realize_zero_orbit():
 
 def test_realize_triple_refuses_spaces_beyond_the_bound():
     with pytest.raises(BoundExceeded,
-                       match="space exceeds realization bound") as exc:
+                       match="^space exceeds dimension bound$") as exc:
         realize_triple(zero_orbit(complex_symplectic_space(14)))
     assert exc.value.context == {"dim_f": 14, "bound": 12}
 

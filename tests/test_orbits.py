@@ -371,7 +371,7 @@ def test_validate_checks_each_admissible_tableau_once():
 
 def test_bound_and_closure_errors_carry_their_messages():
     big = complex_symplectic_space(14)
-    with pytest.raises(BoundExceeded, match="^space exceeds enumeration bound$"):
+    with pytest.raises(BoundExceeded, match="^space exceeds dimension bound$"):
         enumerate_orbits(big)
     with pytest.raises(BoundExceeded, match="^space exceeds dimension bound$"):
         orbit_dimension(zero_orbit(big))

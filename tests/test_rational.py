@@ -191,17 +191,14 @@ def test_elimination_matches_textbook_gauss_jordan(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(elimination_input(), st.integers(0, 7))
-def test_echelon_invariants(a, split):
+@given(elimination_input())
+def test_echelon_invariants(a):
     pivots = echelon(sparse_rows(a))
     assert sorted(pivots) == textbook_rref(a)[1]
     for col, row in pivots.items():
         assert min(row) == col and row[col] > 0
         assert all(type(x) is int and x for x in row.values())
         assert math.gcd(*row.values()) == 1
-    # extending the echelon form of the first rows by the rest
-    first = echelon(sparse_rows(a[:split]))
-    assert sorted(echelon(sparse_rows(a[split:]), first)) == sorted(pivots)
 
 
 def test_shapes_and_identity():
@@ -210,6 +207,8 @@ def test_shapes_and_identity():
     a = mat([[1, 2], [3, 4]])
     assert mul(eye(2), a) == a
     assert mul(a, eye(2)) == a
+    with pytest.raises(ValueError, match=r"^shape mismatch \(2, 3\) x \(2, 2\)$"):
+        mul(zeros(2, 3), a)
 
 
 @settings(max_examples=300, deadline=None)

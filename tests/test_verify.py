@@ -81,16 +81,6 @@ def test_all_suites_pass_at_six_eight():
     assert report.render() + "\n" == GOLDEN_6_8.read_text()
 
 
-def test_image_descents_are_built_once_per_run():
-    """descent, dim-identity, lift and stabilizer read one build of the
-    image descents."""
-    verify._image_descents.cache_clear()
-    report = run_suite("all", max_dims=(2, 4), seed=0)
-    assert report.passed, report.render()
-    info = verify._image_descents.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-
-
 def test_identify_cache_counts_are_summed_over_all(monkeypatch):
     """Each suite reports the hits and misses of oracle._identify's cache
     during its run, and all reports their sum: the cache_info() delta over
@@ -129,7 +119,6 @@ def test_descent_cache_counts_are_summed_over_all(monkeypatch):
         return rep
 
     monkeypatch.setattr(verify, "run_suite", recorded)
-    verify._image_descents.cache_clear()  # its descents count as calls
     theta.generalized_descent.cache_clear()
     report = recorded("all", max_dims=(2, 4), seed=0)
     info = theta.generalized_descent.cache_info()
