@@ -425,10 +425,10 @@ def test_subcommand_parse_matches_the_top_level_parse(monkeypatch):
     (("verify", "--max-dims", "4"), "--max-dims expects 'A,B', got '4'"),
     (("verify", "--max-dims=-1,6"), "--max-dims expects 'A,B', got '-1,6'"),
     (("verify", "--max-dims", "a,b"), "--max-dims expects 'A,B', got 'a,b'"),
-    (("orbits",), "missing required --space payload"),
     (("verify", "--suite", "nosuch"),
      "unknown suite 'nosuch'; choose from " + ", ".join(
          list(verify.SUITES) + ["all"])),
+    (("orbits",), "missing required --space payload"),
 ])
 def test_usage_errors_exit_1_with_their_message(argv, message):
     assert call(*argv) == (1, "", f"error: {message}\n")
