@@ -8,11 +8,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadShape, IncomparableSupports, NonpositiveDimCirc,
-                     NotDescentPair, NotEmbeddable, NotInImage)
+                     NotDescentPair, NotEmbeddable)
 from .forms import (FormedSpace, GroupDescriptor, complexify, json_int,
                     json_list, json_object, zero_space)
 from .orbits import AdmissibleTableau, column_partition, complexify_tableau
-from .theta import _check_pair, add_column, generalized_descent
+from .theta import _check_pair, _descent, add_column
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,10 @@ def dlift_cycle(o: AdmissibleTableau, op: AdmissibleTableau, c: Cycle,
                              "orbit's space",
                              real_space=vp_real.render(),
                              space=op.space.render())
-    try:
-        cdres = generalized_descent(op, o.space)
-    except NotInImage as exc:
+    cdres = _descent(op, o.space)
+    if cdres is None:
         raise NotDescentPair("orbit pair is not a descent pair",
-                             source=op.diagram(), target=o.diagram()) from exc
+                             source=op.diagram(), target=o.diagram())
     if cdres.target != o:
         raise NotDescentPair("descent of the source orbit misses the target",
                              expected=o.diagram(), got=cdres.target.diagram())

@@ -80,8 +80,10 @@ class FormedSpace:
         if key in SIG_KINDS:
             if self.signature is None:
                 raise BadShape(f"type {key} is signature-classified", kind=key)
-            if type(self.signature) is not tuple:  # a list is unhashable
-                raise BadShape("signature must be a tuple (p, q)",
+            # a list would make the space unhashable
+            if type(self.signature) is not tuple or len(self.signature) != 2 \
+                    or any(type(c) is not int for c in self.signature):
+                raise BadShape("signature must be a tuple (p, q) of ints",
                                signature=self.signature)
             p, q = self.signature
             if p < 0 or q < 0 or p + q != self.dim:
@@ -163,8 +165,12 @@ class FormedSpace:
 def formed_space(base: str, division: str, epsilon: int,
                  signature: tuple | None = None, dim: int | None = None) -> FormedSpace:
     if signature is not None:
-        p, q = signature
-        return _space(base, division, epsilon, (int(p), int(q)), int(p) + int(q))
+        try:
+            sig = tuple(map(int, signature))
+        except (TypeError, ValueError):
+            raise BadShape("signature must be a tuple (p, q) of ints",
+                           signature=signature) from None
+        return _space(base, division, epsilon, sig, sum(sig))
     if dim is None:
         raise BadShape("one of signature/dim is required")
     return _space(base, division, epsilon, None, int(dim))

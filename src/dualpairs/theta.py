@@ -7,12 +7,13 @@ is the inverse operation, adding a first column.  The orbits that descend to
 O differ only in the 2-row U1 they carve from O's 1-row U, and a larger U1
 dominates a smaller one, so the largest U1 that fits is the closure maximum.
 
-generalized_descent computes each distinct (O', V) once: its frozen
-DescentResult is kept in a least-recently-used cache of DESCENT_CACHE_SIZE
-results, and an error (IncompatiblePair, NotInImage or one of validate's)
-is raised on every call.  Descent is defined exactly on the moment image,
-so in_moment_image asks the cached descent and does not decide it again;
-a later descent of an orbit found in the image is a cache hit.
+Descent is defined exactly on the moment image, so _descent decides both
+at once: each distinct (O', V) is computed once, its frozen DescentResult,
+or None outside the image, kept in a least-recently-used cache of
+DESCENT_CACHE_SIZE verdicts.  generalized_descent raises NotInImage on
+None, and in_moment_image, k_descent and the other callers in the package
+read the cached verdict.  An error (IncompatiblePair, NotInImage or one of
+validate's) is raised on every call; no exception is cached.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .forms import (FormedSpace, GroupDescriptor, direct_sum, embeds,
 from .orbits import (AdmissibleTableau, TableauRow, check_bound, validate,
                      weight_dims)
 
-DESCENT_CACHE_SIZE = 1024
+DESCENT_CACHE_SIZE = 2048
 
 
 def _check_pair(op_space: FormedSpace, v: FormedSpace):
@@ -55,10 +56,19 @@ class DescentResult:
                 "a": self.a, "b": self.b, "s": self.s, "strict": self.strict}
 
 
-@functools.lru_cache(maxsize=DESCENT_CACHE_SIZE)
 def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
     """Erase the first column of op's diagram, pad with 1-boxes inside V;
     NotInImage unless the shortened rows t >= 3 and the 2-row embed in V."""
+    dres = _descent(op, v)
+    if dres is None:
+        raise NotInImage("orbit is not in the moment-map image",
+                         orbit=op.diagram(), space=v.render())
+    return dres
+
+
+@functools.lru_cache(maxsize=DESCENT_CACHE_SIZE)
+def _descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult | None:
+    """The descent of op to v, or None when op is outside the moment image."""
     _check_pair(op.space, v)
     validate(op)
     core = u1 = zero_space(v.tag())
@@ -71,8 +81,7 @@ def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
         else:
             s_mult = row.mult
     if not embeds(direct_sum(core, u1), v):
-        raise NotInImage("orbit is not in the moment-map image",
-                         orbit=op.diagram(), space=v.render())
+        return None
     u = orth_complement(core, v)
     a = u1.dim
     b = u.dim - a
@@ -88,12 +97,8 @@ def generalized_descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult:
 
 def in_moment_image(op: AdmissibleTableau, v: FormedSpace) -> bool:
     """Whether orbits in op lie in the image of the moment map from
-    Hom(V, V'): whether the cached generalized_descent(op, v) is defined."""
-    try:
-        generalized_descent(op, v)
-    except NotInImage:
-        return False
-    return True
+    Hom(V, V'): whether the cached descent of op to v is defined."""
+    return _descent(op, v) is not None
 
 
 def add_column(o: AdmissibleTableau, vp: FormedSpace,
@@ -135,10 +140,8 @@ def k_descent(op_real: AdmissibleTableau, v_real: FormedSpace):
     if op_real.space.base != "R" or v_real.base != "R":
         raise IncompatiblePair("real descent needs base R on both sides",
                                left=v_real.render(), right=op_real.space.render())
-    try:
-        return generalized_descent(op_real, v_real).target
-    except NotInImage:
-        return None
+    dres = _descent(op_real, v_real)
+    return dres.target if dres is not None else None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ oracle and reports named pass/fail checks.  Deterministic for a fixed seed."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import random
 import time
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 from . import cycles as cyc
 from . import oracle, theta
-from .errors import DomainError, EmptyLift, NotInImage
+from .errors import DomainError, EmptyLift
 from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
@@ -43,7 +42,7 @@ class SuiteReport:
     max_dims: tuple
     checks: list = field(default_factory=list)
     elapsed_s: float = 0.0  # wall time of the suite, shown in JSON only
-    # hits and misses of oracle._identify's and of generalized_descent's
+    # hits and misses of oracle._identify's and of theta._descent's
     # caches, shown in JSON only
     identify_cache: Counter = field(default_factory=Counter)
     descent_cache: Counter = field(default_factory=Counter)
@@ -116,15 +115,11 @@ def _complex_pairs(max_dims: tuple):
 
 
 def _image_descents(max_dims: tuple) -> list:
-    """The descent of every complex orbit O' in the moment image: one
-    generalized_descent per orbit, cached, which raises NotInImage outside
-    the image."""
-    out = []
-    for v, vp in _complex_pairs(max_dims):
-        for op in enumerate_orbits(vp):
-            with contextlib.suppress(NotInImage):
-                out.append(theta.generalized_descent(op, v))
-    return out
+    """The descent of every complex orbit O' in the moment image, read off
+    theta._descent's cached verdict, which is None outside the image."""
+    return [d for v, vp in _complex_pairs(max_dims)
+            for op in enumerate_orbits(vp)
+            if (d := theta._descent(op, v)) is not None]
 
 
 # -- suites ---------------------------------------------------------------
@@ -231,10 +226,8 @@ def suite_lift(report: SuiteReport, rng):
 
 def _factorizes(d) -> bool:
     pf = theta.pair_factorization(d)
-    dw, _ = theta.reduced_pair_dims(d)
     return (stabilizer(d.source).lie_dim == pf.m_xxp.lie_dim + pf.lp.lie_dim
-            and stabilizer(d.target).lie_dim >= pf.m_xxp.lie_dim + pf.l.lie_dim
-            and dw == d.target.space.d * d.b * d.s)
+            and stabilizer(d.target).lie_dim >= pf.m_xxp.lie_dim + pf.l.lie_dim)
 
 
 def _whittaker_symmetric(tab) -> bool:
@@ -282,8 +275,8 @@ def suite_cycles(report: SuiteReport, rng):
         for o in enumerate_orbits(vc):
             keys = real_forms(o.diagram(), v_real)
             for op in enumerate_orbits(complexify(vp_real)):
-                if keys and theta.in_moment_image(op, vc) \
-                        and theta.generalized_descent(op, vc).target == o:
+                if keys and (d := theta._descent(op, vc)) is not None \
+                        and d.target == o:
                     rounds += [(op, vp_real, _random_cycle(o, v_real, keys, rng),
                                 _random_cycle(o, v_real, keys, rng),
                                 rng.randint(0, 4)) for _ in range(15)]
@@ -355,7 +348,7 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
                          f"{', '.join(list(SUITES) + ['all'])}")
     report = SuiteReport(suite=name, seed=seed, max_dims=tuple(max_dims))
     counted = ((report.identify_cache, oracle._identify),
-               (report.descent_cache, theta.generalized_descent))
+               (report.descent_cache, theta._descent))
     before = [cache.cache_info() for _, cache in counted]
     start = report.mark
     SUITES[name](report, random.Random(seed))

@@ -88,10 +88,12 @@ def test_json_round_trip():
 
 
 def test_direct_construction_needs_a_tuple_signature():
-    # a list would make the frozen space unhashable; formed_space takes one
-    with pytest.raises(BadShape, match=re.escape(
-            "signature must be a tuple (p, q)")):
-        FormedSpace("R", "R", 1, [1, 1], 2)
+    # a list would make the frozen space unhashable; formed_space takes one.
+    # A tuple of another length, or with a non-int entry, is refused too.
+    for sig in ([1, 1], (1, 1, 0), ("1", 1)):
+        with pytest.raises(BadShape, match=re.escape(
+                "signature must be a tuple (p, q) of ints")):
+            FormedSpace("R", "R", 1, sig, 2)
     assert formed_space("R", "R", 1, signature=[1, 1]) == \
         FormedSpace("R", "R", 1, (1, 1), 2)
 
@@ -223,6 +225,10 @@ def test_formed_space_errors_are_raised_on_every_call():
         (("R", "R", 1), {"signature": (2, -1)},
          "signature must be non-negative and sum to dim"),
         (("R", "R", 2), {"signature": (1, 0)}, "epsilon must be +1 or -1, got 2"),
+        (("R", "R", 1), {"signature": (1, 1, 0)},
+         "signature must be a tuple (p, q) of ints"),
+        (("R", "R", 1), {"signature": (None, 1)},
+         "signature must be a tuple (p, q) of ints"),
     ]
     size = forms._space.cache_info().currsize
     for args, kwargs, message in cases:

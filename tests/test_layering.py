@@ -193,19 +193,38 @@ def test_every_raise_is_pinned():
     assert unpinned == []
 
 
-def test_the_dimension_bound_is_checked_in_one_place():
-    # every bounded operation calls orbits.check_bound, so no inline copy
-    # of the check, with a message of its own, can come back
-    raisers = []
+# each of these errors has one raiser in the package: every other operation
+# calls it, or reads the cached verdict beneath it, so no inline copy of
+# the check, with a message of its own, can come back
+ONE_RAISER = {"BoundExceeded": "orbits.py:check_bound",
+              "NotInImage": "theta.py:generalized_descent"}
+
+
+def test_errors_with_one_raiser_are_raised_in_one_place():
+    """BoundExceeded is raised only in orbits.check_bound and NotInImage
+    only in theta.generalized_descent, and no module catches NotInImage,
+    by except or by contextlib.suppress: the moment image is the cached
+    verdict of theta._descent."""
+    raisers, catchers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                raisers += [f"{path.name}:{func.name}"
-                            for node in ast.walk(func)
-                            if isinstance(node, ast.Raise)
-                            and "BoundExceeded" in ast.unparse(node)]
-    assert raisers == ["orbits.py:check_bound"]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                raisers += [(name, f"{path.name}:{node.name}")
+                            for sub in ast.walk(node)
+                            if isinstance(sub, ast.Raise)
+                            for name in ONE_RAISER if name in ast.unparse(sub)]
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = ast.unparse(node.type)
+            elif isinstance(node, ast.Call) \
+                    and ast.unparse(node.func).endswith("suppress"):
+                caught = ast.unparse(node)
+            else:
+                continue
+            if "NotInImage" in caught:
+                catchers.append(f"{path.name}:{node.lineno}")
+    assert sorted(raisers) == sorted(ONE_RAISER.items())
+    assert catchers == []
 
 
 def _module_ints(tree: ast.Module) -> dict:
@@ -252,5 +271,5 @@ def test_every_cache_is_bounded():
                         unbounded.append(f"{where}: cache with arguments")
     assert unbounded == []
     assert {"forms.py:_space", "orbits.py:validate",
-            "theta.py:generalized_descent", "oracle.py:_realize",
+            "theta.py:_descent", "oracle.py:_realize",
             "oracle.py:_identify", "cli.py:build_parser"} <= seen

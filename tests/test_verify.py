@@ -2,7 +2,7 @@ import math
 from pathlib import Path
 
 from dualpairs import (IdentityViolated, complex_symplectic_space,
-                       oracle, theta, verify)
+                       enumerate_orbits, oracle, theta, verify)
 from dualpairs.verify import run_suite
 
 GOLDEN_6_8 = Path(__file__).parent / "golden" / "verify_all_6_8.txt"
@@ -107,7 +107,7 @@ def test_identify_cache_counts_are_summed_over_all(monkeypatch):
 
 
 def test_descent_cache_counts_are_summed_over_all(monkeypatch):
-    """Each suite reports the hits and misses of generalized_descent's
+    """Each suite reports the hits and misses of theta._descent's
     cache during its run, next to identify_cache in JSON, and all reports
     their sum; the text report shows neither."""
     subs = []
@@ -119,9 +119,9 @@ def test_descent_cache_counts_are_summed_over_all(monkeypatch):
         return rep
 
     monkeypatch.setattr(verify, "run_suite", recorded)
-    theta.generalized_descent.cache_clear()
+    theta._descent.cache_clear()
     report = recorded("all", max_dims=(2, 4), seed=0)
-    info = theta.generalized_descent.cache_info()
+    info = theta._descent.cache_info()
     total = {"hits": info.hits, "misses": info.misses}
     out = report.to_json()
     assert list(out)[5:7] == ["identify_cache", "descent_cache"]
@@ -130,6 +130,18 @@ def test_descent_cache_counts_are_summed_over_all(monkeypatch):
     assert {k: sum(r.descent_cache[k] for r in subs[:-1])
             for k in total} == total
     assert "cache" not in report.render()
+
+
+def test_each_descent_verdict_is_computed_once_per_run():
+    """From an emptied cache, verify all at 4,6 decides each complex
+    (O', V) it meets once, the 21 outside the moment image included: the
+    misses are the orbits of the complex pairs, and the cycles suite's
+    pairs are among them."""
+    theta._descent.cache_clear()
+    report = run_suite("all", max_dims=(4, 6), seed=0)
+    keys = sum(len(enumerate_orbits(vp))
+               for _, vp in verify._complex_pairs((4, 6)))
+    assert report.descent_cache["misses"] == keys == 88
 
 
 def test_lift_check_detail_is_pinned_at_seed_zero():
