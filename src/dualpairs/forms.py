@@ -24,7 +24,6 @@ from .errors import BadShape, MismatchedType, NotEmbeddable
 
 # classification: which (base, division, epsilon) triples carry a signature
 SIG_KINDS = {("R", "R", 1), ("R", "C", 1), ("R", "C", -1), ("R", "H", 1)}
-DIM_KINDS = {("R", "R", -1), ("R", "H", -1), ("C", "C", 1), ("C", "C", -1)}
 # dim-classified types whose dimension over D must be even
 EVEN_DIM_KINDS = {("R", "R", -1), ("C", "C", -1)}
 
@@ -63,6 +62,21 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def _check_signature(sig):
+    """Refuse a signature other than a tuple (p, q) of ints: a list would
+    make the space unhashable, and a bool, float or str is no int here."""
+    if type(sig) is not tuple or len(sig) != 2 \
+            or any(type(c) is not int for c in sig):
+        raise BadShape("signature must be a tuple (p, q) of ints",
+                       signature=sig)
+
+
+def _check_dim(dim):
+    """Refuse a dimension other than an int: a bool, float or str."""
+    if type(dim) is not int:
+        raise BadShape("dimension must be an int", dim=dim)
+
+
 @dataclass(frozen=True)
 class FormedSpace:
     base: str
@@ -77,14 +91,11 @@ class FormedSpace:
             raise BadShape(f"invalid base/division pair ({self.base},{self.division})")
         if self.epsilon not in (1, -1):
             raise BadShape(f"epsilon must be +1 or -1, got {self.epsilon}")
+        _check_dim(self.dim)
         if key in SIG_KINDS:
             if self.signature is None:
                 raise BadShape(f"type {key} is signature-classified", kind=key)
-            # a list would make the space unhashable
-            if type(self.signature) is not tuple or len(self.signature) != 2 \
-                    or any(type(c) is not int for c in self.signature):
-                raise BadShape("signature must be a tuple (p, q) of ints",
-                               signature=self.signature)
+            _check_signature(self.signature)
             p, q = self.signature
             if p < 0 or q < 0 or p + q != self.dim:
                 raise BadShape("signature must be non-negative and sum to dim",
@@ -164,16 +175,16 @@ class FormedSpace:
 
 def formed_space(base: str, division: str, epsilon: int,
                  signature: tuple | None = None, dim: int | None = None) -> FormedSpace:
+    """The shared space of these arguments.  A signature is a tuple or list
+    of two ints, dim an int; nothing is coerced."""
     if signature is not None:
-        try:
-            sig = tuple(map(int, signature))
-        except (TypeError, ValueError):
-            raise BadShape("signature must be a tuple (p, q) of ints",
-                           signature=signature) from None
+        sig = tuple(signature) if type(signature) is list else signature
+        _check_signature(sig)
         return _space(base, division, epsilon, sig, sum(sig))
     if dim is None:
         raise BadShape("one of signature/dim is required")
-    return _space(base, division, epsilon, None, int(dim))
+    _check_dim(dim)
+    return _space(base, division, epsilon, None, dim)
 
 
 @functools.lru_cache(maxsize=SPACE_CACHE_SIZE, typed=True)
@@ -340,7 +351,8 @@ def _pq_name(prefix: str, p: int, q: int) -> str:
 def group_factor(v: FormedSpace) -> GroupFactor:
     """The isometry group of a nonzero formed space, with its Lie dimension
     over the base field.  The last case needs no test: FormedSpace admits
-    only the eight tags of SIG_KINDS and DIM_KINDS, the first seven here."""
+    only the eight tags of _DIM_F_D's pairs with epsilon +1 or -1, the
+    first seven here."""
     key = v.tag()
     n = v.dim
     if key == ("R", "R", 1):

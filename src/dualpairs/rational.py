@@ -4,13 +4,14 @@ A matrix is a list of rows of Fraction (an integral matrix may hold int
 entries), a vector a flat list of Fraction.  `Scaled` carries a rational
 matrix as one integer matrix over one positive common denominator, so that
 a chain of products and checks runs on Python integers and builds
-Fractions only at its end.  `mul` works on integers inside too: it clears
-the denominators of each row of its left operand and each column of its
-right operand once, takes integer dot products and builds one Fraction per
-output entry.  Monomial matrices (one nonzero entry in each row and each
-column, like every reference Gram and D-structure matrix) are kept as a
-permutation with integer scales over one denominator, built entry by
-entry (there is no parser from dense form); `dense` writes one out as its
+Fractions only at its end.  There is one way into the integers and one way
+out: `scaled` is the only routine that splits a Fraction into numerator and
+denominator, and `fraction_mat` (with `solve`'s per-row leads) builds the
+Fractions again.  `mul` is `scaled_mul` between the two, and `sparse_rows`
+reads the rows of `scaled`.  Monomial matrices (one nonzero entry in each
+row and each column, like every reference Gram and D-structure matrix) are
+kept as a permutation with integer scales over one denominator, built entry
+by entry (there is no parser from dense form); `dense` writes one out as its
 Scaled integer matrix, `monomial_rows` applies one to integer vectors and
 `sandwich` multiplies a scaled matrix by one on each side.
 Elimination is fraction-free on sparse integer rows {column: nonzero int}:
@@ -57,32 +58,10 @@ def transpose(a: Mat) -> Mat:
 _ZERO = Fraction(0)
 
 
-def cleared(vec) -> tuple:
-    """(integer numerators, common denominator) of a vector of rationals."""
-    d = math.lcm(*[x.denominator for x in vec])
-    if d == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (d // x.denominator) for x in vec], d
-
-
 def _ratio(s: int, d: int) -> Fraction:
     if not s:
         return _ZERO
     return Fraction(s) if d == 1 else Fraction(s, d)
-
-
-def mul(a: Mat, b: Mat) -> Mat:
-    m, k = shape(a)
-    k2, n = shape(b)
-    if k != k2:
-        raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
-    cols = [cleared(col) for col in zip(*b)]
-    out = []
-    for row in a:
-        ai, da = cleared(row)
-        out.append([_ratio(sum(map(_imul, ai, bj)), da * db)
-                    for bj, db in cols])
-    return out
 
 
 def int_mul(a, b) -> tuple:
@@ -120,6 +99,12 @@ def fraction_mat(a: Scaled) -> Mat:
 def scaled_mul(a: Scaled, b: Scaled) -> Scaled:
     """The product, over the product of the denominators."""
     return Scaled(int_mul(a.ints, b.ints), a.den * b.den)
+
+
+def mul(a: Mat, b: Mat) -> Mat:
+    if shape(a)[1] != shape(b)[0]:
+        raise ValueError(f"shape mismatch {shape(a)} x {shape(b)}")
+    return fraction_mat(scaled_mul(scaled(a), scaled(b)))
 
 
 class Monomial(NamedTuple):
@@ -175,8 +160,8 @@ def int_rows(a) -> list:
 
 
 def sparse_rows(a: Mat) -> list:
-    """Rows of a as {column: nonzero int}, each row's denominators cleared."""
-    return int_rows(cleared(row)[0] for row in a)
+    """Rows of a as {column: nonzero int}: the rows of scaled(a)."""
+    return int_rows(scaled(a).ints)
 
 
 def _cancel(r: dict, p: dict, col: int):

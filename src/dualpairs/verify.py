@@ -234,8 +234,7 @@ def _whittaker_symmetric(tab) -> bool:
     w = whittaker_datum(tab)
     return (sum(w.grading.values()) == isometry_group(tab.space).lie_dim
             and all(w.grading.get(-j, 0) == dj for j, dj in w.grading.items())
-            and w.dim_g_minus1 % 2 == 0
-            and w.dim_n == w.dim_u + w.dim_g_minus1)
+            and w.dim_g_minus1 % 2 == 0)
 
 
 def suite_stabilizer(report: SuiteReport, rng):

@@ -89,11 +89,16 @@ def test_json_round_trip():
 
 def test_direct_construction_needs_a_tuple_signature():
     # a list would make the frozen space unhashable; formed_space takes one.
-    # A tuple of another length, or with a non-int entry, is refused too.
-    for sig in ([1, 1], (1, 1, 0), ("1", 1)):
+    # A tuple of another length, or with a non-int entry, is refused too,
+    # and so is a dim that is not an int
+    for sig in ([1, 1], (1, 1, 0), ("1", 1), (True, 1), (1.5, 0.5)):
         with pytest.raises(BadShape, match=re.escape(
                 "signature must be a tuple (p, q) of ints")):
             FormedSpace("R", "R", 1, sig, 2)
+    for args in (("C", "C", 1, None, 2.7), ("C", "C", 1, None, True),
+                 ("R", "R", 1, (1, 1), 2.0)):
+        with pytest.raises(BadShape, match="^dimension must be an int$"):
+            FormedSpace(*args)
     assert formed_space("R", "R", 1, signature=[1, 1]) == \
         FormedSpace("R", "R", 1, (1, 1), 2)
 
@@ -229,6 +234,12 @@ def test_formed_space_errors_are_raised_on_every_call():
          "signature must be a tuple (p, q) of ints"),
         (("R", "R", 1), {"signature": (None, 1)},
          "signature must be a tuple (p, q) of ints"),
+        # nothing is coerced to int: a bool, float or str is refused
+        *[(("R", "R", 1), {"signature": sig},
+           "signature must be a tuple (p, q) of ints")
+          for sig in ((1.5, 1), ("1", 1), (True, 1), [1.5, 1], {1, 2})],
+        *[(("C", "C", 1), {"dim": dim}, "dimension must be an int")
+          for dim in (2.7, True, "2", 2.0, [2])],
     ]
     size = forms._space.cache_info().currsize
     for args, kwargs, message in cases:

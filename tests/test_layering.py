@@ -3,9 +3,10 @@
 The combinatorial modules compute their claims without the matrix oracle,
 which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
-is still raised somewhere in the package, every module-level function
-and class is used in it or exported, and every module-level import is used
-in its module or exported.  The message of every raise in the package is
+is still raised somewhere in the package, every module-level function,
+class and constant is used in it or exported, and every module-level
+import is used in its module or exported.  Only rational.scaled reads a
+Fraction's numerator and denominator.  The message of every raise in the package is
 written in some test, so each of its guards is one that a test reaches.
 BoundExceeded is raised in one place, orbits.check_bound.  Every cache
 that lives as long as the process is bounded.
@@ -94,15 +95,31 @@ def test_every_domain_error_is_raised():
     assert defined and sorted(defined - raised) == []
 
 
+def _assigned_names(node) -> list:
+    """The names a module-level statement binds by assignment, dunders
+    (__all__, __version__) left out."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and not name.id.startswith("__")]
+
+
 def test_every_module_level_name_is_used():
-    # a function or class outlives its last use only in the public API
+    # a function, class or constant outlives its last read only in the
+    # public API
     defined, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         defined.update((node.name, path.name) for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        defined.update((name, path.name) for node in tree.body
+                       for name in _assigned_names(node))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -127,6 +144,24 @@ def test_every_module_level_import_is_used():
                    for name in sorted(imported - used)
                    if name not in dualpairs.__all__]
     assert unused == []
+
+
+def test_only_scaled_splits_a_fraction():
+    # one way into the integer kernel: every other routine takes the
+    # integers of rational.scaled, so no second copy of its denominator
+    # clearing can come back
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = {}
+        for func in ast.walk(tree):  # breadth first: the innermost wins
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where.update((id(node), func.name) for node in ast.walk(func))
+        readers.update(f"{path.stem}.{where.get(id(node), '<module>')}"
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr in ("numerator", "denominator"))
+    assert readers == {"rational.scaled"}
 
 
 def _strings(node) -> list:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (Monomial, Scaled, _reduced, cleared, dense,
+from dualpairs.rational import (Monomial, Scaled, _reduced, dense,
                                 echelon, eye, fraction_mat, inv, kernel,
                                 monomial_inv, monomial_rows, mul, sandwich,
                                 scaled, scaled_mul, shape, solve, sparse_rows,
@@ -97,9 +97,9 @@ def test_integer_sandwich_matches_dense_product():
     def random_monomial(n):
         perm = list(range(n))
         rng.shuffle(perm)
-        num, den = cleared([Fraction(rng.choice([-3, -1, 1, 2]),
-                                     rng.randint(1, 4)) for _ in perm])
-        return Monomial(tuple(perm), tuple(num), den)
+        s = scaled([[Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                     for _ in perm]])
+        return Monomial(tuple(perm), s.ints[0], s.den)
 
     for n, m in ((1, 1), (2, 3), (4, 2), (3, 3)):
         b, bp = random_monomial(n), random_monomial(m)
@@ -199,6 +199,56 @@ def test_echelon_invariants(a):
         assert min(row) == col and row[col] > 0
         assert all(type(x) is int and x for x in row.values())
         assert math.gcd(*row.values()) == 1
+
+
+@st.composite
+def rows_over_own_denominators(draw):
+    """An m x (m + k) matrix whose row i is integers over its own
+    denominator d_i, some rows rational multiples of earlier ones, so the
+    least common denominator of the matrix scales its rows differently."""
+    m, k = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    rows = []
+    for _ in range(m):
+        den = draw(st.integers(1, 12))
+        if rows and draw(st.booleans()):
+            c = Fraction(draw(st.integers(-4, 4)), den)
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([Fraction(x, den) for x in draw(st.lists(
+                st.integers(-6, 6), min_size=m + k, max_size=m + k))])
+    return rows
+
+
+def rows_cleared_one_by_one(a):
+    """Sparse integer rows of a, each row times the lcm of its own
+    denominators."""
+    out = []
+    for row in a:
+        d = math.lcm(*[x.denominator for x in row])
+        out.append({j: int(x * d) for j, x in enumerate(row) if x})
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_over_own_denominators())
+def test_one_common_denominator_changes_no_pivot(a):
+    """sparse_rows clears a over one common denominator, a positive
+    multiple of each row cleared on its own, and every pivot row is kept
+    primitive with a positive lead: echelon, the reduced pivots, kernel
+    and solve come out identical."""
+    m, n = shape(a)
+    assert echelon(sparse_rows(a)) == echelon(rows_cleared_one_by_one(a))
+    pivots = _reduced(rows_cleared_one_by_one(a))
+    assert _reduced(sparse_rows(a)) == pivots
+    assert kernel(sparse_rows(a), n) == kernel(rows_cleared_one_by_one(a), n)
+    square, rest = [row[:m] for row in a], [row[m:] for row in a]
+    if any(i not in pivots for i in range(m)):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            solve(square, rest)
+    else:
+        assert solve(square, rest) == [
+            [Fraction(pivots[i].get(m + j, 0), pivots[i][i])
+             for j in range(n - m)] for i in range(m)]
 
 
 def test_shapes_and_identity():
