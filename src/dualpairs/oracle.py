@@ -693,11 +693,13 @@ def construct_descent_element(src_real: MatrixRealization,
             links += [(src_real.d_index(si, a, 0), tgt_real.d_index(ti, p, 0))
                       for a, p in enumerate(positions)]
     dr = src_real.ambient.dr
-    ones = {(i * dr + al, j * dr + al) for i, j in links for al in range(dr)}
-    cols = range(tgt_real.ambient.n_real)
-    t_real = tuple(tuple(int((p, q) in ones) for q in cols)
-                   for p in range(src_real.ambient.n_real))
-    rm = make_map(tgt_real.ambient, src_real.ambient, Scaled(t_real, 1))
+    t_real = [[0] * tgt_real.ambient.n_real
+              for _ in range(src_real.ambient.n_real)]
+    for i, j in links:
+        for al in range(dr):
+            t_real[i * dr + al][j * dr + al] = 1
+    rm = make_map(tgt_real.ambient, src_real.ambient,
+                  Scaled(tuple(map(tuple, t_real)), 1))
     x, xp = _moment_values(rm)
     got_target = _identify(x, tgt_real.ambient)
     if got_target != dres.target:

@@ -12,8 +12,12 @@ at once: each distinct (O', V) is computed once, its frozen DescentResult,
 or None outside the image, kept in a least-recently-used cache of
 DESCENT_CACHE_SIZE verdicts.  generalized_descent raises NotInImage on
 None, and in_moment_image, k_descent and the other callers in the package
-read the cached verdict.  An error (IncompatiblePair, NotInImage or one of
-validate's) is raised on every call; no exception is cached.
+read the cached verdict.  The lift is decided once per (O, V') the same
+way: _lift keeps the lifted orbit, or None when V' has no room, in a cache
+of DESCENT_CACHE_SIZE verdicts, and theta_lift raises EmptyLift on None.
+An error (IncompatiblePair, NotInImage, EmptyLift, UnsupportedRealClosure,
+BoundExceeded or one of validate's) is raised on every call; no exception
+is cached.
 """
 
 from __future__ import annotations
@@ -114,12 +118,23 @@ def add_column(o: AdmissibleTableau, vp: FormedSpace,
 
 
 def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
-    """The closure-maximal orbit over vp whose descent to o.space equals o:
-    add_column(o, vp, U1) with the largest U1 that fits, since over base C
-    each dim U1 gives one candidate and a larger U1 dominates a smaller one
-    (one 2-box in place of two 1-boxes): the largest dim U1 up to o's 1-row
-    count, in steps of 2 for a symplectic U1, with core + 2 dim U1 <= dim vp,
-    the core taking (t + 1) dim U_t for each row t >= 2 of o."""
+    """The closure-maximal orbit over vp whose descent to o.space equals o;
+    EmptyLift when vp has no room for one."""
+    lifted = _lift(o, vp)
+    if lifted is None:
+        raise EmptyLift("no orbit descends to the given one",
+                        orbit=o.diagram(), space=vp.render())
+    return lifted
+
+
+@functools.lru_cache(maxsize=DESCENT_CACHE_SIZE)
+def _lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau | None:
+    """The lift of o to vp, or None when vp has no room: add_column(o, vp,
+    U1) with the largest U1 that fits, since over base C each dim U1 gives
+    one candidate and a larger U1 dominates a smaller one (one 2-box in
+    place of two 1-boxes): the largest dim U1 up to o's 1-row count, in
+    steps of 2 for a symplectic U1, with core + 2 dim U1 <= dim vp, the core
+    taking (t + 1) dim U_t for each row t >= 2 of o."""
     if o.space.base != "C" or vp.base != "C":
         raise UnsupportedRealClosure("orbit lift needs the complex closure order")
     _check_pair(vp, o.space)
@@ -129,8 +144,7 @@ def theta_lift(o: AdmissibleTableau, vp: FormedSpace) -> AdmissibleTableau:
     core = sum((row.t + 1) * row.mult.dim for row in o.rows if row.t >= 2)
     room, ones = (vp.dim - core) // 2, o.diagram().count(1)
     if room < 0:
-        raise EmptyLift("no orbit descends to the given one",
-                        orbit=o.diagram(), space=vp.render())
+        return None
     dim_u1 = ones if room >= ones else room - (ones - room) % step
     return add_column(o, vp, formed_space(*o.space.tag(), dim=dim_u1))
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import cycles as cyc
 from . import oracle, theta
-from .errors import DomainError, EmptyLift
+from .errors import DomainError
 from .forms import (complexify, complex_orthogonal_space,
                     complex_symplectic_space, formed_space, isometry_group,
                     iter_spaces, orthogonal_space, symplectic_space,
@@ -42,10 +42,11 @@ class SuiteReport:
     max_dims: tuple
     checks: list = field(default_factory=list)
     elapsed_s: float = 0.0  # wall time of the suite, shown in JSON only
-    # hits and misses of oracle._identify's and of theta._descent's
-    # caches, shown in JSON only
+    # hits and misses of oracle._identify's, theta._descent's and
+    # theta._lift's caches, shown in JSON only
     identify_cache: Counter = field(default_factory=Counter)
     descent_cache: Counter = field(default_factory=Counter)
+    lift_cache: Counter = field(default_factory=Counter)
     # perf_counter at the suite's start, then at its latest check
     mark: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -79,6 +80,7 @@ class SuiteReport:
                 "elapsed_s": self.elapsed_s,
                 "identify_cache": dict(self.identify_cache),
                 "descent_cache": dict(self.descent_cache),
+                "lift_cache": dict(self.lift_cache),
                 "checks": [c.to_json() for c in self.checks]}
 
     def render(self) -> str:
@@ -202,18 +204,12 @@ def suite_lift(report: SuiteReport, rng):
     for v, vp in _complex_pairs(report.max_dims):
         vr = oracle.realize_triple(enumerate_orbits(v)[0])
         vpr = oracle.realize_triple(enumerate_orbits(vp)[0])
-        lift_cache: dict = {}
         for _ in range(200):
             rm = oracle.sample_raising_map(vr, vpr, rng)
             x, xp = oracle._moment_values(rm)
             o = oracle._identify(x, vr.ambient)
             op_id = oracle._identify(xp, vpr.ambient)
-            if o not in lift_cache:
-                try:
-                    lift_cache[o] = theta.theta_lift(o, vp)
-                except EmptyLift:
-                    lift_cache[o] = None
-            lifted = lift_cache[o]
+            lifted = theta._lift(o, vp)
             if lifted is None:
                 skipped += 1
             elif closure_leq(op_id, lifted):
@@ -339,6 +335,7 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
             combined.elapsed_s += rep.elapsed_s
             combined.identify_cache.update(rep.identify_cache)
             combined.descent_cache.update(rep.descent_cache)
+            combined.lift_cache.update(rep.lift_cache)
             combined.checks += [replace(c, name=f"{sub}: {c.name}")
                                 for c in rep.checks]
         return combined
@@ -347,7 +344,8 @@ def run_suite(name: str, max_dims: tuple = (4, 6), seed: int = 0) -> SuiteReport
                          f"{', '.join(list(SUITES) + ['all'])}")
     report = SuiteReport(suite=name, seed=seed, max_dims=tuple(max_dims))
     counted = ((report.identify_cache, oracle._identify),
-               (report.descent_cache, theta._descent))
+               (report.descent_cache, theta._descent),
+               (report.lift_cache, theta._lift))
     before = [cache.cache_info() for _, cache in counted]
     start = report.mark
     SUITES[name](report, random.Random(seed))

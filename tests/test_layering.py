@@ -4,12 +4,13 @@ The combinatorial modules compute their claims without the matrix oracle,
 which only checks them, and every import sits at module level, so the
 import graph is the one the module headers show.  Every domain error class
 is still raised somewhere in the package, every module-level function,
-class and constant is used in it or exported, and every module-level
-import is used in its module or exported.  Only rational.scaled reads a
+class and constant is read in its own module or taken from it by another
+(imported, or read as module.name), and every module-level import is used
+in its module or exported.  Only rational.scaled reads a
 Fraction's numerator and denominator.  The message of every raise in the package is
 written in some test, so each of its guards is one that a test reaches.
-BoundExceeded is raised in one place, orbits.check_bound.  Every cache
-that lives as long as the process is bounded.
+BoundExceeded, NotInImage and EmptyLift are each raised in one place and
+caught in none.  Every cache that lives as long as the process is bounded.
 """
 
 import ast
@@ -108,23 +109,45 @@ def _assigned_names(node) -> list:
             if isinstance(name, ast.Name) and not name.id.startswith("__")]
 
 
+def _uses(module: str, tree: ast.Module) -> set:
+    """The (module, name) pairs that module's tree reads: a bare name is
+    read from module itself, a name imported from a package module from
+    that module, and mod.name from the module that mod names or aliases
+    (from . import cycles as cyc)."""
+    aliases, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("dualpairs")):
+            source = (node.module or "").removeprefix("dualpairs").lstrip(".")
+            for a in node.names:
+                if source:
+                    used.add((source, a.name))
+                else:
+                    aliases[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add((module, node.id))
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            used.add((aliases[node.value.id], node.attr))
+    return used
+
+
 def test_every_module_level_name_is_used():
     # a function, class or constant outlives its last read only in the
-    # public API
-    defined, used = {}, set()
+    # public API, which __init__ imports; a name is keyed by its module, so
+    # a read of another module's namesake (cli._space, forms._space) does
+    # not keep it alive
+    defined, used = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined.update((node.name, path.name) for node in tree.body
+        defined.update((path.stem, node.name) for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
-        defined.update((name, path.name) for node in tree.body
+        defined.update((path.stem, name) for node in tree.body
                        for name in _assigned_names(node))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in used and name not in dualpairs.__all__)
+        used |= _uses(path.stem, tree)
+    unused = sorted(f"{module}.py:{name}" for module, name in defined - used)
     assert unused == []
 
 
@@ -232,14 +255,16 @@ def test_every_raise_is_pinned():
 # calls it, or reads the cached verdict beneath it, so no inline copy of
 # the check, with a message of its own, can come back
 ONE_RAISER = {"BoundExceeded": "orbits.py:check_bound",
-              "NotInImage": "theta.py:generalized_descent"}
+              "NotInImage": "theta.py:generalized_descent",
+              "EmptyLift": "theta.py:theta_lift"}
 
 
 def test_errors_with_one_raiser_are_raised_in_one_place():
-    """BoundExceeded is raised only in orbits.check_bound and NotInImage
-    only in theta.generalized_descent, and no module catches NotInImage,
-    by except or by contextlib.suppress: the moment image is the cached
-    verdict of theta._descent."""
+    """BoundExceeded is raised only in orbits.check_bound, NotInImage only
+    in theta.generalized_descent and EmptyLift only in theta.theta_lift,
+    and no module catches any of them, by except or by
+    contextlib.suppress: the moment image is the cached verdict of
+    theta._descent, and whether a lift exists that of theta._lift."""
     raisers, catchers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -256,8 +281,8 @@ def test_errors_with_one_raiser_are_raised_in_one_place():
                 caught = ast.unparse(node)
             else:
                 continue
-            if "NotInImage" in caught:
-                catchers.append(f"{path.name}:{node.lineno}")
+            catchers += [f"{path.name}:{node.lineno}: {name}"
+                         for name in ONE_RAISER if name in caught]
     assert sorted(raisers) == sorted(ONE_RAISER.items())
     assert catchers == []
 
@@ -306,5 +331,5 @@ def test_every_cache_is_bounded():
                         unbounded.append(f"{where}: cache with arguments")
     assert unbounded == []
     assert {"forms.py:_space", "orbits.py:validate",
-            "theta.py:_descent", "oracle.py:_realize",
+            "theta.py:_descent", "theta.py:_lift", "oracle.py:_realize",
             "oracle.py:_identify", "cli.py:build_parser"} <= seen

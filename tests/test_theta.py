@@ -11,7 +11,7 @@ from dualpairs import (AdmissibleTableau, BoundExceeded, DomainError,
                        orthogonal_space, pair_factorization,
                        reduced_pair_dims, symplectic_space, tableau,
                        theta_lift, zero_orbit)
-from dualpairs.theta import _descent, add_column
+from dualpairs.theta import _descent, _lift, add_column
 from helpers import raised_twice
 
 SP2 = complex_symplectic_space(2)
@@ -327,6 +327,30 @@ def test_descent_errors_are_raised_on_every_call():
     info = _descent.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
     assert _descent(T4, O2) is None
+
+
+def test_lift_errors_are_raised_on_every_call():
+    """theta_lift raises each error again on every call, and only the
+    verdict that O1 has no room for a lift of REG2 is cached: the errors
+    above the verdict leave the cache as they find it, and the second
+    EmptyLift is raised on the cached None."""
+    _lift.cache_clear()
+    bad = AdmissibleTableau(SP4, (TableauRow(2, O1),))  # blocks sum to dim 2
+    cases = [((zero_orbit(symplectic_space(2)), orthogonal_space(2, 0)),
+              "unsupported_real_closure"),
+             ((T22, SP2), "incompatible_pair"),
+             ((REG2, complex_orthogonal_space(14)), "bound_exceeded"),
+             ((bad, O4), "not_admissible")]
+    for args, code in cases:
+        assert raised_twice(theta_lift, *args)["code"] == code
+    assert _lift.cache_info().currsize == 0
+    error = raised_twice(theta_lift, REG2, O1)
+    assert error == {"code": "empty_lift",
+                     "message": "no orbit descends to the given one",
+                     "context": {"orbit": "(2,)", "space": O1.render()}}
+    info = _lift.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert _lift(REG2, O1) is None
 
 
 def test_lift_and_real_descent_errors_carry_their_messages():

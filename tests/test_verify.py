@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 from dualpairs import (IdentityViolated, complex_symplectic_space,
@@ -81,10 +82,9 @@ def test_all_suites_pass_at_six_eight():
     assert report.render() + "\n" == GOLDEN_6_8.read_text()
 
 
-def test_identify_cache_counts_are_summed_over_all(monkeypatch):
-    """Each suite reports the hits and misses of oracle._identify's cache
-    during its run, and all reports their sum: the cache_info() delta over
-    the whole run."""
+def _recorded_suites(monkeypatch) -> list:
+    """The reports of every run_suite call from now on, in order: each
+    suite of an all run, then all."""
     subs = []
     run = verify.run_suite
 
@@ -94,8 +94,16 @@ def test_identify_cache_counts_are_summed_over_all(monkeypatch):
         return rep
 
     monkeypatch.setattr(verify, "run_suite", recorded)
+    return subs
+
+
+def test_identify_cache_counts_are_summed_over_all(monkeypatch):
+    """Each suite reports the hits and misses of oracle._identify's cache
+    during its run, and all reports their sum: the cache_info() delta over
+    the whole run."""
+    subs = _recorded_suites(monkeypatch)
     before = oracle._identify.cache_info()
-    report = recorded("all", max_dims=(2, 4), seed=0)
+    report = verify.run_suite("all", max_dims=(2, 4), seed=0)
     after = oracle._identify.cache_info()
     assert [r.suite for r in subs] == list(verify.SUITES) + ["all"]
     total = {"hits": after.hits - before.hits,
@@ -110,17 +118,9 @@ def test_descent_cache_counts_are_summed_over_all(monkeypatch):
     """Each suite reports the hits and misses of theta._descent's
     cache during its run, next to identify_cache in JSON, and all reports
     their sum; the text report shows neither."""
-    subs = []
-    run = verify.run_suite
-
-    def recorded(name, **kwargs):
-        rep = run(name, **kwargs)
-        subs.append(rep)
-        return rep
-
-    monkeypatch.setattr(verify, "run_suite", recorded)
+    subs = _recorded_suites(monkeypatch)
     theta._descent.cache_clear()
-    report = recorded("all", max_dims=(2, 4), seed=0)
+    report = verify.run_suite("all", max_dims=(2, 4), seed=0)
     info = theta._descent.cache_info()
     total = {"hits": info.hits, "misses": info.misses}
     out = report.to_json()
@@ -142,6 +142,43 @@ def test_each_descent_verdict_is_computed_once_per_run():
     keys = sum(len(enumerate_orbits(vp))
                for _, vp in verify._complex_pairs((4, 6)))
     assert report.descent_cache["misses"] == keys == 88
+
+
+def test_lift_cache_counts_are_summed_over_all(monkeypatch):
+    """Each suite reports the hits and misses of theta._lift's cache during
+    its run, after descent_cache in JSON, and all reports their sum; the
+    text report shows none of the counts."""
+    subs = _recorded_suites(monkeypatch)
+    theta._lift.cache_clear()
+    report = verify.run_suite("all", max_dims=(2, 4), seed=0)
+    info = theta._lift.cache_info()
+    total = {"hits": info.hits, "misses": info.misses}
+    out = report.to_json()
+    assert list(out)[5:8] == ["identify_cache", "descent_cache", "lift_cache"]
+    assert out["lift_cache"] == total
+    assert total["misses"] > 0 and total["hits"] > 0
+    assert {k: sum(r.lift_cache[k] for r in subs[:-1])
+            for k in total} == total
+    assert "cache" not in report.render()
+
+
+def test_each_lift_verdict_is_computed_once_per_run():
+    """From an emptied cache, the lift suite at 4,6 lifts each (O, V') it
+    meets once: the strict descents' targets over their sources' spaces,
+    and the orbit of T*T of each sampled map over V', replayed here from
+    the same seed."""
+    pairs = {(d.target, d.source.space)
+             for d in verify._image_descents((4, 6)) if d.strict}
+    rng = random.Random(0)
+    for v, vp in verify._complex_pairs((4, 6)):
+        vr = oracle.realize_triple(enumerate_orbits(v)[0])
+        vpr = oracle.realize_triple(enumerate_orbits(vp)[0])
+        for _ in range(200):
+            x, _ = oracle.moment_maps(oracle.sample_raising_map(vr, vpr, rng))
+            pairs.add((oracle.identify(x, vr.ambient), vp))
+    theta._lift.cache_clear()
+    report = run_suite("lift", max_dims=(4, 6), seed=0)
+    assert report.lift_cache["misses"] == len(pairs) == 43
 
 
 def test_lift_check_detail_is_pinned_at_seed_zero():
