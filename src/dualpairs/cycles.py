@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import (BadShape, IncomparableSupports, NonpositiveDimCirc,
                      NotDescentPair, NotEmbeddable)
 from .forms import (FormedSpace, GroupDescriptor, complexify, json_int,
-                    json_list, json_object, zero_space)
+                    json_list, json_object)
 from .orbits import AdmissibleTableau, column_partition, complexify_tableau
 from .theta import _check_pair, _descent, add_column
 
@@ -36,7 +36,7 @@ class Cycle:
                            complex_space=self.complex_orbit.space.render())
         seen = set()
         for tab, mult in self.terms:
-            if not isinstance(mult, int) or mult < 0:
+            if type(mult) is not int or mult < 0:
                 raise BadShape("multiplicities must be non-negative integers",
                                mult=mult)
             if tab.space != self.real_space:
@@ -69,7 +69,7 @@ class Cycle:
         return Cycle(self.complex_orbit, self.real_space, tuple(acc.items()))
 
     def __rmul__(self, m: int) -> "Cycle":
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise BadShape("cycle multiplier must be a non-negative integer",
                            mult=m)
         return Cycle(self.complex_orbit, self.real_space,
@@ -161,10 +161,8 @@ def dlift_cycle(o: AdmissibleTableau, op: AdmissibleTableau, c: Cycle,
     _check_pair(vp_real, c.real_space)
     out = {}
     for tab, mult in c.terms:
-        one_row = tab.row_of_length(1)
-        u = one_row.mult if one_row is not None else zero_space(tab.space.tag())
         try:
-            sop = add_column(tab, vp_real, u)
+            sop = add_column(tab, vp_real, tab.mult_of(1))
         except NotEmbeddable:
             continue
         if complexify_tableau(sop).diagram() == op.diagram():

@@ -8,6 +8,10 @@ others by dimension alone (with a parity constraint for the symplectic
 ones).  Everything here is invariant arithmetic; explicit Gram matrices
 live in the matrix oracle.
 
+Spaces are built from (type, p, n) by space_of, which reads the positive
+index p only for a type with a signature; FormedSpace.p is 0 for the
+others, so sums, complements, embeddings and tensors are one rule on (p, n).
+
 formed_space shares one instance per distinct argument tuple, kept in a
 least-recently-used cache of SPACE_CACHE_SIZE spaces, so a space built
 again is not checked again.  The key is typed (an epsilon of True or 1.0
@@ -116,6 +120,12 @@ class FormedSpace:
         return "sig" if (self.base, self.division, self.epsilon) in SIG_KINDS else "dim"
 
     @property
+    def p(self) -> int:
+        """The positive index: signature[0], or 0 for a type classified by
+        dimension."""
+        return self.signature[0] if self.signature is not None else 0
+
+    @property
     def d(self) -> int:
         """dim_F D for this space's base field."""
         return _DIM_F_D[(self.base, self.division)]
@@ -175,14 +185,15 @@ class FormedSpace:
 
 def formed_space(base: str, division: str, epsilon: int,
                  signature: tuple | None = None, dim: int | None = None) -> FormedSpace:
-    """The shared space of these arguments.  A signature is a tuple or list
-    of two ints, dim an int; nothing is coerced."""
+    """The shared space of these arguments, given exactly one of signature
+    and dim.  A signature is a tuple or list of two ints, dim an int;
+    nothing is coerced."""
+    if (signature is None) == (dim is None):
+        raise BadShape("exactly one of signature/dim is required")
     if signature is not None:
         sig = tuple(signature) if type(signature) is list else signature
         _check_signature(sig)
         return _space(base, division, epsilon, sig, sum(sig))
-    if dim is None:
-        raise BadShape("one of signature/dim is required")
     _check_dim(dim)
     return _space(base, division, epsilon, None, dim)
 
@@ -195,11 +206,18 @@ def _space(base: str, division: str, epsilon: int, signature: tuple | None,
     return FormedSpace(base, division, epsilon, signature, dim)
 
 
+def space_of(tag: tuple, p: int, n: int) -> FormedSpace:
+    """The space of type tag = (base, division, epsilon) with dimension n
+    over D and positive index p, p read only when the type carries a
+    signature."""
+    if tag in SIG_KINDS:
+        return formed_space(*tag, signature=(p, n - p))
+    return formed_space(*tag, dim=n)
+
+
 def zero_space(tag: tuple) -> FormedSpace:
     """The zero space of type tag = (base, division, epsilon)."""
-    if tag in SIG_KINDS:
-        return formed_space(*tag, signature=(0, 0))
-    return formed_space(*tag, dim=0)
+    return space_of(tag, 0, 0)
 
 
 # convenience constructors for the seven families
@@ -247,47 +265,31 @@ def _check_same_type(a: FormedSpace, b: FormedSpace):
 
 def direct_sum(a: FormedSpace, b: FormedSpace) -> FormedSpace:
     _check_same_type(a, b)
-    if a.kind == "sig":
-        return formed_space(*a.tag(), signature=(a.signature[0] + b.signature[0],
-                                                 a.signature[1] + b.signature[1]))
-    return formed_space(*a.tag(), dim=a.dim + b.dim)
+    return space_of(a.tag(), a.p + b.p, a.dim + b.dim)
 
 
 def tensor_with_sl2(a: FormedSpace, m: int) -> FormedSpace:
     """Tensor with the m-dimensional irreducible and its (-1)^(m-1)-symmetric form.
 
-    The form on F^m is normalized to signature (ceil(m/2), floor(m/2)) over R.
+    The form on F^m is normalized to signature (ceil(m/2), floor(m/2)) over R,
+    so a (p, q) of dim n gives index p(m+1)/2 + q(m-1)/2 for odd m, nm/2 for even.
     """
     if m < 1:
         raise BadShape("tensor length must be positive", m=m)
-    eps = a.epsilon * (-1) ** (m - 1)
-    tag = (a.base, a.division, eps)
-    if a.kind == "sig" and m % 2 == 1:
-        p, q = a.signature
-        hi, lo = (m + 1) // 2, m // 2
-        return formed_space(*tag, signature=(p * hi + q * lo, p * lo + q * hi))
-    n = a.dim * m
-    if tag in SIG_KINDS:
-        # only reachable for even m, so n is even
-        return formed_space(*tag, signature=(n // 2, n // 2))
-    return formed_space(*tag, dim=n)
+    tag = (a.base, a.division, a.epsilon * (-1) ** (m - 1))
+    return space_of(tag, a.dim * (m // 2) + a.p * (m % 2), a.dim * m)
 
 
 def embeds(a: FormedSpace, b: FormedSpace) -> bool:
     _check_same_type(a, b)
-    if a.kind == "sig":
-        return a.signature[0] <= b.signature[0] and a.signature[1] <= b.signature[1]
-    return a.dim <= b.dim
+    return a.p <= b.p and a.dim - a.p <= b.dim - b.p
 
 
 def orth_complement(a: FormedSpace, b: FormedSpace) -> FormedSpace:
     """The unique C with a + C = b (Witt cancellation)."""
     if not embeds(a, b):
         raise NotEmbeddable("no isometric embedding", sub=a.render(), ambient=b.render())
-    if a.kind == "sig":
-        return formed_space(*a.tag(), signature=(b.signature[0] - a.signature[0],
-                                                 b.signature[1] - a.signature[1]))
-    return formed_space(*a.tag(), dim=b.dim - a.dim)
+    return space_of(a.tag(), b.p - a.p, b.dim - a.dim)
 
 
 def complexify(v: FormedSpace) -> FormedSpace:
@@ -387,8 +389,5 @@ def iter_spaces(max_dim_f: int, bases=("R", "C"), include_zero: bool = False):
             for n in range(lo, max_dim_f // d + 1):
                 if key in EVEN_DIM_KINDS and n % 2 != 0:
                     continue
-                if key in SIG_KINDS:
-                    for p in range(n + 1):
-                        yield formed_space(base, division, eps, signature=(p, n - p))
-                else:
-                    yield formed_space(base, division, eps, dim=n)
+                for p in range(n + 1 if key in SIG_KINDS else 1):
+                    yield space_of(key, p, n)

@@ -61,7 +61,7 @@ from operator import mul
 
 from .division import DIVISIONS, DivisionAlgebra
 from .errors import IdentityViolated, NotInAlgebra, NotNilpotent
-from .forms import SIG_KINDS, FormedSpace, formed_space
+from .forms import SIG_KINDS, FormedSpace, formed_space, space_of
 from .orbits import AdmissibleTableau, TableauRow, check_bound, validate
 from .rational import (Mat, Monomial, Scaled, dense, echelon, eye,
                        fraction_mat, int_mul, int_rows, kernel, monomial_inv,
@@ -114,7 +114,7 @@ def _pattern(space: FormedSpace) -> list:
     symplectic form, the identity otherwise."""
     n = space.dim
     if space.kind == "sig":
-        return [(a, 1 if a < space.signature[0] else -1) for a in range(n)]
+        return [(a, 1 if a < space.p else -1) for a in range(n)]
     if space.epsilon == -1 and space.division != "H":  # symplectic
         return [(a + 1, 1) if a % 2 == 0 else (a - 1, -1) for a in range(n)]
     return [(a, 1) for a in range(n)]
@@ -429,7 +429,6 @@ def classify_space(br, base: str, division: str, epsilon: int,
     k = len(br) // div.dim
     m = k if dim is None else dim
     tag = (base, division, epsilon)
-    signature = None
     if tag in SIG_KINDS:
         if tag == ("R", "C", -1):
             # J = kron(I_k, R_i), R_i = [[0, -1], [1, 0]]: J^T br swaps
@@ -437,14 +436,14 @@ def classify_space(br, base: str, division: str, epsilon: int,
             br = [row for a in range(0, len(br), 2)
                   for row in (br[a + 1], [-x for x in br[a]])]
         pos, negc, _ = sylvester_signature(br)
-        rank, signature = pos + negc, (pos // div.dim, negc // div.dim)
+        rank = pos + negc
     else:
-        rank = len(echelon(int_rows(br)))
+        pos, rank = 0, len(echelon(int_rows(br)))
     if rank != m * div.dim:
         raise IdentityViolated("form is degenerate" if rank < m * div.dim
                                else "form rank exceeds its dimension",
                                dim=m, rank=rank)
-    return formed_space(base, division, epsilon, signature=signature, dim=m)
+    return space_of(tag, pos // div.dim, m)
 
 
 def _ties(gram: Monomial, structures, entries):
@@ -657,12 +656,9 @@ def _sparse_mul(a: list, b: list) -> list:
 
 
 def _embed_positions(u1: FormedSpace, u: FormedSpace) -> list:
-    """Coordinates of the standard-gram embedding U1 -> U (leading vectors)."""
-    if u1.kind == "sig":
-        p1, q1 = u1.signature
-        p, _ = u.signature
-        return list(range(p1)) + [p + i for i in range(q1)]
-    return list(range(u1.dim))
+    """Coordinates of the standard-gram embedding U1 -> U: U's first p(U1)
+    vectors, then the dim U1 - p(U1) after its p(U) positive ones."""
+    return list(range(u1.p)) + [u.p + i for i in range(u1.dim - u1.p)]
 
 
 def construct_descent_element(src_real: MatrixRealization,

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .errors import (BadShape, BadSign, BoundExceeded, NotAdmissible,
                      UnsupportedRealClosure)
 from .forms import (EVEN_DIM_KINDS, SIG_KINDS, FormedSpace, GroupDescriptor,
-                    complexify, formed_space, group_factor, isometry_group,
-                    json_int, json_list, json_object)
+                    complexify, group_factor, isometry_group, json_int,
+                    json_list, json_object, space_of, zero_space)
 
 DEFAULT_DIM_BOUND = 12
 VALIDATE_CACHE_SIZE = 2048
@@ -59,11 +59,14 @@ class AdmissibleTableau:
             out.extend([row.t] * row.mult.dim)
         return tuple(out)
 
-    def row_of_length(self, t: int) -> TableauRow | None:
+    def mult_of(self, t: int) -> FormedSpace:
+        """The multiplicity space of the rows of length t, or the zero space
+        of type epsilon(V)(-1)^(t-1) when there are none."""
         for row in self.rows:
             if row.t == t:
-                return row
-        return None
+                return row.mult
+        v = self.space  # an int sign for every t, a t < 1 included
+        return zero_space((v.base, v.division, v.epsilon * (1 if t % 2 else -1)))
 
     @property
     def is_zero_orbit(self) -> bool:
@@ -141,7 +144,6 @@ def validate(tab: AdmissibleTableau) -> None:
     if any(row.mult.dim == 0 for row in tab.rows):
         raise BadShape("rows must have nonzero multiplicity")
     space = tab.space
-    sig = space.kind == "sig"
     dim = pos = 0
     for row in tab.rows:
         expected_eps = space.epsilon * (-1) ** (row.t - 1)
@@ -152,12 +154,9 @@ def validate(tab: AdmissibleTableau) -> None:
             raise BadSign("multiplicity sign must be (-1)^(t-1)*epsilon",
                           t=row.t, expected=expected_eps, got=row.mult.epsilon)
         dim += row.t * row.mult.dim
-        if sig:  # an odd row's multiplicity form has V's type, a signature
-            pos += _positive_index(row.t, row.mult.dim,
-                                   row.mult.signature[0] if row.t % 2 else 0)
-    if dim != space.dim or (sig and pos != space.signature[0]):
-        total = (formed_space(*space.tag(), signature=(pos, dim - pos)) if sig
-                 else formed_space(*space.tag(), dim=dim))
+        pos += _positive_index(row.t, row.mult.dim, row.mult.p)
+    total = space_of(space.tag(), pos, dim)
+    if total != space:
         raise NotAdmissible("tensor blocks do not sum to the ambient space",
                             got=total.render(), expected=space.render())
 
@@ -184,20 +183,16 @@ def _admissible_mults(v: FormedSpace, rows: tuple, left: int):
         return
     (t, c), rest = rows[0], rows[1:]
     tag = (v.base, v.division, v.epsilon * (-1) ** (t - 1))
-    if tag not in SIG_KINDS:
-        if tag in EVEN_DIM_KINDS and c % 2:
-            return
-        choices = [(formed_space(*tag, dim=c), 0)]
-    elif v.kind == "sig" and t % 2:
+    if tag in EVEN_DIM_KINDS and c % 2:
+        return
+    if t % 2:  # V's type: over a dimension-classified V, left and p are 0
         room = sum(n for s, n in rest if s % 2)  # the later odd rows' share
-        choices = [(formed_space(*tag, signature=(p, c - p)), p)
-                   for p in range(max(0, left - room), min(c, left) + 1)]
+        ps = range(max(0, left - room), min(c, left) + 1)
     else:
-        choices = [(formed_space(*tag, signature=(p, c - p)), 0)
-                   for p in range(c + 1)]
-    for mult, p in choices:
-        for tail in _admissible_mults(v, rest, left - p):
-            yield (mult,) + tail
+        ps = range(c + 1 if tag in SIG_KINDS else 1)
+    for p in ps:
+        for tail in _admissible_mults(v, rest, left - p * (t % 2)):
+            yield (space_of(tag, p, c),) + tail
 
 
 def enumerate_orbits(v: FormedSpace) -> list:
@@ -211,7 +206,7 @@ def enumerate_orbits(v: FormedSpace) -> list:
     found = []
     for diagram in _partitions(v.dim):
         rows = tuple(Counter(diagram).items())  # lengths decreasing
-        left = (v.signature[0] - sum(_positive_index(t, c) for t, c in rows)
+        left = (v.p - sum(_positive_index(t, c) for t, c in rows)
                 if v.kind == "sig" else 0)
         for mults in _admissible_mults(v, rows, left):
             found.append(AdmissibleTableau(v, tuple(

@@ -75,15 +75,10 @@ def _descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult | None:
     """The descent of op to v, or None when op is outside the moment image."""
     _check_pair(op.space, v)
     validate(op)
-    core = u1 = zero_space(v.tag())
-    s_mult = None
-    for row in op.rows:
-        if row.t >= 3:
-            core = direct_sum(core, tensor_with_sl2(row.mult, row.t - 1))
-        elif row.t == 2:
-            u1 = row.mult
-        else:
-            s_mult = row.mult
+    core = functools.reduce(direct_sum, (tensor_with_sl2(row.mult, row.t - 1)
+                                         for row in op.rows if row.t >= 3),
+                            zero_space(v.tag()))
+    u1 = op.mult_of(2)
     if not embeds(direct_sum(core, u1), v):
         return None
     u = orth_complement(core, v)
@@ -95,8 +90,7 @@ def _descent(op: AdmissibleTableau, v: FormedSpace) -> DescentResult | None:
     target = AdmissibleTableau(v, tuple(rows))
     validate(target)
     return DescentResult(source=op, target=target, U=u, U1=u1, a=a, b=b,
-                         s=s_mult.dim if s_mult is not None else 0,
-                         strict=b == 0)
+                         s=op.mult_of(1).dim, strict=b == 0)
 
 
 def in_moment_image(op: AdmissibleTableau, v: FormedSpace) -> bool:
@@ -177,9 +171,7 @@ def pair_factorization(dr: DescentResult) -> PairFactorization:
     factors = tuple(group_factor(row.mult) for row in dr.source.rows if row.t >= 2)
     m_xxp = GroupDescriptor(factors)
     ker_t = orth_complement(dr.U1, dr.U)
-    one_row = dr.source.row_of_length(1)
-    lp_space = one_row.mult if one_row is not None else \
-        zero_space(dr.source.space.tag())
+    lp_space = dr.source.mult_of(1)
     return PairFactorization(m_xxp=m_xxp, l=isometry_group(ker_t),
                              lp=isometry_group(lp_space),
                              l_space=ker_t, lp_space=lp_space)

@@ -21,8 +21,11 @@ and Gauss-Jordan elimination.
 Last comes the brute-force orbit enumeration: every product of
 multiplicity forms over every partition, kept when `validate` accepts it,
 and the block sum it checks built as a formed space with `direct_sum` and
-`tensor_with_sl2`.  At the very end, `raised_twice` checks that a cached
-function raises again, alike, on a second identical call.
+`tensor_with_sl2`.  Then the formed-space arithmetic written branch by
+branch, one branch per classification (signature or dimension), the
+reference for `forms`' arithmetic on (p, n).  At the very end,
+`raised_twice` checks that a cached function raises again, alike, on a
+second identical call.
 """
 
 import math
@@ -30,7 +33,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from dualpairs import (AdmissibleTableau, DomainError, NotAdmissible,
+from dualpairs import (AdmissibleTableau, BadShape, DomainError,
+                       MismatchedType, NotAdmissible, NotEmbeddable,
                        TableauRow, complexify_tableau, direct_sum,
                        formed_space, tensor_with_sl2, validate)
 from dualpairs.division import DIVISIONS
@@ -345,6 +349,52 @@ def brute_enumerate(v) -> list:
     found.sort(key=lambda tb: tb.sort_key(), reverse=True)
     return found
 
+
+
+def _ref_same_type(a, b):
+    if a.tag() != b.tag():
+        raise MismatchedType("spaces have different (base, division, epsilon)",
+                             left=a.render(), right=b.render())
+
+
+def ref_direct_sum(a, b):
+    _ref_same_type(a, b)
+    if a.kind == "sig":
+        return formed_space(*a.tag(), signature=(a.signature[0] + b.signature[0],
+                                                 a.signature[1] + b.signature[1]))
+    return formed_space(*a.tag(), dim=a.dim + b.dim)
+
+
+def ref_tensor_with_sl2(a, m: int):
+    if m < 1:
+        raise BadShape("tensor length must be positive", m=m)
+    eps = a.epsilon * (-1) ** (m - 1)
+    tag = (a.base, a.division, eps)
+    if a.kind == "sig" and m % 2 == 1:
+        p, q = a.signature
+        hi, lo = (m + 1) // 2, m // 2
+        return formed_space(*tag, signature=(p * hi + q * lo, p * lo + q * hi))
+    n = a.dim * m
+    if tag in SIG_KINDS:
+        return formed_space(*tag, signature=(n // 2, n // 2))
+    return formed_space(*tag, dim=n)
+
+
+def ref_embeds(a, b) -> bool:
+    _ref_same_type(a, b)
+    if a.kind == "sig":
+        return a.signature[0] <= b.signature[0] and a.signature[1] <= b.signature[1]
+    return a.dim <= b.dim
+
+
+def ref_orth_complement(a, b):
+    if not ref_embeds(a, b):
+        raise NotEmbeddable("no isometric embedding", sub=a.render(),
+                            ambient=b.render())
+    if a.kind == "sig":
+        return formed_space(*a.tag(), signature=(b.signature[0] - a.signature[0],
+                                                 b.signature[1] - a.signature[1]))
+    return formed_space(*a.tag(), dim=b.dim - a.dim)
 
 def raised_twice(call, *args, **kwargs) -> dict:
     """The error payload that call(*args, **kwargs) raises, raised again,

@@ -59,6 +59,11 @@ def test_cycle_validation():
     with pytest.raises(BadShape, match="^multiplicities must be non-negative "
                                        "integers$"):
         Cycle(O_SP, SP2R, ((PLUS, -1),))
+    # a bool is no multiplicity: to_json would write "mult": true, which
+    # from_json refuses
+    with pytest.raises(BadShape, match="^multiplicities must be non-negative "
+                                       "integers$"):
+        Cycle(O_SP, SP2R, ((PLUS, True),))
     with pytest.raises(BadShape, match="^term lives over the wrong real "
                                        "space$"):
         Cycle(O_SP, SP2R, ((rtab(symplectic_space(4), 2, (2, 0)), 1),))
@@ -77,7 +82,7 @@ def test_cycle_arithmetic():
     assert s.multiplicity(PLUS) == 3 and s.multiplicity(MINUS) == 4
     assert (2 * a).multiplicity(PLUS) == 4
     assert (0 * b).is_zero
-    for m in (-1, Fraction(1, 2)):
+    for m in (-1, Fraction(1, 2), True):
         with pytest.raises(BadShape, match="^cycle multiplier must be a "
                                            "non-negative integer$"):
             m * a

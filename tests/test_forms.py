@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs import (AdmissibleTableau, BadShape, MismatchedType,
-                       NotEmbeddable, FormedSpace,
+from dualpairs import (AdmissibleTableau, BadShape, DomainError,
+                       MismatchedType, NotEmbeddable, FormedSpace,
                        complex_orthogonal_space, complex_symplectic_space,
                        complexify, direct_sum, embeds, formed_space,
                        hermitian_space, isometry_group, iter_spaces,
@@ -14,7 +14,8 @@ from dualpairs import (AdmissibleTableau, BadShape, MismatchedType,
                        skew_hermitian_space, symplectic_space,
                        tensor_with_sl2)
 from dualpairs import forms
-from helpers import raised_twice
+from helpers import (raised_twice, ref_direct_sum, ref_embeds,
+                     ref_orth_complement, ref_tensor_with_sl2)
 
 
 def all_spaces(bound=6):
@@ -138,6 +139,33 @@ def test_tensor_with_sl2_examples():
         tensor_with_sl2(orthogonal_space(1, 0), 0)
 
 
+def _outcome(call, *args):
+    """call(*args), or the code of the domain error it raises."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return exc.code
+
+
+def test_arithmetic_matches_the_branchy_reference():
+    # every ordered pair of same-type spaces with dim_F <= 6, zero included:
+    # the arithmetic on (p, n) agrees with one branch per classification,
+    # results and error codes alike
+    spaces = list(iter_spaces(6, include_zero=True))
+    pairs = [(a, b) for a in spaces for b in spaces if a.tag() == b.tag()]
+    for new, ref in ((direct_sum, ref_direct_sum), (embeds, ref_embeds),
+                     (orth_complement, ref_orth_complement)):
+        for a, b in pairs:
+            assert _outcome(new, a, b) == _outcome(ref, a, b), \
+                (new.__name__, a.render(), b.render())
+    for a in spaces:
+        for m in range(1, 5):
+            assert tensor_with_sl2(a, m) == ref_tensor_with_sl2(a, m), \
+                (a.render(), m)
+    assert any(_outcome(orth_complement, a, b) == "not_embeddable"
+               for a, b in pairs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(all_spaces(4)), st.integers(1, 4))
 def test_tensor_dimension_and_type(v, m):
@@ -219,7 +247,10 @@ def test_formed_space_shares_one_instance_per_argument_tuple():
 
 def test_formed_space_errors_are_raised_on_every_call():
     cases = [
-        (("R", "R", 1), {}, "one of signature/dim is required"),
+        (("R", "R", 1), {}, "exactly one of signature/dim is required"),
+        # a dim beside a signature is not ignored: O(1,1) is no space of dim 5
+        (("R", "R", 1), {"signature": (1, 1), "dim": 5},
+         "exactly one of signature/dim is required"),
         (("C", "C", 1), {"dim": -1}, "dimension must be non-negative"),
         (("R", "R", -1), {"dim": 3}, "symplectic type requires even dimension"),
         (("R", "R", 1), {"dim": 3},

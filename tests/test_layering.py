@@ -10,7 +10,9 @@ in its module or exported.  Only rational.scaled reads a
 Fraction's numerator and denominator.  The message of every raise in the package is
 written in some test, so each of its guards is one that a test reaches.
 BoundExceeded, NotInImage and EmptyLift are each raised in one place and
-caught in none.  Every cache that lives as long as the process is bounded.
+caught in none.  Outside forms, only the sort key of a tableau reads a
+space's signature, and no test of a type's classification guards a space
+being built.  Every cache that lives as long as the process is bounded.
 """
 
 import ast
@@ -169,6 +171,16 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def _innermost_functions(tree: ast.Module) -> dict:
+    """Each node of tree inside a function, mapped to the name of the
+    innermost function around it."""
+    where = {}
+    for func in ast.walk(tree):  # breadth first: the innermost wins
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where.update((id(node), func.name) for node in ast.walk(func))
+    return where
+
+
 def test_only_scaled_splits_a_fraction():
     # one way into the integer kernel: every other routine takes the
     # integers of rational.scaled, so no second copy of its denominator
@@ -176,15 +188,44 @@ def test_only_scaled_splits_a_fraction():
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        where = {}
-        for func in ast.walk(tree):  # breadth first: the innermost wins
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                where.update((id(node), func.name) for node in ast.walk(func))
+        where = _innermost_functions(tree)
         readers.update(f"{path.stem}.{where.get(id(node), '<module>')}"
                        for node in ast.walk(tree)
                        if isinstance(node, ast.Attribute)
                        and node.attr in ("numerator", "denominator"))
     assert readers == {"rational.scaled"}
+
+
+def test_only_forms_asks_for_a_signature():
+    # a space is built from (type, p, n) by forms.space_of and read through
+    # FormedSpace.p, so no module outside forms writes a branch per
+    # classification: none reads .signature, apart from the sort key that
+    # orders enumerate_orbits, and no test of a type's classification
+    # (.kind, SIG_KINDS) guards a space being built
+    readers, builders = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        tree = ast.parse(path.read_text())
+        where = _innermost_functions(tree)
+        readers.update(f"{path.stem}.{where.get(id(node), '<module>')}"
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr == "signature")
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.If, ast.IfExp)):
+                continue
+            test = ast.unparse(node.test)
+            if ".kind" not in test and "SIG_KINDS" not in test:
+                continue
+            branches = node.body + node.orelse if isinstance(node, ast.If) \
+                else [node.body, node.orelse]
+            builders += [f"{path.stem}.{where.get(id(node), '<module>')}"
+                         for branch in branches for sub in ast.walk(branch)
+                         if isinstance(sub, ast.Call) and ast.unparse(
+                             sub.func) in ("formed_space", "space_of")]
+    assert readers == {"orbits.sort_key"}
+    assert builders == []
 
 
 def _strings(node) -> list:

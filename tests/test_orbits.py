@@ -54,6 +54,24 @@ def test_enumeration_is_valid_and_duplicate_free():
         assert len(set(orbs)) == len(orbs)
 
 
+def test_mult_of_reads_the_rows_or_the_zero_space():
+    # the multiplicity space of the rows of length t, and for a missing
+    # length the zero space of type epsilon(V)(-1)^(t-1), its sign an int
+    # (no float from a negative power) down to t = 0
+    for v in iter_spaces(6):
+        for tab in enumerate_orbits(v):
+            rows = {row.t: row.mult for row in tab.rows}
+            for t in range(0, max(rows) + 2):
+                mult = tab.mult_of(t)
+                if t in rows:
+                    assert mult == rows[t]
+                    continue
+                assert mult.is_zero and type(mult.epsilon) is int
+                assert mult.epsilon == v.epsilon * (-1) ** abs(t - 1), \
+                    (tab.diagram(), t)
+                assert (mult.base, mult.division) == (v.base, v.division)
+
+
 def test_enumeration_matches_brute_force():
     # the same tableaux, in the same order, as every product of
     # multiplicity forms filtered through validate

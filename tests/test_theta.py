@@ -81,8 +81,7 @@ def test_descent_result_invariants():
             assert res.source == op and res.target.space == v
             assert res.a == res.U1.dim
             assert res.U.dim == res.a + res.b
-            one_row = op.row_of_length(1)
-            assert res.s == (one_row.mult.dim if one_row else 0)
+            assert res.s == op.diagram().count(1)
             # 2-rows become the 1^a part of the padding, so erase to t >= 3
             erased = sorted((t - 1 for t in op.diagram() if t >= 3),
                             reverse=True)
@@ -91,7 +90,7 @@ def test_descent_result_invariants():
             assert res.target.diagram() == expect
             for row in res.target.rows:
                 if row.t >= 2:
-                    assert op.row_of_length(row.t + 1).mult == row.mult
+                    assert op.mult_of(row.t + 1) == row.mult
             assert res.strict == (res.b == 0)
 
 
