@@ -14,9 +14,10 @@ others, so sums, complements, embeddings and tensors are one rule on (p, n).
 
 formed_space shares one instance per distinct argument tuple, kept in a
 least-recently-used cache of SPACE_CACHE_SIZE spaces, so a space built
-again is not checked again.  The key is typed (an epsilon of True or 1.0
-gets the space an uncached call builds) and an error is never cached.  A
-FormedSpace built directly equals the shared one and hashes alike.
+again is not checked again.  The key is typed (an epsilon of True or 1.0,
+which the constructor refuses, is not served the cached int space) and an
+error is never cached.  A FormedSpace built directly equals the shared one
+and hashes alike.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ class FormedSpace:
         key = (self.base, self.division, self.epsilon)
         if (self.base, self.division) not in _DIM_F_D:
             raise BadShape(f"invalid base/division pair ({self.base},{self.division})")
+        if type(self.epsilon) is not int:
+            raise BadShape("epsilon must be an int", epsilon=self.epsilon)
         if self.epsilon not in (1, -1):
             raise BadShape(f"epsilon must be +1 or -1, got {self.epsilon}")
         _check_dim(self.dim)

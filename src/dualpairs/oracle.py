@@ -63,10 +63,10 @@ from .division import DIVISIONS, DivisionAlgebra
 from .errors import IdentityViolated, NotInAlgebra, NotNilpotent
 from .forms import SIG_KINDS, FormedSpace, formed_space, space_of
 from .orbits import AdmissibleTableau, TableauRow, check_bound, validate
-from .rational import (Mat, Monomial, Scaled, dense, echelon, eye,
+from .rational import (Mat, Monomial, Scaled, cayley, dense, echelon, eye,
                        fraction_mat, int_mul, int_rows, kernel, monomial_inv,
                        monomial_rows, sandwich, scaled, scaled_mul, shape,
-                       solve, sylvester_signature, transpose)
+                       sylvester_signature, transpose)
 from .theta import _check_pair, generalized_descent, reduced_pair_dims
 
 
@@ -718,10 +718,10 @@ def construct_descent_element(src_real: MatrixRealization,
 
 def random_isometry(amb: AmbientSpace, rng) -> Mat:
     """Exact rational isometry: the Cayley transform (I + a)^-1 (I - a) of a
-    random algebra element a, solved from [I + a | I - a] at once.  a is
-    drawn as ai / den, one integer in [-2, 2] per class of the ambient, den
-    the classes' common denominator, and the solve runs on the integer
-    matrices den I +- ai."""
+    random algebra element a.  a is drawn as ai / den, one integer in
+    [-2, 2] per class of the ambient, den the classes' common denominator,
+    and rational.cayley solves the integer matrix den I + ai against I; a
+    singular draw is drawn again, up to 50 times."""
     vecs, den = _over_one_den(amb.classes)
     n = amb.n_real
     if not vecs:
@@ -734,10 +734,7 @@ def random_isometry(amb: AmbientSpace, rng) -> Mat:
                 for (i, j), x in vec.items():
                     ai[i][j] += c * x
         try:
-            return solve([[den * (i == j) + x for j, x in enumerate(row)]
-                          for i, row in enumerate(ai)],
-                         [[den * (i == j) - x for j, x in enumerate(row)]
-                          for i, row in enumerate(ai)])
+            return cayley(ai, den)
         except ValueError:
             continue
     raise IdentityViolated("could not sample an invertible Cayley transform")

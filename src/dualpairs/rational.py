@@ -6,19 +6,21 @@ matrix as one integer matrix over one positive common denominator, so that
 a chain of products and checks runs on Python integers and builds
 Fractions only at its end.  There is one way into the integers and one way
 out: `scaled` is the only routine that splits a Fraction into numerator and
-denominator, and `fraction_mat` (with `solve`'s per-row leads) builds the
-Fractions again.  `mul` is `scaled_mul` between the two, and `sparse_rows`
-reads the rows of `scaled`.  Monomial matrices (one nonzero entry in each
-row and each column, like every reference Gram and D-structure matrix) are
-kept as a permutation with integer scales over one denominator, built entry
-by entry (there is no parser from dense form); `dense` writes one out as its
-Scaled integer matrix, `monomial_rows` applies one to integer vectors and
+denominator, and `_ratio` (for `fraction_mat` and the per-row leads of
+`inv` and `cayley`) builds the Fractions again.  `mul` is `scaled_mul`
+between the two.  Monomial matrices (one nonzero entry in each row and each
+column, like every reference Gram and D-structure matrix) are kept as a
+permutation with integer scales over one denominator, built entry by entry
+(there is no parser from dense form); `dense` writes one out as its Scaled
+integer matrix, `monomial_rows` applies one to integer vectors and
 `sandwich` multiplies a scaled matrix by one on each side.
 Elimination is fraction-free on sparse integer rows {column: nonzero int}:
 `echelon` reduces each row against the pivot of its smallest column and
 keeps every pivot row primitive; its size is the rank.  One
 back-substitution gives the reduced pivots: `kernel` reads them as a
-Scaled basis, and `solve` builds Fractions only for the entries of a^-1 b.
+Scaled basis, and `_solved`, the one solve core, as the pivot rows of
+[a | b] for a square a; its readouts `inv` and `cayley` build Fractions
+only for their entries, each over its row's lead.
 `sylvester_signature` counts the inertia of a symmetric integer matrix by
 fraction-free congruence.  All routines tolerate zero-sized operands so
 that empty blocks (trivial kernels, zero multiplicity spaces) flow through
@@ -159,11 +161,6 @@ def int_rows(a) -> list:
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
-def sparse_rows(a: Mat) -> list:
-    """Rows of a as {column: nonzero int}: the rows of scaled(a)."""
-    return int_rows(scaled(a).ints)
-
-
 def _cancel(r: dict, p: dict, col: int):
     """r <- a*r - b*p in place, where col is p's leading column and a, b
     (divided by gcd(a, b)) cancel the entry of r at col."""
@@ -244,20 +241,42 @@ def kernel(rows, n: int) -> Scaled:
     return Scaled(tuple(map(tuple, basis)), den)
 
 
-def solve(a: Mat, b: Mat) -> Mat:
-    """a^-1 b for a square a, read from the reduced pivots of [a | b]: row i
-    is pivot i's entries in b's columns over its lead.  The entries may be
-    int.  ValueError if a is singular."""
-    n, m = len(a), shape(b)[1]
-    pivots = _reduced(sparse_rows([[*ra, *rb] for ra, rb in zip(a, b)]))
+def _solved(rows, n: int) -> list:
+    """The reduced pivot rows of integer rows [a | b] with a square of size
+    n: row i leads at column i, and its entries in b's columns over that
+    lead are row i of a^-1 b.  ValueError if a is singular."""
+    pivots = _reduced(rows)
     if any(i not in pivots for i in range(n)):
         raise ValueError("matrix is singular")
-    return [[_ratio(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(m)]
-            for i in range(n)]
+    return [pivots[i] for i in range(n)]
 
 
 def inv(a: Mat) -> Mat:
-    return solve(a, eye(len(a)))
+    """a^-1 for a = ai / den, read from the reduced rows of [ai | den I]."""
+    n = len(a)
+    ai, den = scaled(a)
+    rows = int_rows(ai)
+    for i, r in enumerate(rows):
+        r[n + i] = den
+    return [[_ratio(r.get(n + j, 0), r[i]) for j in range(n)]
+            for i, r in enumerate(_solved(rows, n))]
+
+
+def cayley(ai, den: int) -> Mat:
+    """The Cayley transform (I + a)^-1 (I - a) = 2 (I + a)^-1 - I of
+    a = ai / den for a square integer matrix ai.  Row i of the reduced rows
+    of [den I + ai | I] is lead_i at column i and s_ij at column n + j, so
+    (I + a)^-1 = den s / lead and entry ij is (2 den s_ij - [i = j] lead_i)
+    / lead_i.  ValueError if den I + ai is singular."""
+    n, two = len(ai), 2 * den
+    rows = int_rows(ai)
+    for i, r in enumerate(rows):
+        d = r.pop(i, 0) + den
+        if d:
+            r[i] = d
+        r[n + i] = 1
+    return [[_ratio(two * r.get(n + j, 0) - (r[i] if i == j else 0), r[i])
+             for j in range(n)] for i, r in enumerate(_solved(rows, n))]
 
 
 def sylvester_signature(b) -> tuple:

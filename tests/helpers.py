@@ -7,10 +7,11 @@ groups.  None of this touches the matrix code under test.
 
 Small dense matrix helpers that only tests need (Fraction matrices,
 scalar multiples, sums, differences, commutators, powers, the zero test,
-the rank, the nullspace, Kronecker products and block diagonals) sit at
-the end.  With them is the reference for the oracle's isometry algebra:
-its defining equations (skewness, D-linearity, commuting with given
-matrices) on chosen matrix entries as one sparse linear system, solved by
+the sparse integer rows of `scaled`, the rank, the nullspace, Kronecker
+products and block diagonals) sit at the end.  With them is the reference
+for the oracle's isometry algebra: its defining equations (skewness,
+D-linearity, commuting with given matrices) on chosen matrix entries as
+one sparse linear system, solved by
 `kernel` and `echelon`, and `dense_basis`, which writes the oracle's
 classes of tied entries in the form of that kernel.  After them come the
 realization's sl2 triple, Gram matrix and D-structures assembled from
@@ -23,9 +24,10 @@ multiplicity forms over every partition, kept when `validate` accepts it,
 and the block sum it checks built as a formed space with `direct_sum` and
 `tensor_with_sl2`.  Then the formed-space arithmetic written branch by
 branch, one branch per classification (signature or dimension), the
-reference for `forms`' arithmetic on (p, n).  At the very end,
-`raised_twice` checks that a cached function raises again, alike, on a
-second identical call.
+reference for `forms`' arithmetic on (p, n).  Then the Cayley draw solved
+from [den I + ai | den I - ai], the reference for `random_isometry`'s
+solve against I.  At the very end, `raised_twice` checks that a cached
+function raises again, alike, on a second identical call.
 """
 
 import math
@@ -39,8 +41,9 @@ from dualpairs import (AdmissibleTableau, BadShape, DomainError,
                        formed_space, tensor_with_sl2, validate)
 from dualpairs.division import DIVISIONS
 from dualpairs.forms import EVEN_DIM_KINDS, SIG_KINDS, zero_space
-from dualpairs.rational import (echelon, eye, fraction_mat, kernel, mul,
-                                scaled, sparse_rows, zeros)
+from dualpairs.oracle import _over_one_den
+from dualpairs.rational import (_reduced, echelon, eye, fraction_mat,
+                                int_rows, kernel, mul, scaled, zeros)
 
 
 def sl2_weights(t: int) -> list:
@@ -116,6 +119,12 @@ def matpow(a, k: int):
 
 def is_zero_mat(a) -> bool:
     return all(not x for row in a for x in row)
+
+
+def sparse_rows(a) -> list:
+    """Rows of a rational matrix as {column: nonzero int}: the rows of
+    scaled(a), over one common denominator."""
+    return int_rows(scaled(a).ints)
 
 
 def rank(a) -> int:
@@ -395,6 +404,43 @@ def ref_orth_complement(a, b):
         return formed_space(*a.tag(), signature=(b.signature[0] - a.signature[0],
                                                  b.signature[1] - a.signature[1]))
     return formed_space(*a.tag(), dim=b.dim - a.dim)
+
+
+def ref_solve(a, b):
+    """a^-1 b for a square a from the reduced pivot rows of [a | b], cleared
+    over one denominator: entry ij is pivot row i at column n + j over its
+    lead.  ValueError if a is singular."""
+    n, m = len(a), len(b[0]) if b else 0
+    pivots = _reduced(sparse_rows([[*ra, *rb] for ra, rb in zip(a, b)]))
+    if any(i not in pivots for i in range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(m)]
+            for i in range(n)]
+
+
+def ref_random_isometry(amb, rng):
+    """oracle.random_isometry's draws, with g solved from
+    [den I + ai | den I - ai] by ref_solve."""
+    vecs, den = _over_one_den(amb.classes)
+    n = amb.n_real
+    if not vecs:
+        return eye(n)
+    for _ in range(50):
+        ai = [[0] * n for _ in range(n)]
+        for vec in vecs:
+            c = rng.randint(-2, 2)
+            if c:
+                for (i, j), x in vec.items():
+                    ai[i][j] += c * x
+        try:
+            return ref_solve([[den * (i == j) + x for j, x in enumerate(row)]
+                              for i, row in enumerate(ai)],
+                             [[den * (i == j) - x for j, x in enumerate(row)]
+                              for i, row in enumerate(ai)])
+        except ValueError:
+            continue
+    raise AssertionError("fifty singular draws")
+
 
 def raised_twice(call, *args, **kwargs) -> dict:
     """The error payload that call(*args, **kwargs) raises, raised again,

@@ -224,22 +224,28 @@ def test_iter_spaces_properties():
     assert orthogonal_space(0, 0) in set(iter_spaces(2, include_zero=True))
 
 
+def test_every_space_to_dim_12_round_trips_through_json():
+    for v in iter_spaces(12, include_zero=True):
+        assert FormedSpace.from_json(v.to_json()) == v
+
+
 def test_formed_space_shares_one_instance_per_argument_tuple():
     """Equal exact-int arguments give the identical space, a list signature
-    included; an epsilon of True or 1.0 comes back as it was passed, as an
-    uncached call builds it; a space built directly is equal to the shared
-    one and hashes alike."""
+    included; an epsilon of True or 1.0 is refused on every call, also while
+    the int space it equals is cached; a space built directly is equal to
+    the shared one and hashes alike."""
     shared = formed_space("R", "R", 1, signature=(2, 1))
     assert formed_space("R", "R", 1, signature=(2, 1)) is shared
     assert formed_space("R", "R", 1, signature=[2, 1]) is shared
     assert orthogonal_space(2, 1) is shared
     assert formed_space("C", "C", -1, dim=4) is complex_symplectic_space(4)
+    assert orthogonal_space(1, 1) is formed_space("R", "R", 1, signature=(1, 1))
     for eps in (True, 1.0):
-        v = formed_space("R", "R", eps, signature=(1, 1))
-        assert v == orthogonal_space(1, 1)
-        assert type(v.epsilon) is type(eps)
-        assert type(v.to_json()["epsilon"]) is type(eps)
-        assert formed_space("R", "R", eps, signature=(1, 1)) is v
+        error = raised_twice(formed_space, "R", "R", eps, signature=(1, 1))
+        assert (error["code"], error["message"]) == \
+            ("bad_shape", "epsilon must be an int")
+        with pytest.raises(BadShape, match="^epsilon must be an int$"):
+            FormedSpace("R", "R", eps, (1, 1), 2)
     direct = FormedSpace("R", "R", 1, (2, 1), 3)
     assert direct is not shared
     assert direct == shared and hash(direct) == hash(shared)
@@ -271,6 +277,8 @@ def test_formed_space_errors_are_raised_on_every_call():
           for sig in ((1.5, 1), ("1", 1), (True, 1), [1.5, 1], {1, 2})],
         *[(("C", "C", 1), {"dim": dim}, "dimension must be an int")
           for dim in (2.7, True, "2", 2.0, [2])],
+        *[(("C", "C", eps), {"dim": 2}, "epsilon must be an int")
+          for eps in (1.0, True, -1.0, "1")],
     ]
     size = forms._space.cache_info().currsize
     for args, kwargs, message in cases:

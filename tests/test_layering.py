@@ -7,7 +7,8 @@ is still raised somewhere in the package, every module-level function,
 class and constant is read in its own module or taken from it by another
 (imported, or read as module.name), and every module-level import is used
 in its module or exported.  Only rational.scaled reads a
-Fraction's numerator and denominator.  The message of every raise in the package is
+Fraction's numerator and denominator, and inside rational only _ratio
+builds a Fraction from integers.  The message of every raise in the package is
 written in some test, so each of its guards is one that a test reaches.
 BoundExceeded, NotInImage and EmptyLift are each raised in one place and
 caught in none.  Outside forms, only the sort key of a tableau reads a
@@ -194,6 +195,22 @@ def test_only_scaled_splits_a_fraction():
                        if isinstance(node, ast.Attribute)
                        and node.attr in ("numerator", "denominator"))
     assert readers == {"rational.scaled"}
+
+
+def test_only_ratio_builds_a_fraction():
+    # one way out of the integer kernel: inside rational a Fraction is
+    # built only by _ratio, an integer over its row's lead or a matrix's
+    # denominator, apart from the constants of zeros, eye and _ZERO, so no
+    # second readout can come back beside cayley's and inv's
+    tree = ast.parse((PACKAGE / "rational.py").read_text())
+    where = _innermost_functions(tree)
+    builders = {where.get(id(node), "<module>") for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "Fraction"}
+    assert builders == {"_ratio", "zeros", "eye", "<module>"}
+    assert [ast.unparse(node) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and "Fraction(" in ast.unparse(node)] == ["_ZERO = Fraction(0)"]
 
 
 def test_only_forms_asks_for_a_signature():

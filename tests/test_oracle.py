@@ -28,7 +28,8 @@ from dualpairs.theta import reduced_pair_dims
 from helpers import (add, commutator, constrained_kernel,
                      constrained_nullity, dense_basis, is_zero_mat, kron,
                      kron_gram, kron_standard_gram, kron_structures,
-                     kron_triple, mat, matpow, nullspace, rank, scal)
+                     kron_triple, mat, matpow, nullspace, rank,
+                     ref_random_isometry, scal)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -724,14 +725,28 @@ def test_random_isometry_is_pinned():
         assert rng.random() == ref.random()
 
 
+def test_random_isometry_is_the_solve_of_i_plus_a_against_i_minus_a():
+    """On every ambient with dim_F <= 8, at three rng states, g is the one
+    that solving [den I + ai | den I - ai] gives, Fraction for Fraction,
+    after the same draws."""
+    for v in iter_spaces(8):
+        amb = realize_triple(zero_orbit(v)).ambient
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            g, want = random_isometry(amb, rng), ref_random_isometry(amb, ref)
+            assert g == want, v.render()
+            assert all(type(x) is Fraction for row in g for x in row)
+            assert rng.getstate() == ref.getstate()
+
+
 def test_random_isometry_gives_up_after_fifty_singular_draws(monkeypatch):
     calls = []
 
-    def singular(a, b):
-        calls.append(a)
+    def singular(ai, den):
+        calls.append(ai)
         raise ValueError("matrix is singular")
 
-    monkeypatch.setattr(oracle, "solve", singular)
+    monkeypatch.setattr(oracle, "cayley", singular)
     amb = realize_triple(zero_orbit(SP2)).ambient
     with pytest.raises(IdentityViolated, match=(
             "could not sample an invertible Cayley transform")):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpairs.rational import (Monomial, Scaled, _reduced, dense,
-                                echelon, eye, fraction_mat, inv, kernel,
-                                monomial_inv, monomial_rows, mul, sandwich,
-                                scaled, scaled_mul, shape, solve, sparse_rows,
+from dualpairs.rational import (Monomial, Scaled, _reduced, _solved, cayley,
+                                dense, echelon, eye, fraction_mat, inv,
+                                kernel, monomial_inv, monomial_rows, mul,
+                                sandwich, scaled, scaled_mul, shape,
                                 sylvester_signature, transpose, zeros)
-from helpers import add, block_diag, kron, mat, nullspace, rank, scal
+from helpers import (add, block_diag, kron, mat, nullspace, rank, scal,
+                     sparse_rows)
 
 SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -110,6 +111,15 @@ def test_integer_sandwich_matches_dense_product():
         assert got.den == left.den * scaled(a).den * right.den
         assert fraction_mat(got) == mul(inv(fraction_mat(dense(b))),
                                         mul(a, fraction_mat(dense(bp))))
+
+
+def over_leads(a, b):
+    """a^-1 b read from _solved on the integer rows of [a | b]: row i is
+    pivot row i's entries in b's columns over its lead."""
+    n, m = len(a), shape(b)[1]
+    rows = _solved(sparse_rows([[*ra, *rb] for ra, rb in zip(a, b)]), n)
+    return [[Fraction(r.get(n + j, 0), r[i]) for j in range(m)]
+            for i, r in enumerate(rows)]
 
 
 def textbook_rref(a):
@@ -235,7 +245,7 @@ def test_one_common_denominator_changes_no_pivot(a):
     """sparse_rows clears a over one common denominator, a positive
     multiple of each row cleared on its own, and every pivot row is kept
     primitive with a positive lead: echelon, the reduced pivots, kernel
-    and solve come out identical."""
+    and _solved come out identical."""
     m, n = shape(a)
     assert echelon(sparse_rows(a)) == echelon(rows_cleared_one_by_one(a))
     pivots = _reduced(rows_cleared_one_by_one(a))
@@ -244,11 +254,9 @@ def test_one_common_denominator_changes_no_pivot(a):
     square, rest = [row[:m] for row in a], [row[m:] for row in a]
     if any(i not in pivots for i in range(m)):
         with pytest.raises(ValueError, match="^matrix is singular$"):
-            solve(square, rest)
+            _solved(sparse_rows(a), m)
     else:
-        assert solve(square, rest) == [
-            [Fraction(pivots[i].get(m + j, 0), pivots[i][i])
-             for j in range(n - m)] for i in range(m)]
+        assert _solved(sparse_rows(a), m) == [pivots[i] for i in range(m)]
 
 
 def test_shapes_and_identity():
@@ -283,15 +291,22 @@ def test_solve_and_kernel_known():
         Scaled(((-3, 0, 6, 0), (0, -2, 0, 6)), 6)
     assert kernel([], 2) == Scaled(((1, 0), (0, 1)), 1)
     assert kernel(sparse_rows([[1, 0], [0, 5]]), 2) == Scaled((), 1)
-    with pytest.raises(ValueError, match="singular"):
-        solve(a, [[1], [0], [0]])
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        over_leads(a, [[1], [0], [0]])
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        inv(a)
     b = [[1, 0], [0, 1], [Fraction(1, 2), 4]]
     c = [[2, 1, 0], [1, 1, 0], [0, 0, 3]]
-    got = solve(c, b)
+    # [c | b] over 2: the pivot rows of [I | c^-1 b] times 1, 1 and 6
+    assert _solved(sparse_rows([[*rc, *rb] for rc, rb in zip(c, b)]), 3) == \
+        [{0: 1, 3: 1, 4: -1}, {1: 1, 3: -1, 4: 2}, {2: 6, 3: 1, 4: 8}]
+    got = over_leads(c, b)
     assert got == [[1, -1], [-1, 2], [Fraction(1, 6), Fraction(4, 3)]]
-    assert all(type(x) is Fraction for row in got for x in row)
     assert mul(c, got) == b
-    assert solve([], []) == [] and inv([]) == []
+    c_inv = inv(c)
+    assert c_inv == [[1, -1, 0], [-1, 2, 0], [0, 0, Fraction(1, 3)]]
+    assert all(type(x) is Fraction for row in c_inv for x in row)
+    assert _solved([], 0) == [] and inv([]) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,16 +331,66 @@ SQUARE = st.integers(0, 4).flatmap(lambda n: small_mat(
 @settings(max_examples=200, deadline=None)
 @given(SQUARE, st.integers(0, 3))
 def test_solve_matches_textbook_gauss_jordan(a, width):
-    """solve on square inputs, singular (a third of the entries are 0) and
-    not, against the RREF of [a | b] for an int b of any width."""
+    """_solved and inv on square inputs, singular (a third of the entries
+    are 0) and not, against the RREF of [a | b] for an int b of any width
+    and of [a | I]."""
     n = len(a)
     b = [[i - 2 * j + 1 for j in range(width)] for i in range(n)]
     r, pivots = textbook_rref([row + brow for row, brow in zip(a, b)])
     if pivots[:n] != list(range(n)):
-        with pytest.raises(ValueError, match="singular"):
-            solve(a, b)
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            over_leads(a, b)
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            inv(a)
     else:
-        assert solve(a, b) == [row[n:] for row in r[:n]]
+        assert over_leads(a, b) == [row[n:] for row in r[:n]]
+        r, _ = textbook_rref([row + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(a)])
+        assert inv(a) == [row[n:] for row in r]
+
+
+@st.composite
+def cayley_input(draw):
+    """(ai, den) for a square integer ai of size 1 to 5; in about half the
+    cases one row of den I + ai is zero, so that it is singular."""
+    n, den = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    ai = draw(small_mat(n, n, st.integers(-4, 4)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        ai[k] = [-den if j == k else 0 for j in range(n)]
+    return ai, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(cayley_input())
+def test_cayley_is_the_textbook_cayley_transform(case):
+    """cayley(ai, den) is (I + a)^-1 (I - a) for a = ai / den, with
+    (I + a)^-1 from the RREF of [I + a | I], in Fractions throughout."""
+    ai, den = case
+    n = len(ai)
+    a = [[Fraction(x, den) for x in row] for row in ai]
+    one = eye(n)
+    r, pivots = textbook_rref([[one[i][j] + x for j, x in enumerate(row)]
+                               + one[i] for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            cayley(ai, den)
+        return
+    minus = [[one[i][j] - x for j, x in enumerate(row)]
+             for i, row in enumerate(a)]
+    g = cayley(ai, den)
+    assert g == textbook_mul([row[n:] for row in r], minus)
+    assert all(type(x) is Fraction for row in g for x in row)
+
+
+def test_cayley_known():
+    # a rotation by a quarter turn, from a = [[0, 1], [-1, 0]]
+    assert cayley([[0, 1], [-1, 0]], 1) == [[0, -1], [1, 0]]
+    # a = [[1/2]]: (1 - 1/2) / (1 + 1/2)
+    assert cayley([[1]], 2) == [[Fraction(1, 3)]]
+    assert cayley([], 1) == []
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        cayley([[-2, 0], [5, 1]], 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -334,12 +399,12 @@ def test_inverse(a):
     b = [[i - 2 * j for j in range(2)] for i in range(3)]  # int entries
     if rank(a) == 3:
         assert mul(a, inv(a)) == eye(3)
-        assert solve(a, b) == mul(inv(a), b)
+        assert over_leads(a, b) == mul(inv(a), b)
     else:
         with pytest.raises(ValueError):
             inv(a)
         with pytest.raises(ValueError):
-            solve(a, b)
+            over_leads(a, b)
 
 
 @settings(max_examples=20, deadline=None)
