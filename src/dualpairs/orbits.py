@@ -17,7 +17,8 @@ that of an odd row with multiplicity signature (p, c - p) has c(t-1)/2 + p.
 
 validate checks each distinct tableau once: an admissible one is kept in a
 least-recently-used cache of VALIDATE_CACHE_SIZE tableaux, and an invalid
-one raises on every call.
+one raises on every call.  Enumeration reads each dim V's row shapes from a
+cache of SHAPES_CACHE_SIZE, one entry per dim V up to the bound.
 Enumeration, gradings, the lift and the oracle's realizations refuse a
 space with dim_F > DEFAULT_DIM_BOUND through one check, check_bound.
 """
@@ -36,6 +37,7 @@ from .forms import (EVEN_DIM_KINDS, SIG_KINDS, FormedSpace, GroupDescriptor,
 
 DEFAULT_DIM_BOUND = 12
 VALIDATE_CACHE_SIZE = 2048
+SHAPES_CACHE_SIZE = 13
 
 
 @dataclass(frozen=True)
@@ -187,16 +189,27 @@ def _admissible_mults(v: FormedSpace, rows: tuple, left: int):
         return
     if t % 2:  # V's type: over a dimension-classified V, left and p are 0
         room = sum(n for s, n in rest if s % 2)  # the later odd rows' share
-        ps = range(max(0, left - room), min(c, left) + 1)
+        ps = range(min(c, left), max(0, left - room) - 1, -1)
     else:
-        ps = range(c + 1 if tag in SIG_KINDS else 1)
+        ps = range(c if tag in SIG_KINDS else 0, -1, -1)
     for p in ps:
         for tail in _admissible_mults(v, rest, left - p * (t % 2)):
             yield (space_of(tag, p, c),) + tail
 
 
+@functools.lru_cache(maxsize=SHAPES_CACHE_SIZE)
+def _row_shapes(n: int) -> tuple:
+    """(rows, base) per partition of n, in `_partitions`' order: rows
+    ((t, c), ...) with t decreasing, base the sum of `_positive_index(t, c)`."""
+    rows = [tuple(Counter(diagram).items()) for diagram in _partitions(n)]
+    return tuple((r, sum(_positive_index(t, c) for t, c in r)) for r in rows)
+
+
 def enumerate_orbits(v: FormedSpace) -> list:
-    """All admissible tableaux over V, canonically ordered.
+    """All admissible tableaux over V, in descending `sort_key` order by
+    construction: the partitions of dim V, built once per dim V by
+    `_row_shapes`, decrease lexicographically, and each row tries its p in
+    descending order.
 
     Only admissible tableaux are generated: every partition of dim V, with
     each row taking each of its multiplicity forms, except that over a
@@ -204,14 +217,11 @@ def enumerate_orbits(v: FormedSpace) -> list:
     after the rows' ct/2 and c(t-1)/2 (see `_positive_index`)."""
     check_bound(v)
     found = []
-    for diagram in _partitions(v.dim):
-        rows = tuple(Counter(diagram).items())  # lengths decreasing
-        left = (v.p - sum(_positive_index(t, c) for t, c in rows)
-                if v.kind == "sig" else 0)
+    for rows, base in _row_shapes(v.dim):
+        left = v.p - base if v.kind == "sig" else 0
         for mults in _admissible_mults(v, rows, left):
             found.append(AdmissibleTableau(v, tuple(
                 TableauRow(t, m) for (t, _), m in zip(rows, mults))))
-    found.sort(key=lambda tb: tb.sort_key(), reverse=True)
     return found
 
 

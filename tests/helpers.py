@@ -22,9 +22,11 @@ and Gauss-Jordan elimination.
 Last comes the brute-force orbit enumeration: every product of
 multiplicity forms over every partition, kept when `validate` accepts it,
 and the block sum it checks built as a formed space with `direct_sum` and
-`tensor_with_sl2`.  Then the formed-space arithmetic written branch by
-branch, one branch per classification (signature or dimension), the
-reference for `forms`' arithmetic on (p, n).  Then the Cayley draw solved
+`tensor_with_sl2`, and the closed-form orbit count, partitions over C and
+signed Young diagrams over R, which calls neither `validate` nor the
+admissibility rule of `enumerate_orbits`.  Then the formed-space
+arithmetic written branch by branch, one branch per classification
+(signature or dimension), the reference for `forms`' arithmetic on (p, n).  Then the Cayley draw solved
 from [den I + ai | den I - ai], the reference for `random_isometry`'s
 solve against I.  At the very end, `raised_twice` checks that a cached
 function raises again, alike, on a second identical call.
@@ -358,6 +360,39 @@ def brute_enumerate(v) -> list:
     found.sort(key=lambda tb: tb.sort_key(), reverse=True)
     return found
 
+
+# How the rows of each length carry signs in the closed-form count, for
+# (odd lengths, even lengths): "free" rows start with either sign, "even"
+# ones split evenly between the two first signs (so their number is even),
+# and "none" rows carry no sign (one of even length t holds t/2 of each,
+# and an odd one meets no signature).  Over C the even split is only the parity
+# condition of o(n) and sp(n) (Collingwood-McGovern, ch. 5 and 9).
+SIGNED_ROWS = {
+    ("C", "C", 1): ("none", "even"), ("C", "C", -1): ("even", "none"),
+    ("R", "R", 1): ("free", "even"), ("R", "R", -1): ("even", "free"),
+    ("R", "C", 1): ("free", "free"), ("R", "C", -1): ("free", "free"),
+    ("R", "H", 1): ("free", "none"), ("R", "H", -1): ("none", "free"),
+}
+
+
+def closed_form_orbit_count(v) -> int:
+    """The number of nilpotent orbits over v: partitions of dim v over C,
+    signed Young diagrams of v's signature over R, each row of length t
+    with alternating signs holding ceil(t/2) of its first sign, under the
+    rules of SIGNED_ROWS.  A signature-free type matches no signature."""
+    count = 0
+    for diagram in _partitions(v.dim, v.dim):
+        # the positive indices each length's rows can carry
+        options = []
+        for t, c in Counter(diagram).items():
+            rule = SIGNED_ROWS[v.tag()][t % 2 == 0]
+            plus = range(c + 1) if rule == "free" else \
+                [c // 2] if rule == "none" or c % 2 == 0 else []
+            options.append([a * ((t + 1) // 2) + (c - a) * (t // 2)
+                            for a in plus])
+        count += sum(1 for combo in product(*options)
+                     if v.kind != "sig" or sum(combo) == v.signature[0])
+    return count
 
 
 def _ref_same_type(a, b):

@@ -19,6 +19,7 @@ from dualpairs import (AdmissibleTableau, Cycle, FormedSpace, complexify,
                        verify)
 from dualpairs.cli import UsageError, _dumps, build_parser, main
 from dualpairs.errors import DomainError
+from helpers import brute_enumerate
 
 SP4 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 4})
 SP2 = json.dumps({"base": "C", "division": "C", "epsilon": -1, "dim": 2})
@@ -343,6 +344,14 @@ def test_cli_transcript_is_byte_identical(monkeypatch):
     for rec in json.loads(TRANSCRIPT.read_text()):
         got = call(*rec["argv"])
         assert got == (rec["rc"], rec["stdout"], rec["stderr"]), rec["argv"]
+
+
+def test_orbits_json_lists_the_brute_force_tableaux_on_every_space():
+    # the in-process CLI call on every space up to the dimension bound
+    for v in iter_spaces(12):
+        want = [tab.to_json() for tab in brute_enumerate(v)]
+        got = call("orbits", "--space", json.dumps(v.to_json()), "--json")
+        assert got == (0, json.dumps(want, indent=2) + "\n", ""), v.render()
 
 
 def test_failing_verify_exits_2_with_the_report_on_stdout(monkeypatch):

@@ -388,6 +388,6 @@ def test_every_cache_is_bounded():
                             or args.kwonlyargs or args.kwarg:
                         unbounded.append(f"{where}: cache with arguments")
     assert unbounded == []
-    assert {"forms.py:_space", "orbits.py:validate",
+    assert {"forms.py:_space", "orbits.py:validate", "orbits.py:_row_shapes",
             "theta.py:_descent", "theta.py:_lift", "oracle.py:_realize",
             "oracle.py:_identify", "cli.py:build_parser"} <= seen

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 
 from dualpairs import orbits
@@ -13,7 +16,7 @@ from dualpairs import (AdmissibleTableau, BadShape, BadSign, BoundExceeded,
                        whittaker_datum, zero_orbit)
 from dualpairs.oracle import graded_dims, realize_triple
 from helpers import (block_sum, brute_enumerate, candidate_tableaux,
-                     expected_grading, raised_twice)
+                     closed_form_orbit_count, expected_grading, raised_twice)
 
 SP2 = complex_symplectic_space(2)
 SP4 = complex_symplectic_space(4)
@@ -79,6 +82,63 @@ def test_enumeration_matches_brute_force():
     assert len(spaces) == 180
     for v in spaces:
         assert enumerate_orbits(v) == brute_enumerate(v), v.render()
+
+
+def brute_partitions(n: int) -> list:
+    """Every partition of n as a weakly decreasing tuple, lexicographically
+    decreasing: the multisets of parts that sum to n, sorted."""
+    return sorted((parts for k in range(n + 1) for parts in
+                   combinations_with_replacement(range(n, 0, -1), k)
+                   if sum(parts) == n), reverse=True)
+
+
+def test_row_shapes_are_the_partitions_in_decreasing_order():
+    # rows (t, c) of each partition with t decreasing, and base the
+    # positive index c * floor(t/2) the rows carry before any odd row's p
+    for n in range(orbits.DEFAULT_DIM_BOUND + 1):
+        want = []
+        for parts in brute_partitions(n):
+            rows = tuple(sorted(Counter(parts).items(), reverse=True))
+            want.append((rows, sum(c * (t // 2) for t, c in rows)))
+        assert orbits._row_shapes(n) == tuple(want), n
+
+
+def test_row_shapes_memo_holds_one_entry_per_dimension():
+    assert orbits._row_shapes.cache_info().maxsize == orbits.SHAPES_CACHE_SIZE
+    for v in iter_spaces(12):
+        enumerate_orbits(v)
+    assert orbits._row_shapes.cache_info().currsize <= 13
+
+
+def test_enumeration_past_the_bound_adds_no_row_shapes():
+    orbits._row_shapes.cache_clear()
+    with pytest.raises(BoundExceeded):
+        enumerate_orbits(complex_orthogonal_space(13))
+    info = orbits._row_shapes.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_enumeration_hands_out_a_fresh_list():
+    for v in (SP4, orthogonal_space(3, 3), hermitian_space(2, 1)):
+        first = enumerate_orbits(v)
+        first.clear()
+        second = enumerate_orbits(v)
+        assert second == brute_enumerate(v)
+        second.append(REG2)
+        assert enumerate_orbits(v) == brute_enumerate(v)
+        assert enumerate_orbits(v) is not enumerate_orbits(v)
+
+
+def test_orbit_count_matches_the_closed_form():
+    # partitions over C and signed Young diagrams over R, counted without
+    # the admissibility rule that enumerate_orbits applies
+    families = Counter()
+    for v in iter_spaces(12):
+        families[v.tag()[:2] if v.division != "R" else v.tag()] += 1
+        assert len(enumerate_orbits(v)) == closed_form_orbit_count(v), \
+            v.render()
+    assert families == {("C", "C"): 18, ("R", "C"): 54, ("R", "R", 1): 90,
+                        ("R", "R", -1): 6, ("R", "H"): 12}
 
 
 def test_validate_matches_the_block_sum_on_every_candidate():
